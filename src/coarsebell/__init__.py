@@ -9,13 +9,10 @@ inequalities.
 """
 
 __all__ = [
-    "GaussianKernel",
     "DiscreteGaussianWeights",
     "QuadratureRule",
     "discrete_gaussian",
     "gauss_hermite",
-    "coarsen_expectation",
-    "erf",
     "GenericParams",
     "corr_fuzzy_detector",
     "corr_coarse_reference",
@@ -66,11 +63,8 @@ __version__ = "0.1.0"
 
 from .kernels import (  # noqa: E402
     DiscreteGaussianWeights,
-    GaussianKernel,
     QuadratureRule,
-    coarsen_expectation,
     discrete_gaussian,
-    erf,
     gauss_hermite,
 )
 from .generic import (  # noqa: E402

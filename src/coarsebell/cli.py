@@ -6,8 +6,8 @@ Two subcommands::
     coarsebell point <system> [--param name=value ...]
 
 Exit codes: 0 on success, 2 for validation problems (bad job file, unknown
-system or parameter, malformed grid), 3 when a numerical routine failed to
-converge.
+system or parameter, NaN or infinite number, malformed grid, ``--starts``
+below 1), 3 when a numerical routine failed to converge.
 """
 
 from __future__ import annotations
@@ -18,13 +18,25 @@ from typing import Sequence
 
 from .ecs import ConvergenceError
 from .sweep import JobError, SYSTEMS, emit_csv, emit_svg, optimized_point, parse_job, run_sweep
+from .sweep import _parse_number
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _starts(text: str) -> int:
+    """argparse type of ``--starts``: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coarsebell",
         description="Optimized Bell/Leggett-Garg violations under coarsened measurements.",
@@ -35,10 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("jobfile", help="path to a job file (flat key = value format)")
     sweep.add_argument("--csv", required=True, help="output CSV path")
     sweep.add_argument("--svg", default=None, help="optional output SVG path")
-    sweep.add_argument("--starts", type=int, default=None, help="multistart count")
-    sweep.add_argument(
-        "--quadrature-order", type=int, default=None, help="Gauss-Hermite order override"
-    )
 
     point = sub.add_parser("point", help="optimize a single configuration")
     point.add_argument("system", help=f"one of: {', '.join(sorted(SYSTEMS))}")
@@ -49,31 +57,27 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="NAME=VALUE",
         help="system parameter (repeatable), e.g. --param n=2 --param V=0.25",
     )
-    point.add_argument("--starts", type=int, default=None, help="multistart count")
-    point.add_argument(
-        "--quadrature-order", type=int, default=None, help="Gauss-Hermite order override"
-    )
+    for command in (sweep, point):
+        command.add_argument("--starts", type=_starts, default=None, help="multistart count")
+        command.add_argument(
+            "--quadrature-order", type=int, default=None, help="Gauss-Hermite order override"
+        )
     return parser
 
 
 def _parse_param_args(pairs: Sequence[str]) -> dict[str, float]:
     params: dict[str, float] = {}
     for pair in pairs:
-        if "=" not in pair:
-            raise JobError(f"--param expects NAME=VALUE, got {pair!r}")
-        name, _, value = pair.partition("=")
+        name, sep, value = pair.partition("=")
         name = name.strip()
-        if not name:
+        if not sep or not name:
             raise JobError(f"--param expects NAME=VALUE, got {pair!r}")
-        try:
-            params[name] = float(value.strip())
-        except ValueError:
-            raise JobError(f"--param {name!r}: not a number: {value.strip()!r}") from None
+        params[name] = _parse_number(value.strip(), f"--param {name}", None)
     return params
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _arg_parser().parse_args(argv)
     try:
         if args.command == "sweep":
             return _run_sweep_command(args)

@@ -34,10 +34,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from math import erf
 
 import numpy as np
-
-from .kernels import erf
 
 __all__ = [
     "EcsParams",

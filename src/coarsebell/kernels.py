@@ -12,11 +12,6 @@ quantity.  Two kernel flavours appear:
 * a *discrete* kernel over integer offsets k, w_k ~ exp(-k^2 / 2 s^2),
   renormalised over a finite window |k| <= k_max, used to smear a discrete
   detection threshold.
-
-The error function shows up in all coherent-state closed forms; it is
-implemented here from scratch (power series plus continued fraction) so the
-numerical core carries no special-function dependency and can be validated
-against an independent series oracle.
 """
 
 from __future__ import annotations
@@ -28,92 +23,17 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "erf",
-    "GaussianKernel",
     "DiscreteGaussianWeights",
     "discrete_gaussian",
     "QuadratureRule",
     "gauss_hermite",
-    "coarsen_expectation",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
-_SQRT_2 = math.sqrt(2.0)
 
 # Below this the discrete kernel is numerically a point mass anyway
 # (exp(-1/(2 s^2)) underflows); treat it explicitly to avoid 0/0.
 _TINY_SIGMA = 1e-8
-
-# erf(x) for |x| >= 8 differs from +-1 by less than 1e-28, far below the
-# 1e-12 accuracy contract; saturating avoids pointless tail arithmetic.
-_ERF_SATURATION = 8.0
-
-# Series/continued-fraction crossover.
-_ERF_SERIES_CUT = 2.0
-
-
-def erf(x: float) -> float:
-    """Error function, accurate to better than 1e-12 in absolute terms.
-
-    For |x| <= 2 uses the all-positive-term series
-
-        erf(x) = 2x/sqrt(pi) * exp(-x^2) * sum_k (2 x^2)^k / (2k+1)!!
-
-    which is free of cancellation, and for 2 < |x| < 8 the Legendre
-    continued fraction for the complement,
-
-        sqrt(pi) exp(x^2) erfc(x) = 1/(x + (1/2)/(x + (2/2)/(x + ...))),
-
-    evaluated by backward recurrence.  Beyond |x| = 8 the result is
-    saturated to +-1.
-    """
-    ax = abs(x)
-    if ax >= _ERF_SATURATION:
-        return math.copysign(1.0, x)
-    if ax <= _ERF_SERIES_CUT:
-        t = 2.0 * x * x
-        term = 1.0
-        total = 1.0
-        k = 0
-        while k < 200:
-            k += 1
-            term *= t / (2 * k + 1)
-            total += term
-            if term < 1e-18 * total:
-                break
-        return (2.0 / _SQRT_PI) * x * math.exp(-x * x) * total
-    tail = 0.0
-    for k in range(80, 0, -1):
-        tail = (0.5 * k) / (ax + tail)
-    erfc = math.exp(-ax * ax) / (_SQRT_PI * (ax + tail))
-    return math.copysign(1.0 - erfc, x)
-
-
-@dataclass(frozen=True)
-class GaussianKernel:
-    """Normalised Gaussian weight with an explicit point-mass degeneration.
-
-    ``sigma == 0`` is a legal state meaning "no smearing at all"; the kernel
-    then acts as a Dirac mass at ``center`` and has no density to evaluate.
-    """
-
-    center: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-
-    @property
-    def is_point_mass(self) -> bool:
-        return self.sigma < _TINY_SIGMA
-
-    def pdf(self, x: float) -> float:
-        """Density at ``x``; undefined (raises) for the point-mass state."""
-        if self.is_point_mass:
-            raise ValueError("point-mass kernel has no density")
-        z = (x - self.center) / self.sigma
-        return math.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -208,20 +128,3 @@ def gauss_hermite(order: int) -> QuadratureRule:
         raise ValueError(f"order must be an integer in 1..128, got {order!r}")
     return _hermite_rule(int(order))
 
-
-def coarsen_expectation(f, center: float, sigma: float, rule: QuadratureRule) -> float:
-    """Gaussian average of ``f`` around ``center`` with spread ``sigma``.
-
-    ``sigma == 0`` short-circuits to the sharp value ``f(center)``; otherwise
-    the Gauss-Hermite sum is accumulated in fixed node order so results are
-    bit-reproducible.
-    """
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0.0:
-        return float(f(center))
-    scale = _SQRT_2 * sigma
-    total = 0.0
-    for x, w in zip(rule.nodes, rule.weights):
-        total += w * f(center + scale * x)
-    return float(total)

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize
@@ -48,10 +48,8 @@ class Correlator:
     """
 
     fn: Callable[..., float]
-    label: str = ""
     period: float = math.pi
     kind: str = "chsh"
-    params: Mapping[str, float] = field(default_factory=dict)
 
     def __call__(self, *args: float) -> float:
         return self.fn(*args)

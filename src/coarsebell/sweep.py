@@ -134,123 +134,68 @@ class SweepResult:
 
 
 @dataclass(frozen=True)
-class _SystemDef:
-    name: str
+class _System:
+    """One row of the system table; an ``int`` default marks an integer parameter.
+
+    The sweep value, or its square root (a width) when it is the variance
+    ``V``, sets the ``swept`` field of the model's params object ``mp``;
+    ``corr`` takes ``mp`` last (``corr(ta, tb, mp)`` or ``corr(tau, mp)``),
+    except the photon row's, which is the factory ``photon_correlator(mp)``.
+    """
+
     kind: str  # "chsh" | "lg"
     variable: str
     variable_default: float
-    params: Mapping[str, float]  # name -> default
-    int_params: tuple[str, ...]
-    build: Callable[..., Correlator]
+    params: Mapping[str, float]
+    model: type
+    swept: str
+    corr: Callable[..., object]
+
+    def model_params(self, fixed: Mapping[str, float], value: float) -> object:
+        x = math.sqrt(value) if self.variable == "V" else value
+        return self.model(**fixed, **{self.swept: x})
 
 
-def _build_generic_delta(p: Mapping[str, float], value: float, order: int | None) -> Correlator:
-    gp = generic.GenericParams(n=int(p["n"]), delta=math.sqrt(value))
-    return Correlator(
-        fn=lambda ta, tb: generic.corr_fuzzy_detector(ta, tb, gp),
-        label="generic-delta",
-        period=math.pi,
-        kind="chsh",
-        params={"n": gp.n, "V": value},
-    )
-
-
-def _build_generic_ref(p: Mapping[str, float], value: float, order: int | None) -> Correlator:
-    gp = generic.GenericParams(n=int(p["n"]), Delta=math.sqrt(value))
-    return Correlator(
-        fn=lambda ta, tb: generic.corr_coarse_reference(ta, tb, gp),
-        label="generic-ref",
-        period=math.pi,
-        kind="chsh",
-        params={"n": gp.n, "V": value},
-    )
-
-
-def _build_photon(p: Mapping[str, float], value: float, order: int | None) -> Correlator:
-    pp = photon.PhotonParams(n=int(p["n"]), eta=float(p["eta"]), Delta=math.sqrt(value))
-    rule = gauss_hermite(order) if order is not None else None
-    return Correlator(
-        fn=photon.photon_correlator(pp, rule=rule),
-        label="photon",
-        period=math.pi,
-        kind="chsh",
-        params={"n": pp.n, "eta": pp.eta, "V": value},
-    )
-
-
-def _build_ecs_eta(p: Mapping[str, float], value: float, order: int | None) -> Correlator:
-    ep = ecs.EcsParams(alpha=float(p["alpha"]), eta=value)
-    return Correlator(
-        fn=lambda ta, tb: ecs.corr_ecs_efficiency(ta, tb, ep),
-        label="ecs-eta",
-        period=math.pi,
-        kind="chsh",
-        params={"alpha": ep.alpha, "eta": value},
-    )
-
-
-def _build_ecs_ref(p: Mapping[str, float], value: float, order: int | None) -> Correlator:
-    ep = ecs.EcsParams(alpha=float(p["alpha"]), Delta=math.sqrt(value))
-    return Correlator(
-        fn=lambda ta, tb: ecs.corr_ecs_reference(ta, tb, ep),
-        label="ecs-ref",
-        period=math.pi,
-        kind="chsh",
-        params={"alpha": ep.alpha, "V": value},
-    )
-
-
-def _build_ecs_homodyne(p: Mapping[str, float], value: float, order: int | None) -> Correlator:
-    ep = ecs.EcsParams(alpha=float(p["alpha"]), Delta=math.sqrt(value))
-    return Correlator(
-        fn=lambda ta, tb: ecs.corr_ecs_homodyne_angle(ta, tb, ep),
-        label="ecs-homodyne",
-        period=math.pi,
-        kind="chsh",
-        params={"alpha": ep.alpha, "V": value},
-    )
-
-
-def _build_lg_spin(p: Mapping[str, float], value: float, order: int | None) -> Correlator:
-    sp = leggett_garg.SpinParams(j=float(p["j"]), omega=float(p["omega"]), Delta=math.sqrt(value))
-    return Correlator(
-        fn=lambda tau: leggett_garg.corr_spin_parity(tau, sp),
-        label="lg-spin",
-        period=2.0 * math.pi / sp.omega,
-        kind="lg",
-        params={"j": sp.j, "omega": sp.omega, "V": value},
-    )
-
-
-def _build_lg_nonclassical(p: Mapping[str, float], value: float, order: int | None) -> Correlator:
-    sp = leggett_garg.SpinParams(j=float(p["j"]), omega=float(p["omega"]), Delta=math.sqrt(value))
-    return Correlator(
-        fn=lambda tau: leggett_garg.corr_nonclassical(tau, sp),
-        label="lg-nonclassical",
-        period=2.0 * math.pi / sp.omega,
-        kind="lg",
-        params={"j": sp.j, "omega": sp.omega, "V": value},
-    )
-
-
-SYSTEMS: dict[str, _SystemDef] = {
-    d.name: d
-    for d in (
-        _SystemDef("generic-delta", "chsh", "V", 0.0, {"n": 1}, ("n",), _build_generic_delta),
-        _SystemDef("generic-ref", "chsh", "V", 0.0, {"n": 1}, ("n",), _build_generic_ref),
-        _SystemDef("photon", "chsh", "V", 0.0, {"n": 1, "eta": 1.0}, ("n",), _build_photon),
-        _SystemDef("ecs-eta", "chsh", "eta", 1.0, {"alpha": 10.0}, (), _build_ecs_eta),
-        _SystemDef("ecs-ref", "chsh", "V", 0.0, {"alpha": 10.0}, (), _build_ecs_ref),
-        _SystemDef("ecs-homodyne", "chsh", "V", 0.0, {"alpha": 10.0}, (), _build_ecs_homodyne),
-        _SystemDef("lg-spin", "lg", "V", 0.0, {"j": 0.5, "omega": 1.0}, (), _build_lg_spin),
-        _SystemDef(
-            "lg-nonclassical", "lg", "V", 0.0, {"j": 0.5, "omega": 1.0}, (), _build_lg_nonclassical
-        ),
+SYSTEMS: dict[str, _System] = {
+    name: _System(*row)
+    for name, *row in (
+        # name, kind, variable, its default, fixed parameters with defaults,
+        # model params class, the field the sweep value sets, correlator
+        ("generic-delta", "chsh", "V", 0.0, {"n": 1},
+         generic.GenericParams, "delta", generic.corr_fuzzy_detector),
+        ("generic-ref", "chsh", "V", 0.0, {"n": 1},
+         generic.GenericParams, "Delta", generic.corr_coarse_reference),
+        ("photon", "chsh", "V", 0.0, {"n": 1, "eta": 1.0},
+         photon.PhotonParams, "Delta", photon.photon_correlator),
+        ("ecs-eta", "chsh", "eta", 1.0, {"alpha": 10.0},
+         ecs.EcsParams, "eta", ecs.corr_ecs_efficiency),
+        ("ecs-ref", "chsh", "V", 0.0, {"alpha": 10.0},
+         ecs.EcsParams, "Delta", ecs.corr_ecs_reference),
+        ("ecs-homodyne", "chsh", "V", 0.0, {"alpha": 10.0},
+         ecs.EcsParams, "Delta", ecs.corr_ecs_homodyne_angle),
+        ("lg-spin", "lg", "V", 0.0, {"j": 0.5, "omega": 1.0},
+         leggett_garg.SpinParams, "Delta", leggett_garg.corr_spin_parity),
+        ("lg-nonclassical", "lg", "V", 0.0, {"j": 0.5, "omega": 1.0},
+         leggett_garg.SpinParams, "Delta", leggett_garg.corr_nonclassical),
     )
 }
 
 
-def _system(name: str) -> _SystemDef:
+def _correlator(sysdef: _System, fixed: Mapping, value: float, order: int | None) -> Correlator:
+    """Build one configuration's correlator from its table row."""
+    # Fixed-arity closures: the optimiser makes ~1e5 calls per point, and
+    # ``*args`` forwarding would add half the cost of the cheapest correlator.
+    mp = sysdef.model_params(fixed, value)
+    corr = sysdef.corr
+    if sysdef.kind == "lg":
+        return Correlator(fn=lambda tau: corr(tau, mp), period=2.0 * math.pi / mp.omega, kind="lg")
+    if corr is photon.photon_correlator:
+        rule = gauss_hermite(order) if order is not None else None
+        return Correlator(fn=corr(mp, rule=rule), period=math.pi, kind="chsh")
+    return Correlator(fn=lambda ta, tb: corr(ta, tb, mp), period=math.pi, kind="chsh")
+
+
+def _system(name: str) -> _System:
     try:
         return SYSTEMS[name]
     except KeyError:
@@ -272,7 +217,7 @@ def _validate_params(system: str, params: Mapping[str, float]) -> dict[str, floa
                 f"unknown parameter {key!r} for system {system!r} "
                 f"(valid: {', '.join(sorted(sysdef.params))})"
             )
-        if key in sysdef.int_params:
+        if isinstance(sysdef.params[key], int):
             if float(value) != int(value):
                 raise JobError(f"parameter {key!r} must be an integer, got {value!r}")
             merged[key] = int(value)
@@ -281,7 +226,7 @@ def _validate_params(system: str, params: Mapping[str, float]) -> dict[str, floa
     return merged
 
 
-def _sweep_domain_check(sysdef: _SystemDef, value: float) -> None:
+def _sweep_domain_check(sysdef: _System, value: float) -> None:
     if sysdef.variable == "eta":
         if not 0.0 <= value <= 1.0:
             raise JobError(f"eta grid values must lie in [0, 1], got {value}")
@@ -320,7 +265,7 @@ def run_sweep(
         merged = _validate_params(spec.system, series.params)
         for v in grid:
             try:
-                corr = sysdef.build(merged, float(v), quadrature_order)
+                corr = _correlator(sysdef, merged, float(v), quadrature_order)
             except ValueError as exc:
                 raise JobError(f"series {series.label!r} at {spec.variable}={v}: {exc}") from exc
             res = _optimize_correlator(corr, starts)
@@ -353,7 +298,7 @@ def optimized_point(
     _sweep_domain_check(sysdef, value)
     merged = _validate_params(system, supplied)
     try:
-        corr = sysdef.build(merged, value, quadrature_order)
+        corr = _correlator(sysdef, merged, value, quadrature_order)
     except ValueError as exc:
         raise JobError(str(exc)) from exc
     return _optimize_correlator(corr, starts)
@@ -431,11 +376,14 @@ def parse_job(text: str) -> SweepSpec:
 
 
 def _parse_number(text: str, key: str, lineno: int | None) -> float:
+    where = f"line {lineno}: " if lineno is not None else ""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        where = f"line {lineno}: " if lineno is not None else ""
         raise JobError(f"{where}value for {key!r} is not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise JobError(f"{where}value for {key!r} must be finite, got {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -139,3 +139,53 @@ def test_quadrature_order_flag_reaches_the_photon_model(tmp_path):
     damped = float(lines[2].split(",")[2])
     assert sharp == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-6)
     assert damped == pytest.approx(2.0 * math.sqrt(2.0) * math.exp(-1.0), abs=1e-4)
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a bad option value this way
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv,job_text,needle",
+    [
+        (["point", "photon", "--param", "n=inf"], None, "must be finite"),
+        (["point", "generic-ref", "--param", "n=nan"], None, "must be finite"),
+        (["point", "lg-spin", "--param", "V=nan"], None, "must be finite"),
+        (["point", "ecs-ref", "--param", "alpha=nan"], None, "must be finite"),
+        (["point", "generic-ref", "--param", "V=-inf"], None, "must be finite"),
+        (["point", "generic-ref", "--starts", "0"], None, "must be >= 1"),
+        (["point", "generic-ref", "--starts", "-3"], None, "must be >= 1"),
+        (["point", "generic-ref", "--starts", "two"], None, "invalid int value"),
+        (["sweep", "{job}", "--csv", "{csv}", "--starts", "0"], GOOD_JOB, "must be >= 1"),
+        (
+            ["sweep", "{job}", "--csv", "{csv}"],
+            GOOD_JOB.replace("sweep.steps = 2", "sweep.steps = nan"),
+            "must be finite",
+        ),
+        (
+            ["sweep", "{job}", "--csv", "{csv}"],
+            GOOD_JOB.replace("sweep.steps = 2", "sweep.steps = inf"),
+            "must be finite",
+        ),
+        (
+            ["sweep", "{job}", "--csv", "{csv}"],
+            GOOD_JOB.replace("sweep.max = 0.5", "sweep.max = inf"),
+            "must be finite",
+        ),
+        (
+            ["sweep", "{job}", "--csv", "{csv}"],
+            GOOD_JOB.replace("params.n = 1", "params.n = nan"),
+            "must be finite",
+        ),
+    ],
+)
+def test_bad_numbers_exit_two_with_a_one_line_error(tmp_path, capsys, argv, job_text, needle):
+    job = write_job(tmp_path, job_text) if job_text is not None else ""
+    csv_path = tmp_path / "out.csv"
+    argv = [a.replace("{job}", job).replace("{csv}", str(csv_path)) for a in argv]
+    assert _exit_code(argv) == EXIT_VALIDATION
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert "error:" in last and needle in last
+    assert not csv_path.exists()

@@ -1,86 +1,28 @@
 """Tests for the Gaussian-kernel and quadrature primitives.
 
-The erf oracle is an independent alternating Maclaurin series; the quadrature
-oracles are closed-form Gaussian moments and the cosine characteristic
-function, both computed without touching the module under test.
+The quadrature oracles are closed-form Gaussian moments and the cosine
+characteristic function, both computed without touching the module under
+test; the rules are applied by summing their nodes and weights here.
 """
 
 import math
 
 import numpy as np
 import pytest
-import scipy.special
 
 from coarsebell.kernels import (
     DiscreteGaussianWeights,
-    GaussianKernel,
     QuadratureRule,
     _hermite_rule,
-    coarsen_expectation,
     discrete_gaussian,
-    erf,
     gauss_hermite,
 )
 
 
-def erf_maclaurin(x: float, terms: int = 60) -> float:
-    """Alternating series 2/sqrt(pi) * sum (-1)^k x^(2k+1) / (k! (2k+1))."""
-    total = 0.0
-    for k in range(terms):
-        total += (-1) ** k * x ** (2 * k + 1) / (math.factorial(k) * (2 * k + 1))
-    return 2.0 / math.sqrt(math.pi) * total
-
-
-# ---------------------------------------------------------------------------
-# erf
-
-
-def test_erf_matches_maclaurin_series_at_unit_argument():
-    assert erf(1.0) == pytest.approx(erf_maclaurin(1.0), abs=1e-12)
-
-
-def test_erf_matches_scipy_on_dense_grid():
-    xs = np.linspace(-8.0, 8.0, 1601)
-    worst = max(abs(erf(float(x)) - scipy.special.erf(float(x))) for x in xs)
-    assert worst < 1e-14
-
-
-def test_erf_saturates_exactly_beyond_window():
-    assert erf(10.0) == 1.0
-    assert erf(-10.0) == -1.0
-    assert erf(8.0) == 1.0
-
-
-def test_erf_is_odd_and_monotone():
-    xs = np.linspace(0.0, 6.0, 200)
-    vals = [erf(float(x)) for x in xs]
-    for x, v in zip(xs, vals):
-        assert erf(float(-x)) == -v
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-    assert erf(0.0) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# continuous kernel
-
-
-def test_gaussian_kernel_pdf_normalizes():
-    k = GaussianKernel(center=0.7, sigma=1.3)
-    xs = np.linspace(0.7 - 13.0, 0.7 + 13.0, 200001)
-    mass = np.trapezoid([k.pdf(float(x)) for x in xs], xs)
-    assert mass == pytest.approx(1.0, abs=1e-10)
-
-
-def test_gaussian_kernel_point_mass_has_no_density():
-    k = GaussianKernel(center=0.0, sigma=0.0)
-    assert k.is_point_mass
-    with pytest.raises(ValueError):
-        k.pdf(0.0)
-
-
-def test_gaussian_kernel_rejects_negative_sigma():
-    with pytest.raises(ValueError):
-        GaussianKernel(center=0.0, sigma=-0.1)
+def gaussian_average(f, center: float, sigma: float, rule: QuadratureRule) -> float:
+    """sum_i w_i f(center + sqrt(2) sigma x_i), the rule's Gaussian average of f."""
+    scale = math.sqrt(2.0) * sigma
+    return sum(w * f(center + scale * x) for x, w in zip(rule.nodes, rule.weights))
 
 
 # ---------------------------------------------------------------------------
@@ -156,23 +98,10 @@ def test_gaussian_moments_are_integrated_exactly():
     rule = gauss_hermite(6)
     sigma = 0.8
     for m, dfact in ((1, 1.0), (2, 3.0), (3, 15.0), (4, 105.0), (5, 945.0)):
-        got = coarsen_expectation(lambda t: t ** (2 * m), 0.0, sigma, rule)
+        got = gaussian_average(lambda t: t ** (2 * m), 0.0, sigma, rule)
         assert got == pytest.approx(dfact * sigma ** (2 * m), rel=1e-12)
-    odd = coarsen_expectation(lambda t: t ** 7, 0.0, sigma, rule)
+    odd = gaussian_average(lambda t: t ** 7, 0.0, sigma, rule)
     assert odd == pytest.approx(0.0, abs=1e-12)
-
-
-def test_point_mass_short_circuit_calls_f_once_at_center():
-    calls = []
-
-    def f(t):
-        calls.append(t)
-        return t * t
-
-    rule = gauss_hermite(16)
-    got = coarsen_expectation(f, 1.25, 0.0, rule)
-    assert got == 1.25 * 1.25
-    assert calls == [1.25]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 10])
@@ -187,13 +116,13 @@ def test_cosine_characteristic_function_identity(m, Delta):
     order = max(24, int(math.e * omega * omega / 8.0 * 1.3) + 16)
     rule = _hermite_rule(order)
     center = 0.37
-    got = coarsen_expectation(lambda t: math.cos(2.0 * m * t), center, Delta, rule)
+    got = gaussian_average(lambda t: math.cos(2.0 * m * t), center, Delta, rule)
     want = math.cos(2.0 * m * center) * math.exp(-2.0 * m * m * Delta * Delta)
     assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_characteristic_function_identity_with_negative_frequency():
     rule = _hermite_rule(64)
-    got = coarsen_expectation(lambda t: math.cos(-6.0 * t), 0.9, 0.5, rule)
+    got = gaussian_average(lambda t: math.cos(-6.0 * t), 0.9, 0.5, rule)
     want = math.cos(-6.0 * 0.9) * math.exp(-0.5 * 36.0 * 0.25)
     assert got == pytest.approx(want, abs=1e-12)

@@ -20,16 +20,13 @@ from coarsebell.optimize import (
 
 def sharp_correlator(n: int = 1) -> Correlator:
     params = GenericParams(n=n)
-    return Correlator(
-        fn=lambda a, b: corr_fuzzy_detector(a, b, params), label="sharp", period=math.pi
-    )
+    return Correlator(fn=lambda a, b: corr_fuzzy_detector(a, b, params), period=math.pi)
 
 
 def lg_correlator(j: float, V: float) -> Correlator:
     params = SpinParams(j=j, Delta=math.sqrt(V))
     return Correlator(
         fn=lambda tau: corr_spin_parity(tau, params),
-        label="spin",
         period=2.0 * math.pi,
         kind="lg",
     )
@@ -149,7 +146,6 @@ def test_correlator_dataclass_metadata_defaults():
     c = Correlator(fn=lambda a, b: 0.0)
     assert c.period == math.pi
     assert c.kind == "chsh"
-    assert c.params == {}
     assert c(0.1, 0.2) == 0.0
 
 

@@ -5,7 +5,18 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from coarsebell.ecs import (
+    EcsParams,
+    corr_ecs_efficiency,
+    corr_ecs_homodyne_angle,
+    corr_ecs_reference,
+)
+from coarsebell.generic import GenericParams, corr_coarse_reference, corr_fuzzy_detector
+from coarsebell.kernels import gauss_hermite
+from coarsebell.leggett_garg import SpinParams, corr_nonclassical, corr_spin_parity
+from coarsebell.photon import PhotonParams, photon_correlator
 from coarsebell.sweep import (
+    SYSTEMS,
     JobError,
     SeriesSpec,
     SweepRow,
@@ -16,6 +27,7 @@ from coarsebell.sweep import (
     optimized_point,
     parse_job,
     run_sweep,
+    _correlator,
 )
 
 JOB_TEXT = """\
@@ -163,6 +175,79 @@ def test_optimized_point_rejects_bad_input():
         optimized_point("photon", {"n": 1.5})
     with pytest.raises(JobError):
         optimized_point("photon", {"n": 9})  # cutoff range comes from the model
+
+
+# ---------------------------------------------------------------------------
+# system table
+
+# Each case: system, fixed parameters, sweep value, the params object the
+# system's model must receive, and that model's correlation function.  The
+# variances are chosen so that sqrt(V) is exact.
+TABLE_CASES = [
+    ("generic-delta", {"n": 3}, 0.25, GenericParams(n=3, delta=0.5), corr_fuzzy_detector),
+    ("generic-ref", {"n": 2}, 0.5625, GenericParams(n=2, Delta=0.75), corr_coarse_reference),
+    ("ecs-eta", {"alpha": 1.5}, 0.8, EcsParams(alpha=1.5, eta=0.8), corr_ecs_efficiency),
+    ("ecs-ref", {"alpha": 1.5}, 0.0625, EcsParams(alpha=1.5, Delta=0.25), corr_ecs_reference),
+    (
+        "ecs-homodyne",
+        {"alpha": 1.5},
+        0.0625,
+        EcsParams(alpha=1.5, Delta=0.25),
+        corr_ecs_homodyne_angle,
+    ),
+    (
+        "lg-spin",
+        {"j": 1.5, "omega": 2.0},
+        0.25,
+        SpinParams(j=1.5, omega=2.0, Delta=0.5),
+        corr_spin_parity,
+    ),
+    (
+        "lg-nonclassical",
+        {"j": 0.5, "omega": 0.5},
+        0.0625,
+        SpinParams(j=0.5, omega=0.5, Delta=0.25),
+        corr_nonclassical,
+    ),
+]
+ANGLE_PAIRS = [(0.0, 0.0), (0.3, 1.1), (2.0, 0.7), (-0.4, 2.9)]
+GAPS = [0.0, 0.4, 1.9, 5.0]
+
+
+def test_table_cases_cover_every_system():
+    assert {case[0] for case in TABLE_CASES} | {"photon"} == set(SYSTEMS)
+
+
+@pytest.mark.parametrize("system,fixed,value,want,model", TABLE_CASES)
+def test_system_row_builds_the_model_correlator(system, fixed, value, want, model):
+    sysdef = SYSTEMS[system]
+    assert sysdef.model_params(fixed, value) == want
+    corr = _correlator(sysdef, fixed, value, None)
+    if sysdef.kind == "lg":
+        assert (corr.kind, corr.period) == ("lg", 2.0 * math.pi / want.omega)
+        for tau in GAPS:
+            assert corr(tau) == model(tau, want)
+    else:
+        assert (corr.kind, corr.period) == ("chsh", math.pi)
+        for a, b in ANGLE_PAIRS:
+            assert corr(a, b) == model(a, b, want)
+
+
+@pytest.mark.parametrize("order", [None, 24])
+def test_photon_row_passes_the_quadrature_rule_to_its_factory(order):
+    sysdef = SYSTEMS["photon"]
+    want = PhotonParams(n=2, eta=0.9, Delta=0.5)
+    assert sysdef.model_params({"n": 2, "eta": 0.9}, 0.25) == want
+    corr = _correlator(sysdef, {"n": 2, "eta": 0.9}, 0.25, order)
+    ref = photon_correlator(want, rule=gauss_hermite(order) if order is not None else None)
+    assert (corr.kind, corr.period) == ("chsh", math.pi)
+    for a, b in ANGLE_PAIRS:
+        assert corr(a, b) == ref(a, b)
+
+
+def test_sweep_variable_defaults_are_the_sharp_or_ideal_values():
+    for name, sysdef in SYSTEMS.items():
+        assert sysdef.variable_default == (1.0 if sysdef.variable == "eta" else 0.0), name
 
 
 # ---------------------------------------------------------------------------
