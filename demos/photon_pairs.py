@@ -1,7 +1,8 @@
 """Multiphoton polarization pairs under loss and reference jitter.
 
-Runs the truncated four-mode Fock simulation for the state where n photons
-share one polarization on each side.  Two punchlines:
+Models the state where n photons share one polarization on each side: the
+truncated four-mode Fock simulation checks the ceiling, and the closed form
+of its correlation drives the sweeps.  Two punchlines:
 
 1. with sharp references the n=1, lossless pair saturates the CHSH
    ceiling through the full density-matrix pipeline;
@@ -22,8 +23,8 @@ STARTS = 16
 
 def optimized(n: int, eta: float, V: float) -> float:
     params = PhotonParams(n=n, eta=eta, Delta=math.sqrt(V))
-    # photon_correlator reconstructs the pipeline's exact trigonometric form
-    # from nine density-matrix runs, so sweeps stay cheap
+    # photon_correlator is the closed form of the pipeline's correlation, so
+    # sweeps stay cheap; corr_photon below runs the density-matrix pipeline
     return maximize_chsh(Correlator(fn=photon_correlator(params)), starts=STARTS).value
 
 

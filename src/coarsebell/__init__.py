@@ -25,6 +25,7 @@ __all__ = [
     "loss_channel",
     "dichotomic_expectation",
     "corr_photon",
+    "corr_photon_closed",
     "photon_correlator",
     "EcsParams",
     "ConvergenceError",
@@ -79,6 +80,7 @@ from .photon import (  # noqa: E402
     PhotonParams,
     build_psi_n,
     corr_photon,
+    corr_photon_closed,
     dichotomic_expectation,
     loss_channel,
     photon_correlator,

@@ -59,9 +59,6 @@ def _arg_parser() -> argparse.ArgumentParser:
     )
     for command in (sweep, point):
         command.add_argument("--starts", type=_starts, default=None, help="multistart count")
-        command.add_argument(
-            "--quadrature-order", type=int, default=None, help="Gauss-Hermite order override"
-        )
     return parser
 
 
@@ -96,7 +93,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 def _run_sweep_command(args: argparse.Namespace) -> int:
     with open(args.jobfile) as fh:
         spec = parse_job(fh.read())
-    result = run_sweep(spec, starts=args.starts, quadrature_order=args.quadrature_order)
+    result = run_sweep(spec, starts=args.starts)
     emit_csv(result, args.csv)
     if args.svg is not None:
         emit_svg(result, args.svg, title=spec.system)
@@ -109,9 +106,7 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
 
 def _run_point_command(args: argparse.Namespace) -> int:
     params = _parse_param_args(args.param)
-    result = optimized_point(
-        args.system, params, starts=args.starts, quadrature_order=args.quadrature_order
-    )
+    result = optimized_point(args.system, params, starts=args.starts)
     angles = ", ".join(f"{a:.12g}" for a in result.argmax)
     print(f"value = {result.value:.12g}")
     print(f"argmax = ({angles})")

@@ -48,7 +48,6 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import ecs, generic, leggett_garg, photon
-from .kernels import gauss_hermite
 from .optimize import Correlator, OptimizationResult, maximize_chsh, maximize_lg
 
 __all__ = [
@@ -139,8 +138,7 @@ class _System:
 
     The sweep value, or its square root (a width) when it is the variance
     ``V``, sets the ``swept`` field of the model's params object ``mp``;
-    ``corr`` takes ``mp`` last (``corr(ta, tb, mp)`` or ``corr(tau, mp)``),
-    except the photon row's, which is the factory ``photon_correlator(mp)``.
+    ``corr`` takes ``mp`` last (``corr(ta, tb, mp)`` or ``corr(tau, mp)``).
     """
 
     kind: str  # "chsh" | "lg"
@@ -166,7 +164,7 @@ SYSTEMS: dict[str, _System] = {
         ("generic-ref", "chsh", "V", 0.0, {"n": 1},
          generic.GenericParams, "Delta", generic.corr_coarse_reference),
         ("photon", "chsh", "V", 0.0, {"n": 1, "eta": 1.0},
-         photon.PhotonParams, "Delta", photon.photon_correlator),
+         photon.PhotonParams, "Delta", photon.corr_photon_closed),
         ("ecs-eta", "chsh", "eta", 1.0, {"alpha": 10.0},
          ecs.EcsParams, "eta", ecs.corr_ecs_efficiency),
         ("ecs-ref", "chsh", "V", 0.0, {"alpha": 10.0},
@@ -181,7 +179,7 @@ SYSTEMS: dict[str, _System] = {
 }
 
 
-def _correlator(sysdef: _System, fixed: Mapping, value: float, order: int | None) -> Correlator:
+def _correlator(sysdef: _System, fixed: Mapping, value: float) -> Correlator:
     """Build one configuration's correlator from its table row."""
     # Fixed-arity closures: the optimiser makes ~1e5 calls per point, and
     # ``*args`` forwarding would add half the cost of the cheapest correlator.
@@ -189,9 +187,6 @@ def _correlator(sysdef: _System, fixed: Mapping, value: float, order: int | None
     corr = sysdef.corr
     if sysdef.kind == "lg":
         return Correlator(fn=lambda tau: corr(tau, mp), period=2.0 * math.pi / mp.omega, kind="lg")
-    if corr is photon.photon_correlator:
-        rule = gauss_hermite(order) if order is not None else None
-        return Correlator(fn=corr(mp, rule=rule), period=math.pi, kind="chsh")
     return Correlator(fn=lambda ta, tb: corr(ta, tb, mp), period=math.pi, kind="chsh")
 
 
@@ -208,6 +203,8 @@ def _validate_params(system: str, params: Mapping[str, float]) -> dict[str, floa
     sysdef = _system(system)
     merged = dict(sysdef.params)
     for key, value in params.items():
+        if not math.isfinite(value):
+            raise JobError(f"parameter {key!r} must be finite, got {value!r}")
         if key == sysdef.variable:
             raise JobError(
                 f"parameter {key!r} is the sweep variable of system {system!r}"
@@ -227,6 +224,8 @@ def _validate_params(system: str, params: Mapping[str, float]) -> dict[str, floa
 
 
 def _sweep_domain_check(sysdef: _System, value: float) -> None:
+    if not math.isfinite(value):
+        raise JobError(f"{sysdef.variable} must be finite, got {value}")
     if sysdef.variable == "eta":
         if not 0.0 <= value <= 1.0:
             raise JobError(f"eta grid values must lie in [0, 1], got {value}")
@@ -244,12 +243,7 @@ def _optimize_correlator(corr: Correlator, starts: int | None) -> OptimizationRe
     return maximize_chsh(corr, starts=starts)
 
 
-def run_sweep(
-    spec: SweepSpec,
-    *,
-    starts: int | None = None,
-    quadrature_order: int | None = None,
-) -> SweepResult:
+def run_sweep(spec: SweepSpec, *, starts: int | None = None) -> SweepResult:
     """Run every (series, grid point) optimisation of a sweep, sequentially.
 
     The evaluation order is fixed and no randomness is involved, so repeated
@@ -265,7 +259,7 @@ def run_sweep(
         merged = _validate_params(spec.system, series.params)
         for v in grid:
             try:
-                corr = _correlator(sysdef, merged, float(v), quadrature_order)
+                corr = _correlator(sysdef, merged, float(v))
             except ValueError as exc:
                 raise JobError(f"series {series.label!r} at {spec.variable}={v}: {exc}") from exc
             res = _optimize_correlator(corr, starts)
@@ -285,7 +279,6 @@ def optimized_point(
     params: Mapping[str, float],
     *,
     starts: int | None = None,
-    quadrature_order: int | None = None,
 ) -> OptimizationResult:
     """Optimise a single configuration given as a flat parameter mapping.
 
@@ -298,7 +291,7 @@ def optimized_point(
     _sweep_domain_check(sysdef, value)
     merged = _validate_params(system, supplied)
     try:
-        corr = _correlator(sysdef, merged, value, quadrature_order)
+        corr = _correlator(sysdef, merged, value)
     except ValueError as exc:
         raise JobError(str(exc)) from exc
     return _optimize_correlator(corr, starts)

@@ -130,9 +130,7 @@ def test_quadrature_order_flag_reaches_the_photon_model(tmp_path):
         "series[0].label = pair\nseries[0].params.n = 1\n",
     )
     csv_path = tmp_path / "p.csv"
-    code = main(
-        ["sweep", job, "--csv", str(csv_path), "--starts", "16", "--quadrature-order", "24"]
-    )
+    code = main(["sweep", job, "--csv", str(csv_path), "--starts", "16"])
     assert code == EXIT_OK
     lines = csv_path.read_text().splitlines()
     sharp = float(lines[1].split(",")[2])

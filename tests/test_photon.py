@@ -16,7 +16,6 @@ from coarsebell.photon import (
     FockDensityMatrix,
     PhotonParams,
     _corr_sharp,
-    _fourier_coefficients,
     _kraus_ops,
     _party_rotation,
     build_psi_n,
@@ -139,8 +138,8 @@ def test_density_matrix_validation():
 def test_params_validation():
     with pytest.raises(ValueError):
         PhotonParams(n=0)
-    with pytest.raises(ValueError):
-        PhotonParams(n=5)
+    with pytest.raises(ValueError, match="n <= 4"):
+        corr_photon(0.1, 0.2, PhotonParams(n=5))
     with pytest.raises(ValueError):
         PhotonParams(n=1, eta=1.2)
     with pytest.raises(ValueError):
@@ -220,7 +219,7 @@ def test_unit_efficiency_single_pair_reproduces_singlet_form():
         assert got == pytest.approx(-math.cos(2.0 * (ta + tb)), abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("eta", [0.3, 0.9])
 def test_lossy_correlation_matches_binomial_closed_form(n, eta):
     miss = (1.0 - eta) ** n
@@ -230,23 +229,11 @@ def test_lossy_correlation_matches_binomial_closed_form(n, eta):
             assert _corr_sharp(pa, pb, n, eta) == pytest.approx(want, abs=1e-12)
 
 
-def test_fourier_reconstruction_is_exact_on_fresh_angles():
-    coeff = _fourier_coefficients(2, 0.8)
-    assert coeff.shape == (3, 3)
-    for pa in (0.17, 1.9):
-        for pb in (0.6, 2.8):
-            fa = np.array([1.0, math.cos(2 * pa), math.sin(2 * pa)])
-            fb = np.array([1.0, math.cos(2 * pb), math.sin(2 * pb)])
-            assert float(fa @ coeff @ fb) == pytest.approx(
-                _corr_sharp(pa, pb, 2, 0.8), abs=1e-12
-            )
-
-
 @pytest.mark.parametrize("n,eta,Delta", [(1, 1.0, 0.0), (1, 0.8, 0.5), (2, 1.0, 0.5)])
 def test_fast_correlator_agrees_with_node_by_node_average(n, eta, Delta):
     params = PhotonParams(n=n, eta=eta, Delta=Delta)
     rule = gauss_hermite(20)
-    fast = photon_correlator(params, rule=rule)
+    fast = photon_correlator(params)
     for pa in ANGLES:
         for pb in ANGLES:
             assert fast(pa, pb) == pytest.approx(

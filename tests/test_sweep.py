@@ -12,9 +12,8 @@ from coarsebell.ecs import (
     corr_ecs_reference,
 )
 from coarsebell.generic import GenericParams, corr_coarse_reference, corr_fuzzy_detector
-from coarsebell.kernels import gauss_hermite
 from coarsebell.leggett_garg import SpinParams, corr_nonclassical, corr_spin_parity
-from coarsebell.photon import PhotonParams, photon_correlator
+from coarsebell.photon import PhotonParams, corr_photon_closed
 from coarsebell.sweep import (
     SYSTEMS,
     JobError,
@@ -174,7 +173,58 @@ def test_optimized_point_rejects_bad_input():
     with pytest.raises(JobError, match="must be an integer"):
         optimized_point("photon", {"n": 1.5})
     with pytest.raises(JobError):
-        optimized_point("photon", {"n": 9})  # cutoff range comes from the model
+        optimized_point("photon", {"n": 0})  # the range comes from the model
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: optimized_point("lg-spin", {"V": math.nan}, starts=1),
+        lambda: optimized_point("generic-ref", {"V": math.inf}, starts=1),
+        lambda: optimized_point("photon", {"n": math.inf}, starts=1),
+        lambda: run_sweep(
+            SweepSpec(
+                system="ecs-ref",
+                variable="V",
+                vmin=0.0,
+                vmax=0.5,
+                steps=2,
+                series=(SeriesSpec(label="a", params={"alpha": math.nan}),),
+            ),
+            starts=1,
+        ),
+    ],
+    ids=["point-V-nan", "point-V-inf", "point-n-inf", "sweep-alpha-nan"],
+)
+def test_library_api_rejects_non_finite_numbers(call):
+    with pytest.raises(JobError, match="must be finite"):
+        call()
+
+
+def test_photon_sweep_reaches_large_n_through_the_closed_form():
+    spec = parse_job(
+        "system = photon\nsweep.min = 0.0\nsweep.max = 0.5\nsweep.steps = 3\n"
+        "series[0].label = n5\nseries[0].params.n = 5\nseries[0].params.eta = 0.9\n"
+        "series[1].label = n64\nseries[1].params.n = 64\nseries[1].params.eta = 0.05\n"
+    )
+    rows = run_sweep(spec, starts=16).sorted_rows()
+    assert len(rows) == 6
+    for row in rows:
+        n, eta = (5, 0.9) if row.series == "n5" else (64, 0.05)
+        m = (1.0 - eta) ** n
+        damping = math.exp(-4.0 * row.sweep_value)
+        want = 2.0 * m * m + 2.0 * math.sqrt(2.0) * (1.0 - m) ** 2 * damping
+        assert abs(row.value - want) <= 1e-9
+        assert row.converged
+
+
+def test_photon_points_never_run_the_density_matrix_pipeline(monkeypatch):
+    def oracle_only(*args):
+        raise AssertionError("the density-matrix pipeline ran on the sweep path")
+
+    monkeypatch.setattr("coarsebell.photon._corr_sharp", oracle_only)
+    res = optimized_point("photon", {"n": 3, "eta": 0.9, "V": 0.5}, starts=1)
+    assert math.isfinite(res.value)
 
 
 # ---------------------------------------------------------------------------
@@ -209,20 +259,27 @@ TABLE_CASES = [
         SpinParams(j=0.5, omega=0.5, Delta=0.25),
         corr_nonclassical,
     ),
+    (
+        "photon",
+        {"n": 2, "eta": 0.9},
+        0.25,
+        PhotonParams(n=2, eta=0.9, Delta=0.5),
+        corr_photon_closed,
+    ),
 ]
 ANGLE_PAIRS = [(0.0, 0.0), (0.3, 1.1), (2.0, 0.7), (-0.4, 2.9)]
 GAPS = [0.0, 0.4, 1.9, 5.0]
 
 
 def test_table_cases_cover_every_system():
-    assert {case[0] for case in TABLE_CASES} | {"photon"} == set(SYSTEMS)
+    assert {case[0] for case in TABLE_CASES} == set(SYSTEMS)
 
 
 @pytest.mark.parametrize("system,fixed,value,want,model", TABLE_CASES)
 def test_system_row_builds_the_model_correlator(system, fixed, value, want, model):
     sysdef = SYSTEMS[system]
     assert sysdef.model_params(fixed, value) == want
-    corr = _correlator(sysdef, fixed, value, None)
+    corr = _correlator(sysdef, fixed, value)
     if sysdef.kind == "lg":
         assert (corr.kind, corr.period) == ("lg", 2.0 * math.pi / want.omega)
         for tau in GAPS:
@@ -231,18 +288,6 @@ def test_system_row_builds_the_model_correlator(system, fixed, value, want, mode
         assert (corr.kind, corr.period) == ("chsh", math.pi)
         for a, b in ANGLE_PAIRS:
             assert corr(a, b) == model(a, b, want)
-
-
-@pytest.mark.parametrize("order", [None, 24])
-def test_photon_row_passes_the_quadrature_rule_to_its_factory(order):
-    sysdef = SYSTEMS["photon"]
-    want = PhotonParams(n=2, eta=0.9, Delta=0.5)
-    assert sysdef.model_params({"n": 2, "eta": 0.9}, 0.25) == want
-    corr = _correlator(sysdef, {"n": 2, "eta": 0.9}, 0.25, order)
-    ref = photon_correlator(want, rule=gauss_hermite(order) if order is not None else None)
-    assert (corr.kind, corr.period) == ("chsh", math.pi)
-    for a, b in ANGLE_PAIRS:
-        assert corr(a, b) == ref(a, b)
 
 
 def test_sweep_variable_defaults_are_the_sharp_or_ideal_values():
