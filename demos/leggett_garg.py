@@ -27,12 +27,11 @@ from coarsebell import (
 from coarsebell.sweep import SweepSpec, SeriesSpec, emit_csv, emit_svg, run_sweep
 
 OUT = Path(__file__).resolve().parent / "out"
-STARTS = 27  # 3 per axis over the three gaps
 
 
 def optimized(corr_fn, omega: float = 1.0) -> float:
     corr = Correlator(fn=corr_fn, period=2.0 * math.pi / omega, kind="lg")
-    return maximize_lg(corr, starts=STARTS).value
+    return maximize_lg(corr).value
 
 
 def main() -> None:
@@ -74,7 +73,7 @@ def main() -> None:
             SeriesSpec(label="j=5/2", params={"j": 2.5}),
         ),
     )
-    result = run_sweep(spec, starts=STARTS)
+    result = run_sweep(spec)
     emit_csv(result, OUT / "lg_spin.csv")
     emit_svg(result, OUT / "lg_spin.svg", title="Leggett-Garg under timing jitter")
     print()

@@ -38,6 +38,8 @@ from math import erf
 
 import numpy as np
 
+from .kernels import require_finite
+
 __all__ = [
     "EcsParams",
     "ConvergenceError",
@@ -66,6 +68,7 @@ class EcsParams:
     Delta: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.alpha <= 0.0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
         if not 0.0 <= self.eta <= 1.0:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import kernels
-from .kernels import QuadratureRule, gauss_hermite
+from .kernels import QuadratureRule, gauss_hermite, require_finite
 
 __all__ = [
     "GenericParams",
@@ -66,6 +66,7 @@ class GenericParams:
     Delta: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         if self.delta < 0.0:

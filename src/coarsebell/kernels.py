@@ -17,7 +17,7 @@ quantity.  Two kernel flavours appear:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -34,6 +34,14 @@ _SQRT_PI = math.sqrt(math.pi)
 # Below this the discrete kernel is numerically a point mass anyway
 # (exp(-1/(2 s^2)) underflows); treat it explicitly to avoid 0/0.
 _TINY_SIGMA = 1e-8
+
+
+def require_finite(params) -> None:
+    """Raise ``ValueError`` naming the first field of a params dataclass that is NaN or infinite."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

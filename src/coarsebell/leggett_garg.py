@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import QuadratureRule, gauss_hermite
+from .kernels import QuadratureRule, gauss_hermite, require_finite
 
 __all__ = [
     "SpinParams",
@@ -48,6 +48,13 @@ __all__ = [
 ]
 
 _SQRT_2 = math.sqrt(2.0)
+
+# The LG optimiser polishes time gaps to an absolute tolerance of 1e-8.  Over
+# this range of omega the period 2 pi / omega lies between 0.063 and 63,000,
+# so that tolerance stays below 1.6e-7 of a period, and the float spacing of
+# a gap (below 1e-11) stays far below the tolerance.
+OMEGA_MIN = 1e-4
+OMEGA_MAX = 1e2
 
 
 def _check_spin(j: float) -> float:
@@ -66,9 +73,12 @@ class SpinParams:
     Delta: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         object.__setattr__(self, "j", _check_spin(self.j))
-        if self.omega <= 0.0:
-            raise ValueError(f"omega must be > 0, got {self.omega}")
+        if not OMEGA_MIN <= self.omega <= OMEGA_MAX:
+            raise ValueError(
+                f"omega must lie in [{OMEGA_MIN:g}, {OMEGA_MAX:g}], got {self.omega}"
+            )
         if self.Delta < 0.0:
             raise ValueError(f"Delta must be >= 0, got {self.Delta}")
 

@@ -6,11 +6,26 @@ or time gaps:
     CHSH:  B = E(a, b) + E(a', b) + E(a, b') - E(a', b')      (4 angles)
     LG:    K = C(g1) + C(g2) + C(g3) - C(g1 + g2 + g3)        (3 gaps)
 
-Maximisation runs Nelder-Mead simplex refinement from a fixed lattice of
-starting points spread over one period per coordinate (3 per axis by
-default).  There is no randomness anywhere: identical inputs produce
-bit-identical results, and the reduction over starts is order-independent
-because ties are broken towards the lexicographically smallest argmax.
+CHSH maximisation runs Nelder-Mead simplex refinement from a fixed lattice
+of starting points spread over one period per coordinate (3 per axis by
+default).
+
+LG maximisation is global.  C has period T, so K depends on the gaps only
+through their residues mod T, and for each total s = g1 + g2 + g3 (mod T)
+
+    max K(s) = [C (+) C (+) C](s) - C(s),
+
+where (+) is the max-plus convolution (x (+) y)(s) = max_k x(k) + y(s - k).
+On an N-point periodic grid that is two O(N^2) max-reductions, and every
+grid value is attained by a grid triple.  N starts at 512 and doubles, up to
+8192, until the grid holds 16 points per period of the highest harmonic of
+C that the FFT of the samples shows.  Nelder-Mead then polishes the triples
+of the three best local maxima of the grid K over s.
+
+There is no randomness anywhere: identical inputs produce bit-identical
+results, and every reduction over starts is order-independent because ties
+are broken towards the lexicographically smallest argmax.  A non-finite
+objective value raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -35,6 +50,16 @@ __all__ = [
 
 _XATOL = 1e-8
 _FATOL = 1e-10
+
+# LG grid: first size, largest size, grid points per period of the highest
+# harmonic, relative size below which a Fourier coefficient counts as zero,
+# and the bytes of one block of the max-plus reduction.
+_LG_GRID_MIN = 512
+_LG_GRID_MAX = 8192
+_LG_POINTS_PER_PERIOD = 16
+_LG_FFT_TOL = 1e-14
+_LG_BLOCK_BYTES = 1 << 20
+_LG_POLISHED = 3
 
 
 @dataclass(frozen=True)
@@ -74,11 +99,14 @@ class ChshSettings:
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Outcome of a multistart maximisation.
+    """Outcome of a maximisation.
 
     ``value`` is the objective re-evaluated exactly at ``argmax``;
     ``converged`` reports whether the simplex runs that produced the result
-    met their tolerances (a best-so-far point is returned either way).
+    met their tolerances, and for LG points also whether the grid resolved
+    the correlator's bandwidth (a best-so-far point is returned either way).
+    ``evaluations`` counts objective calls, or correlator calls for LG
+    points; ``starts_used`` counts the simplex starts.
     """
 
     value: float
@@ -99,6 +127,56 @@ def chsh_value(correlator, settings: ChshSettings) -> float:
     )
 
 
+class _Polish:
+    """Counts objective calls, rejects non-finite values, refines with Nelder-Mead."""
+
+    def __init__(self, objective: Callable[[tuple[float, ...]], float], d: int, period: float):
+        self.objective = objective
+        self.d = d
+        self.period = period
+        self.count = 0
+
+    def evaluate(self, x) -> float:
+        self.count += 1
+        point = tuple(float(v) for v in x)
+        value = float(self.objective(point))
+        if not math.isfinite(value):
+            raise ValueError(f"objective value is not finite: {value!r} at {point!r}")
+        return value
+
+    def refine(self, x0: tuple[float, ...]) -> tuple[float, tuple[float, ...], bool]:
+        d = self.d
+        res = minimize(
+            lambda x: -self.evaluate(x),
+            np.asarray(x0, dtype=float),
+            method="Nelder-Mead",
+            options=dict(xatol=_XATOL, fatol=_FATOL, maxiter=4000 * d, maxfev=8000 * d),
+        )
+        point = tuple(float(v) % self.period for v in res.x)
+        return self.evaluate(point), point, bool(res.success)
+
+    def best(self, starts) -> tuple[float, tuple[float, ...], bool]:
+        """Refine from every start and keep the best result (see ``_better``)."""
+        best_value, best_point, best_ok = -math.inf, None, False
+        for x0 in starts:
+            value, point, ok = self.refine(x0)
+            if _better(value, point, best_value, best_point):
+                best_value, best_point, best_ok = value, point, ok
+        return best_value, best_point, best_ok
+
+
+def _better(value: float, point: tuple[float, ...], best_value: float, best_point) -> bool:
+    """Higher value wins; on a tie the lexicographically smaller point wins."""
+    return value > best_value or (value == best_value and point < best_point)
+
+
+def _check_search(period: float, starts: int | None) -> None:
+    if not (math.isfinite(period) and period > 0.0):
+        raise ValueError(f"period must be finite and > 0, got {period}")
+    if starts is not None and starts < 1:
+        raise ValueError(f"starts must be >= 1, got {starts}")
+
+
 def maximize(
     objective: Callable[[tuple[float, ...]], float],
     d: int,
@@ -112,7 +190,7 @@ def maximize(
     objective : callable
         Maps a length-``d`` point to a float.  Must be periodic with
         ``period`` in every coordinate (the argmax is reported reduced into
-        ``[0, period)``).
+        ``[0, period)``).  A non-finite value raises ``ValueError``.
     d : int
         Dimension of the search space.
     period : float
@@ -130,55 +208,24 @@ def maximize(
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if period <= 0.0:
-        raise ValueError(f"period must be > 0, got {period}")
+    _check_search(period, starts)
     if starts is None:
         starts = 3 ** d
-    if starts < 1:
-        raise ValueError(f"starts must be >= 1, got {starts}")
     per_axis = max(1, round(starts ** (1.0 / d)))
 
-    count = 0
-
-    def evaluate(x) -> float:
-        nonlocal count
-        count += 1
-        return float(objective(tuple(float(v) for v in x)))
-
-    def negated(x) -> float:
-        return -evaluate(x)
-
-    def reduced(x) -> tuple[float, ...]:
-        return tuple(float(v) % period for v in x)
-
-    def refine(x0: tuple[float, ...]) -> tuple[float, tuple[float, ...], bool]:
-        res = minimize(
-            negated,
-            np.asarray(x0, dtype=float),
-            method="Nelder-Mead",
-            options=dict(xatol=_XATOL, fatol=_FATOL, maxiter=4000 * d, maxfev=8000 * d),
-        )
-        point = reduced(res.x)
-        return evaluate(point), point, bool(res.success)
-
+    polish = _Polish(objective, d, period)
     axis = [(i + 0.5) * period / per_axis for i in range(per_axis)]
-    best_value = -math.inf
-    best_point: tuple[float, ...] | None = None
-    best_ok = False
-    for x0 in itertools.product(axis, repeat=d):
-        value, point, ok = refine(x0)
-        if value > best_value or (value == best_value and point < best_point):
-            best_value, best_point, best_ok = value, point, ok
+    best_value, best_point, best_ok = polish.best(itertools.product(axis, repeat=d))
 
     # one polishing pass from the winner tightens the last digits
-    value, point, ok = refine(best_point)
-    if value > best_value or (value == best_value and point < best_point):
+    value, point, ok = polish.refine(best_point)
+    if _better(value, point, best_value, best_point):
         best_value, best_point, best_ok = value, point, ok and best_ok
 
     return OptimizationResult(
         value=best_value,
         argmax=best_point,
-        evaluations=count,
+        evaluations=polish.count,
         converged=best_ok,
         starts_used=per_axis ** d,
     )
@@ -200,12 +247,110 @@ def maximize_chsh(correlator, starts: int | None = None) -> OptimizationResult:
     return maximize(objective, d=4, period=period, starts=starts)
 
 
+def _maxplus(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic max-plus convolution: out[s] = max_k x[k] + y[(s - k) mod n].
+
+    Also returns the maximising k (the smallest on ties).  Row s of the
+    circulant y[(s - k) mod n] is window n - 1 - s of the doubled, reversed
+    y, so the rows are strided views and no n x n array is built; the sums
+    are formed a block of rows at a time.
+    """
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    n = len(x)
+    rev = y[::-1]
+    windows = sliding_window_view(np.concatenate((rev, rev)), n)
+    rows = max(1, _LG_BLOCK_BYTES // (8 * n))
+    buf = np.empty((rows, n))
+    out = np.empty(n)
+    arg = np.empty(n, dtype=np.intp)
+    for s0 in range(0, n, rows):
+        s1 = min(n, s0 + rows)
+        block = np.add(x, windows[n - s1:n - s0][::-1], out=buf[: s1 - s0])
+        arg[s0:s1] = block.argmax(axis=1)
+        out[s0:s1] = block[np.arange(s1 - s0), arg[s0:s1]]
+    return out, arg
+
+
+def _lg_samples(correlator, period: float) -> tuple[np.ndarray, bool]:
+    """C on the first grid fine enough for its bandwidth, and whether one was.
+
+    The grid doubles from ``_LG_GRID_MIN`` points, reusing the samples it
+    has, until it holds ``_LG_POINTS_PER_PERIOD`` points per period of the
+    highest harmonic whose Fourier coefficient exceeds ``_LG_FFT_TOL``
+    relative to max(1, max|C|); it stops at ``_LG_GRID_MAX`` points.
+    """
+    n = _LG_GRID_MIN
+    c = np.array([float(correlator(k * period / n)) for k in range(n)])
+    while True:
+        bad = np.flatnonzero(~np.isfinite(c))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(
+                f"correlator value is not finite: {float(c[k])!r} at tau={k * period / n!r}"
+            )
+        spectrum = np.abs(np.fft.rfft(c)) / n
+        floor = _LG_FFT_TOL * max(1.0, float(np.max(np.abs(c))))
+        above = np.flatnonzero(spectrum > floor)
+        top = int(above[-1]) if above.size else 0
+        if top * _LG_POINTS_PER_PERIOD <= n:
+            return c, True
+        if n >= _LG_GRID_MAX:
+            return c, False
+        finer = np.empty(2 * n)
+        finer[0::2] = c
+        finer[1::2] = [float(correlator(k * period / (2 * n))) for k in range(1, 2 * n, 2)]
+        c, n = finer, 2 * n
+
+
 def maximize_lg(correlator, starts: int | None = None) -> OptimizationResult:
-    """Maximise the four-time combination of a single-gap correlator."""
+    """Globally maximise the four-time combination of a single-gap correlator.
+
+    C is sampled on a periodic grid sized from its bandwidth (see the module
+    docstring), the grid maximum of K for every gap total s comes from two
+    max-plus convolutions, and Nelder-Mead polishes the grid triples of the
+    ``_LG_POLISHED`` best local maxima of that grid K over s.  The highest
+    polished value wins, the lexicographically smaller argmax on a tie.
+
+    ``value`` is K re-evaluated at ``argmax``, whose gaps are reduced into
+    ``[0, period)``.  ``evaluations`` counts every call of ``correlator``,
+    the grid samples included.  ``starts`` is validated (>= 1) but does not
+    change the search; ``starts_used`` is the number of polished triples.
+    ``converged`` is true only when the grid resolved the bandwidth of C
+    below its size cap and the winning polish met its tolerances.  A
+    non-finite sample or objective value raises ``ValueError``.
+    """
     period = getattr(correlator, "period", 2.0 * math.pi)
+    _check_search(period, starts)
+
+    c, resolved = _lg_samples(correlator, period)
+    n = len(c)
+    pairs, first = _maxplus(c, c)  # pairs[k] = c[g1] + c[k - g1], g1 = first[k]
+    triples, second = _maxplus(pairs, c)  # triples[s] = pairs[k] + c[s - k], k = second[s]
+    k_grid = triples - c
+
+    # polish from local maxima over s (the first point of a plateau), not the
+    # best s values, which tend to sit side by side in one basin
+    peaks = np.flatnonzero((k_grid > np.roll(k_grid, 1)) & (k_grid >= np.roll(k_grid, -1)))
+    if not peaks.size:
+        peaks = np.array([int(np.argmax(k_grid))])
+    peaks = peaks[np.lexsort((peaks, -k_grid[peaks]))][:_LG_POLISHED]
 
     def objective(x: tuple[float, ...]) -> float:
         g1, g2, g3 = x
         return correlator(g1) + correlator(g2) + correlator(g3) - correlator(g1 + g2 + g3)
 
-    return maximize(objective, d=3, period=period, starts=starts)
+    def grid_gaps(s: int) -> tuple[float, float, float]:
+        k = int(second[s])
+        g1 = int(first[k])
+        return tuple(g * period / n for g in (g1, (k - g1) % n, (s - k) % n))
+
+    polish = _Polish(objective, 3, period)
+    value, point, ok = polish.best(grid_gaps(int(s)) for s in peaks)
+    return OptimizationResult(
+        value=value,
+        argmax=point,
+        evaluations=n + 4 * polish.count,
+        converged=resolved and ok,
+        starts_used=len(peaks),
+    )

@@ -43,7 +43,7 @@ from math import comb
 
 import numpy as np
 
-from .kernels import QuadratureRule, gauss_hermite
+from .kernels import QuadratureRule, gauss_hermite, require_finite
 
 __all__ = [
     "PhotonParams",
@@ -75,6 +75,7 @@ class PhotonParams:
     Delta: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         if not 0.0 <= self.eta <= 1.0:

@@ -16,6 +16,12 @@ comments), for example::
 Recognised keys: ``system``, ``sweep.variable``, ``sweep.min``, ``sweep.max``,
 ``sweep.steps``, ``series[i].label`` and ``series[i].params.<name>``.
 
+Limits: every number must be finite; ``sweep.steps`` lies in [1, 10000]
+(``MAX_STEPS``); ``omega`` of the LG systems lies in [1e-4, 100]
+(``leggett_garg.OMEGA_MIN``/``OMEGA_MAX``), the range over which the
+optimiser's absolute gap tolerance of 1e-8 resolves a period.  Each limit
+is a validation error that names it (exit code 2 on the command line).
+
 Systems and their sweep variable / fixed parameters:
 
 ================  ==========  ======================  =====================
@@ -69,6 +75,11 @@ class JobError(ValueError):
     """A job file or parameter set failed validation."""
 
 
+# Largest sweep grid; one point takes tens of milliseconds or more, so this
+# is already hours of work, and the grid itself stays small.
+MAX_STEPS = 10_000
+
+
 @dataclass(frozen=True)
 class SeriesSpec:
     label: str
@@ -93,8 +104,13 @@ class SweepSpec:
                 f"system {self.system!r} sweeps {sysdef.variable!r}, "
                 f"got sweep.variable = {self.variable!r}"
             )
+        for key, value in (("sweep.min", self.vmin), ("sweep.max", self.vmax)):
+            if not math.isfinite(value):
+                raise JobError(f"{key} must be finite, got {value!r}")
         if self.steps < 1:
             raise JobError(f"sweep.steps must be >= 1, got {self.steps}")
+        if self.steps > MAX_STEPS:
+            raise JobError(f"sweep.steps must be <= {MAX_STEPS}, got {self.steps}")
         if self.steps == 1:
             if self.vmin != self.vmax:
                 raise JobError("a single-point sweep requires sweep.min == sweep.max")

@@ -187,3 +187,37 @@ def test_bad_numbers_exit_two_with_a_one_line_error(tmp_path, capsys, argv, job_
     last = capsys.readouterr().err.strip().splitlines()[-1]
     assert "error:" in last and needle in last
     assert not csv_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,job_text,code,needle",
+    [
+        (["point", "lg-spin", "--param", "omega=1e-300"], None, EXIT_VALIDATION, "[0.0001, 100]"),
+        (["point", "lg-spin", "--param", "omega=100.5"], None, EXIT_VALIDATION, "[0.0001, 100]"),
+        (["point", "lg-spin", "--param", "omega=100"], None, EXIT_OK, None),
+        (["point", "lg-spin", "--param", "omega=1e-4"], None, EXIT_OK, None),
+        (
+            ["sweep", "{job}", "--csv", "{csv}"],
+            GOOD_JOB.replace("sweep.steps = 2", "sweep.steps = 1e9"),
+            EXIT_VALIDATION,
+            "sweep.steps must be <= 10000",
+        ),
+        (
+            ["sweep", "{job}", "--csv", "{csv}"],
+            GOOD_JOB.replace("sweep.steps = 2", "sweep.steps = 10001"),
+            EXIT_VALIDATION,
+            "sweep.steps must be <= 10000",
+        ),
+    ],
+)
+def test_documented_limits_exit_two_and_name_the_limit(tmp_path, capsys, argv, job_text, code, needle):
+    job = write_job(tmp_path, job_text) if job_text is not None else ""
+    csv_path = tmp_path / "out.csv"
+    argv = [a.replace("{job}", job).replace("{csv}", str(csv_path)) for a in argv]
+    assert _exit_code(argv) == code
+    err = capsys.readouterr().err.strip()
+    if needle is None:
+        assert err == ""
+    else:
+        assert "error:" in err and needle in err.splitlines()[-1]
+        assert not csv_path.exists()

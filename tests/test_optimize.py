@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from coarsebell.generic import GenericParams, corr_fuzzy_detector
+from coarsebell import optimize
 from coarsebell.leggett_garg import SpinParams, corr_spin_parity
 from coarsebell.optimize import (
     ChshSettings,
@@ -160,3 +161,120 @@ def test_optimizer_tracks_evaluation_count():
     assert res.evaluations == len(calls)
     assert res.value == pytest.approx(0.0, abs=1e-12)
     assert res.argmax[0] == pytest.approx(1.0, abs=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# Leggett-Garg: global maximum from the max-plus grid
+
+
+def spin_parity_samples(j: float, V: float, n: int) -> np.ndarray:
+    """C(tau) = 1/(2j+1) sum_m exp(-2 m^2 V) cos(2 m tau) on n points of [0, 2 pi)."""
+    m = np.arange(-j, j + 0.5)
+    tau = np.arange(n) * (2.0 * math.pi / n)
+    return np.cos(2.0 * np.multiply.outer(tau, m)) @ np.exp(-2.0 * m * m * V) / (2.0 * j + 1.0)
+
+
+def grid_lower_bound(c: np.ndarray, rows: int = 256) -> float:
+    """max over grid gaps of C[i] + C[k] + C[l] - C[i + k + l], a value K attains.
+
+    For a total s of the first two gaps, the best third gap l gives
+    D[s] = max_l C[l] - C[s + l]; the maximum is then max C[i] + C[k] + D[i + k].
+    """
+    n = len(c)
+    c2 = np.concatenate((c, c))
+    d = np.empty(n)
+    for s0 in range(0, n, rows):
+        shifted = np.lib.stride_tricks.sliding_window_view(c2, n)[s0:s0 + rows]
+        d[s0:s0 + rows] = np.max(c[None, :] - shifted, axis=1)
+    d2 = np.concatenate((d, d))
+    best = -math.inf
+    for i0 in range(0, n, rows):
+        d_shifted = np.lib.stride_tricks.sliding_window_view(d2, n)[i0:i0 + rows]
+        best = max(best, float(np.max(c[i0:i0 + rows, None] + c[None, :] + d_shifted)))
+    return best
+
+
+@pytest.mark.parametrize("block_rows", [1, 5, 64])
+def test_maxplus_convolution_matches_the_plain_loop(monkeypatch, block_rows):
+    n = 37
+    monkeypatch.setattr(optimize, "_LG_BLOCK_BYTES", 8 * n * block_rows)
+    rng = np.random.default_rng(7)
+    # one decimal place makes ties between k common; the smallest k wins
+    x, y = np.round(rng.normal(size=(2, n)), 1)
+    out, arg = optimize._maxplus(x, y)
+    for s in range(n):
+        sums = [x[k] + y[(s - k) % n] for k in range(n)]
+        assert out[s] == max(sums)
+        assert arg[s] == sums.index(max(sums))
+
+
+@pytest.mark.parametrize("V", [0.0, 0.01, 0.05])
+@pytest.mark.parametrize("j", [2.5, 7.5, 35.0, 50.0])
+def test_lg_maximum_reaches_the_grid_maximum(j, V):
+    grid = grid_lower_bound(spin_parity_samples(j, V, 2048))
+    res = maximize_lg(lg_correlator(j, V))
+    assert res.value >= grid - 1e-12
+    assert res.value <= 2.0 * math.sqrt(2.0) + 1e-12
+    assert res.converged
+
+
+@pytest.mark.parametrize("V", [0.0, 0.05, 0.3, math.log(2.0), 1.5])
+def test_lg_maximum_of_spin_half_is_the_closed_form(V):
+    res = maximize_lg(lg_correlator(0.5, V))
+    assert res.value == pytest.approx(2.0 * math.sqrt(2.0) * math.exp(-V / 2.0), abs=1e-12)
+    assert res.converged
+
+
+def test_lg_evaluations_count_every_correlator_call():
+    params = SpinParams(j=2.5, Delta=math.sqrt(0.05))
+    calls = 0
+
+    def counted(tau):
+        nonlocal calls
+        calls += 1
+        return corr_spin_parity(tau, params)
+
+    res = maximize_lg(Correlator(fn=counted, period=2.0 * math.pi, kind="lg"))
+    assert res.evaluations == calls
+    assert 1 <= res.starts_used <= 3
+
+
+def test_lg_reruns_are_bit_identical_and_ignore_starts():
+    corr = lg_correlator(7.5, 0.01)
+    runs = [maximize_lg(corr, starts=s) for s in (None, None, 1, 64)]
+    assert len({(r.value, r.argmax, r.evaluations, r.converged) for r in runs}) == 1
+    g1, g2, g3 = runs[0].argmax
+    assert all(0.0 <= g < 2.0 * math.pi for g in runs[0].argmax)
+    assert runs[0].value == corr(g1) + corr(g2) + corr(g3) - corr(g1 + g2 + g3)
+
+
+@pytest.mark.parametrize("starts", [0, -2])
+def test_lg_rejects_fewer_than_one_start(starts):
+    with pytest.raises(ValueError, match="starts must be >= 1"):
+        maximize_lg(lg_correlator(0.5, 0.0), starts=starts)
+
+
+def test_lg_correlator_without_finite_bandwidth_stops_at_the_grid_cap():
+    # |cos| has harmonics of every even order, so no grid resolves it
+    res = maximize_lg(Correlator(fn=lambda tau: abs(math.cos(tau)), period=2.0 * math.pi, kind="lg"))
+    assert not res.converged
+    assert res.evaluations >= 8192
+    # the kink of |cos 3g| at g = pi/6 is the maximum: K = 3 cos(pi/6)
+    assert res.value == pytest.approx(1.5 * math.sqrt(3.0), abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: maximize_chsh(Correlator(fn=lambda a, b: math.nan), starts=1),
+        lambda: maximize(lambda x: math.inf if x[0] > 1.0 else 0.0, d=1, starts=2),
+        lambda: maximize_lg(Correlator(fn=lambda tau: math.nan, kind="lg")),
+        lambda: maximize_lg(
+            Correlator(fn=lambda tau: -math.inf if tau > 3.0 else math.cos(tau), kind="lg")
+        ),
+    ],
+    ids=["chsh-nan", "maximize-inf", "lg-nan", "lg-minus-inf"],
+)
+def test_non_finite_objective_values_raise_a_value_error(call):
+    with pytest.raises(ValueError, match=r"not finite: (nan|inf|-inf)"):
+        call()

@@ -1,6 +1,7 @@
 """Tests for job parsing, sweep execution, and the CSV/SVG emitters."""
 
 import math
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -12,9 +13,16 @@ from coarsebell.ecs import (
     corr_ecs_reference,
 )
 from coarsebell.generic import GenericParams, corr_coarse_reference, corr_fuzzy_detector
-from coarsebell.leggett_garg import SpinParams, corr_nonclassical, corr_spin_parity
+from coarsebell.leggett_garg import (
+    OMEGA_MAX,
+    OMEGA_MIN,
+    SpinParams,
+    corr_nonclassical,
+    corr_spin_parity,
+)
 from coarsebell.photon import PhotonParams, corr_photon_closed
 from coarsebell.sweep import (
+    MAX_STEPS,
     SYSTEMS,
     JobError,
     SeriesSpec,
@@ -199,6 +207,50 @@ def test_optimized_point_rejects_bad_input():
 def test_library_api_rejects_non_finite_numbers(call):
     with pytest.raises(JobError, match="must be finite"):
         call()
+
+
+def _spec(vmin=0.0, vmax=0.5, steps=2):
+    return SweepSpec(system="generic-ref", variable="V", vmin=vmin, vmax=vmax, steps=steps)
+
+
+@pytest.mark.parametrize(
+    "build,name",
+    [
+        (lambda: PhotonParams(n=2, Delta=math.nan), "Delta"),
+        (lambda: PhotonParams(n=1, eta=math.nan), "eta"),
+        (lambda: GenericParams(n=1, delta=math.nan), "delta"),
+        (lambda: GenericParams(n=1, Delta=math.inf), "Delta"),
+        (lambda: SpinParams(j=0.5, omega=math.nan), "omega"),
+        (lambda: SpinParams(j=math.inf), "j"),
+        (lambda: SpinParams(j=0.5, Delta=-math.inf), "Delta"),
+        (lambda: EcsParams(alpha=math.nan), "alpha"),
+        (lambda: EcsParams(alpha=10.0, eta=math.inf), "eta"),
+        (lambda: _spec(vmin=math.nan), "sweep.min"),
+        (lambda: _spec(vmax=math.inf), "sweep.max"),
+        (lambda: _spec(vmin=-math.inf, steps=1), "sweep.min"),
+    ],
+)
+def test_models_and_sweep_specs_reject_non_finite_numbers(build, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning before the error
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            build()
+
+
+def test_documented_limits_hold_at_both_ends():
+    assert len(_spec(steps=MAX_STEPS).grid()) == MAX_STEPS == 10_000
+    with pytest.raises(JobError, match="sweep.steps must be <= 10000"):
+        _spec(steps=MAX_STEPS + 1)
+    with pytest.raises(JobError, match="sweep.steps must be >= 1"):
+        _spec(steps=0)
+    for omega in (OMEGA_MIN, OMEGA_MAX):
+        res = optimized_point("lg-spin", {"j": 2.5, "omega": omega})
+        assert res.converged
+        assert res.value == pytest.approx(2.49501191608, abs=1e-10)
+        assert all(0.0 <= g < 2.0 * math.pi / omega for g in res.argmax)
+    for omega in (0.99 * OMEGA_MIN, 1.01 * OMEGA_MAX, 1e-300, 1e300):
+        with pytest.raises(JobError, match=r"omega must lie in \[0.0001, 100\]"):
+            optimized_point("lg-spin", {"omega": omega})
 
 
 def test_photon_sweep_reaches_large_n_through_the_closed_form():
