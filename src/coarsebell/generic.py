@@ -56,6 +56,19 @@ __all__ = [
 
 _SQRT_2 = math.sqrt(2.0)
 
+# Largest detector width delta (variance V = 1e8).  The smearing window spans
+# ceil(n + 8 delta) integers either side of zero and is summed once per
+# smeared value, so this keeps it near 1e5 entries; without a limit, V = 1e300
+# asks numpy for a window of ~1e151 entries.
+DELTA_MAX = 1e4
+
+
+def _check_delta(delta: float) -> None:
+    if delta < 0.0:
+        raise ValueError(f"delta must be >= 0, got {delta}")
+    if delta > DELTA_MAX:
+        raise ValueError(f"delta must be <= DELTA_MAX = {DELTA_MAX:g}, got {delta}")
+
 
 @dataclass(frozen=True)
 class GenericParams:
@@ -69,8 +82,7 @@ class GenericParams:
         require_finite(self)
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if self.delta < 0.0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
+        _check_delta(self.delta)
         if self.Delta < 0.0:
             raise ValueError(f"Delta must be >= 0, got {self.Delta}")
 
@@ -123,13 +135,19 @@ def corr_fuzzy_detector(theta_a: float, theta_b: float, params: GenericParams) -
 
     Any ``Delta`` in ``params`` is ignored here; this is the pure
     detector-fuzziness branch.  For ``delta == 0`` it reduces exactly to
-    ``-cos 2(theta_a + theta_b)``.
+    ``-cos 2(theta_a + theta_b)``.  Equal, bit for bit, to the composition
+    of :func:`f_delta` and :func:`g_delta` in the module docstring.
     """
-    n = params.n
+    n, delta = params.n, params.delta
+    k_max = _k_max(n, delta)
+    up = _smeared_sign(n, delta, k_max)
+    down = _smeared_sign(-n, delta, k_max)
+    ca, sa = math.cos(theta_a), math.sin(theta_a)
+    cb, sb = math.cos(theta_b), math.sin(theta_b)
     return 0.5 * (
-        f_delta(n, theta_a, params) * f_delta(-n, theta_b, params)
-        + f_delta(-n, theta_a, params) * f_delta(n, theta_b, params)
-        + 2.0 * g_delta(n, theta_a, params) * g_delta(n, theta_b, params)
+        (ca * ca * up + sa * sa * down) * (cb * cb * down + sb * sb * up)
+        + (ca * ca * down + sa * sa * up) * (cb * cb * up + sb * sb * down)
+        + 2.0 * (sa * ca * (up - down)) * (sb * cb * (up - down))
     )
 
 
@@ -207,7 +225,6 @@ def discrimination_error(n: int, delta: float) -> float:
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if delta < 0.0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    _check_delta(delta)
     bracket = _smeared_sign(n, delta, _k_max(n, delta))
     return 1.0 - bracket * bracket

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,6 +57,11 @@ _SQRT_2 = math.sqrt(2.0)
 OMEGA_MIN = 1e-4
 OMEGA_MAX = 1e2
 
+# Largest spin.  At Delta = 0 the correlator of spin j has harmonics up to
+# order 2j of omega, and the LG grid resolves a harmonic only with 16 points
+# per period on at most 8192 points, so 16 * 2j <= 8192: j <= 256.
+J_MAX = 256
+
 
 def _check_spin(j: float) -> float:
     two_j = 2.0 * j
@@ -75,6 +81,8 @@ class SpinParams:
     def __post_init__(self) -> None:
         require_finite(self)
         object.__setattr__(self, "j", _check_spin(self.j))
+        if self.j > J_MAX:
+            raise ValueError(f"j must be <= J_MAX = {J_MAX}, got {self.j}")
         if not OMEGA_MIN <= self.omega <= OMEGA_MAX:
             raise ValueError(
                 f"omega must lie in [{OMEGA_MIN:g}, {OMEGA_MAX:g}], got {self.omega}"
@@ -106,6 +114,16 @@ def parity_operator(j: float) -> np.ndarray:
     return np.diag(signs)
 
 
+@lru_cache(maxsize=64)
+def _spin_terms(params: SpinParams) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sector damping exp(-2 m^2 Delta^2) and angular factor 2 m omega."""
+    m = params.magnetic_numbers()
+    damping, freq = np.exp(-2.0 * (m * params.Delta) ** 2), 2.0 * m * params.omega
+    damping.flags.writeable = False
+    freq.flags.writeable = False
+    return damping, freq
+
+
 def corr_spin_parity(tau: float, params: SpinParams) -> float:
     """Two-time parity correlation of the smeared spin-j measurement.
 
@@ -114,9 +132,8 @@ def corr_spin_parity(tau: float, params: SpinParams) -> float:
     ``exp(-Delta^2/2) cos(omega tau)`` while large spins lose their
     high-frequency content first.
     """
-    m = params.magnetic_numbers()
-    damping = np.exp(-2.0 * (m * params.Delta) ** 2)
-    total = float(np.sum(damping * np.cos(2.0 * m * params.omega * tau)))
+    damping, freq = _spin_terms(params)
+    total = float(np.sum(damping * np.cos(freq * tau)))
     return total / (2.0 * params.j + 1.0)
 
 

@@ -19,8 +19,11 @@ Recognised keys: ``system``, ``sweep.variable``, ``sweep.min``, ``sweep.max``,
 Limits: every number must be finite; ``sweep.steps`` lies in [1, 10000]
 (``MAX_STEPS``); ``omega`` of the LG systems lies in [1e-4, 100]
 (``leggett_garg.OMEGA_MIN``/``OMEGA_MAX``), the range over which the
-optimiser's absolute gap tolerance of 1e-8 resolves a period.  Each limit
-is a validation error that names it (exit code 2 on the command line).
+optimiser's absolute gap tolerance of 1e-8 resolves a period; ``j`` of the
+LG systems is at most 256 (``leggett_garg.J_MAX``), the largest spin whose
+sharp correlator the LG grid resolves; and the detector width of
+``generic-delta`` is at most 1e4 (``generic.DELTA_MAX``, V <= 1e8).  Each
+limit is a validation error that names it (exit code 2 on the command line).
 
 Systems and their sweep variable / fixed parameters:
 

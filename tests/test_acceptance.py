@@ -27,8 +27,8 @@ LG_STARTS = 27
 
 @pytest.fixture(scope="module", autouse=True)
 def _warm_optimizer():
-    # pay the scipy.optimize import and first-call numpy costs outside the
-    # per-criterion timers
+    # pay the first-call costs (lazy caches, numpy's first calls) outside
+    # the per-criterion timers
     corr = cb.Correlator(
         fn=lambda a, b: cb.corr_fuzzy_detector(a, b, cb.GenericParams(n=1))
     )

@@ -208,6 +208,12 @@ def test_bad_numbers_exit_two_with_a_one_line_error(tmp_path, capsys, argv, job_
             EXIT_VALIDATION,
             "sweep.steps must be <= 10000",
         ),
+        (["point", "generic-delta", "--param", "V=1e300"], None, EXIT_VALIDATION, "DELTA_MAX = 10000"),
+        (["point", "generic-delta", "--param", "V=1.000001e8"], None, EXIT_VALIDATION, "DELTA_MAX = 10000"),
+        (["point", "generic-delta", "--param", "V=1e8", "--starts", "1"], None, EXIT_OK, None),
+        (["point", "lg-spin", "--param", "j=1e6"], None, EXIT_VALIDATION, "J_MAX = 256"),
+        (["point", "lg-spin", "--param", "j=256.5"], None, EXIT_VALIDATION, "J_MAX = 256"),
+        (["point", "lg-spin", "--param", "j=256"], None, EXIT_OK, None),
     ],
 )
 def test_documented_limits_exit_two_and_name_the_limit(tmp_path, capsys, argv, job_text, code, needle):

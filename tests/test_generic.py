@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from coarsebell.generic import (
+    DELTA_MAX,
     GenericParams,
     _k_max,
     _smeared_sign,
@@ -211,3 +212,29 @@ def test_params_validation():
         GenericParams(n=1, Delta=-0.5)
     with pytest.raises(ValueError):
         GenericParams(n=1.5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("delta", [0.0, 0.4, 1.7, 6.0])
+def test_fuzzy_detector_is_the_f_g_composition_bit_for_bit(n, delta):
+    params = GenericParams(n=n, delta=delta)
+    angles = [-2.0, -0.3, 0.0, 0.2, 0.785, 1.3, 2.9, 4.0]
+    for ta in angles:
+        for tb in angles:
+            want = 0.5 * (
+                f_delta(n, ta, params) * f_delta(-n, tb, params)
+                + f_delta(-n, ta, params) * f_delta(n, tb, params)
+                + 2.0 * g_delta(n, ta, params) * g_delta(n, tb, params)
+            )
+            assert corr_fuzzy_detector(ta, tb, params) == want
+
+
+def test_detector_width_has_a_documented_limit():
+    GenericParams(n=1, delta=DELTA_MAX)
+    for call in (
+        lambda: GenericParams(n=1, delta=DELTA_MAX * (1.0 + 1e-12)),
+        lambda: GenericParams(n=1, delta=1e150),
+        lambda: discrimination_error(1, 2.0 * DELTA_MAX),
+    ):
+        with pytest.raises(ValueError, match="DELTA_MAX"):
+            call()

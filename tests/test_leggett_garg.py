@@ -13,6 +13,7 @@ import scipy.linalg
 
 from coarsebell.kernels import gauss_hermite
 from coarsebell.leggett_garg import (
+    J_MAX,
     LgTimes,
     SpinParams,
     corr_nonclassical,
@@ -142,3 +143,29 @@ def test_larger_spins_decay_faster_under_smearing():
         corr_spin_parity(tau, SpinParams(j=j, Delta=Delta)) for j in (0.5, 1.0, 2.5)
     ]
     assert vals[0] > vals[1] > vals[2]
+
+
+def spin_parity_per_call(tau: float, params: SpinParams) -> float:
+    """The correlator as it was computed before its terms were cached per params."""
+    m = params.magnetic_numbers()
+    damping = np.exp(-2.0 * (m * params.Delta) ** 2)
+    return float(np.sum(damping * np.cos(2.0 * m * params.omega * tau))) / (2.0 * params.j + 1.0)
+
+
+@pytest.mark.parametrize("j", [0.5, 2.5, 7.0, 50.0])
+@pytest.mark.parametrize("omega,Delta", [(1.0, 0.0), (0.37, 0.2), (13.0, 1.1)])
+def test_spin_parity_equals_the_per_call_formula_bit_for_bit(j, omega, Delta):
+    params = SpinParams(j=j, omega=omega, Delta=Delta)
+    for tau in [0.0, 0.1, 0.77, 2.5, 6.2, 40.0, -3.0]:
+        assert corr_spin_parity(tau, params) == spin_parity_per_call(tau, params)
+        # an equal params object built separately gives the same value
+        assert corr_spin_parity(tau, SpinParams(j=j, omega=omega, Delta=Delta)) == corr_spin_parity(
+            tau, params
+        )
+
+
+def test_spin_has_a_documented_limit():
+    assert SpinParams(j=J_MAX).j == 256.0
+    for j in (J_MAX + 0.5, 1e6):
+        with pytest.raises(ValueError, match="J_MAX = 256"):
+            SpinParams(j=j)

@@ -1,6 +1,11 @@
 """Tests for the deterministic multistart maximiser and the CHSH helpers."""
 
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,3 +283,140 @@ def test_lg_correlator_without_finite_bandwidth_stops_at_the_grid_cap():
 def test_non_finite_objective_values_raise_a_value_error(call):
     with pytest.raises(ValueError, match=r"not finite: (nan|inf|-inf)"):
         call()
+
+
+# ---------------------------------------------------------------------------
+# The in-house simplex against scipy's Nelder-Mead, the oracle
+
+
+def scipy_nelder_mead(f, x0, maxiter, maxfev, monkeypatch):
+    """Points scipy's Nelder-Mead evaluates, its x and its success flag.
+
+    ``numpy.argsort`` is made stable for the run: scipy's default sort is
+    unstable, and its order of tied values depends on the numpy build.
+    """
+    from scipy.optimize import minimize
+
+    argsort = np.argsort
+    calls = []
+
+    def recorded(x):
+        point = tuple(x.tolist())
+        calls.append(point)
+        return f(point)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "argsort", lambda a: argsort(a, kind="stable"))
+        res = minimize(
+            recorded,
+            np.asarray(x0, dtype=float),
+            method="Nelder-Mead",
+            options=dict(xatol=optimize._XATOL, fatol=optimize._FATOL, maxiter=maxiter, maxfev=maxfev),
+        )
+    return calls, tuple(res.x.tolist()), bool(res.success)
+
+
+def own_nelder_mead(f, x0, maxiter, maxfev):
+    calls = []
+
+    def recorded(point):
+        assert type(point) is tuple and all(type(v) is float for v in point)
+        calls.append(point)
+        return f(point)
+
+    x, ok = optimize._nelder_mead(recorded, x0, maxiter=maxiter, maxfev=maxfev)
+    return calls, x, ok
+
+
+def bits(points):
+    """Exact, sign-of-zero aware form of a list of points."""
+    return [tuple(v.hex() for v in p) for p in points]
+
+
+def assert_same_run(f, x0, monkeypatch, maxiter, maxfev):
+    want_calls, want_x, want_ok = scipy_nelder_mead(f, x0, maxiter, maxfev, monkeypatch)
+    got_calls, got_x, got_ok = own_nelder_mead(f, x0, maxiter, maxfev)
+    assert bits(got_calls) == bits(want_calls)
+    assert bits([got_x]) == bits([want_x])
+    assert got_ok == want_ok
+
+
+def negated_chsh(system: str, params: dict):
+    from coarsebell import sweep
+
+    sysdef = sweep.SYSTEMS[system]
+    merged = sweep._validate_params(system, {k: v for k, v in params.items() if k != sysdef.variable})
+    corr = sweep._correlator(sysdef, merged, params.get(sysdef.variable, sysdef.variable_default))
+
+    def f(x):
+        a, ap, b, bp = x
+        return -(corr(a, b) + corr(ap, b) + corr(a, bp) - corr(ap, bp))
+
+    return f
+
+
+CHSH_CASES = {
+    "generic-ref": {"n": 2, "V": 0.3},
+    "generic-delta": {"n": 2, "V": 0.7},
+    "ecs-eta": {"alpha": 3.0, "eta": 0.8},
+    "photon": {"n": 2, "eta": 0.9, "V": 0.2},
+}
+
+
+@pytest.mark.parametrize("system", sorted(CHSH_CASES))
+def test_simplex_replays_scipy_from_every_chsh_lattice_start(system, monkeypatch):
+    f = negated_chsh(system, CHSH_CASES[system])
+    axis = [(i + 0.5) * math.pi / 3 for i in range(3)]
+    for x0 in itertools.product(axis, repeat=4):
+        assert_same_run(f, x0, monkeypatch, maxiter=4000 * 4, maxfev=8000 * 4)
+
+
+@pytest.mark.parametrize("x0", [(0.3,), (0.0,), (-2.0,)])
+def test_simplex_replays_scipy_in_one_dimension(x0, monkeypatch):
+    assert_same_run(lambda x: -math.sin(2.0 * x[0]), x0, monkeypatch, maxiter=4000, maxfev=8000)
+
+
+@pytest.mark.parametrize("maxfev", [3, 5, 6, 7, 11, 16, 19])
+def test_simplex_stops_where_scipy_does_on_the_evaluation_cap(maxfev, monkeypatch):
+    # from these starts the next call after the cap is: a vertex of the
+    # initial simplex (3), a reflection (5 on), an expansion after its
+    # reflection (6 on), an inside contraction (16), an outside one (19)
+    f = negated_chsh("generic-delta", CHSH_CASES["generic-delta"])
+    axis = [(i + 0.5) * math.pi / 3 for i in range(3)]
+    for x0 in itertools.islice(itertools.product(axis, repeat=4), 0, 81, 8):
+        assert_same_run(f, x0, monkeypatch, maxiter=16000, maxfev=maxfev)
+    assert not own_nelder_mead(f, (0.5, 0.5, 0.5, 0.5), 16000, maxfev)[2]
+
+
+def test_simplex_stops_where_scipy_does_inside_a_shrink(monkeypatch):
+    # from the first lattice start, the 18th ecs-eta call is the first
+    # vertex of a shrink, so a cap of 18 stops the shrink after one vertex
+    f = negated_chsh("ecs-eta", CHSH_CASES["ecs-eta"])
+    assert_same_run(f, (math.pi / 6,) * 4, monkeypatch, maxiter=16000, maxfev=18)
+
+
+@pytest.mark.parametrize("maxiter", [1, 2, 9])
+def test_simplex_stops_where_scipy_does_on_the_iteration_cap(maxiter, monkeypatch):
+    f = negated_chsh("generic-ref", CHSH_CASES["generic-ref"])
+    assert_same_run(f, (0.5, 1.5, 2.5, 0.5), monkeypatch, maxiter=maxiter, maxfev=32000)
+    assert not own_nelder_mead(f, (0.5, 1.5, 2.5, 0.5), maxiter, 32000)[2]
+
+
+def test_simplex_ties_keep_the_earlier_vertex():
+    # a constant objective ties every vertex: the stable order keeps x0 best,
+    # and the run converges once shrinks bring every vertex within xatol
+    x, ok = optimize._nelder_mead(lambda p: 1.0, (0.4, 0.7), maxiter=8000, maxfev=16000)
+    assert x == (0.4, 0.7)
+    assert ok
+
+
+def test_importing_the_command_line_does_not_import_scipy():
+    import coarsebell
+
+    code = (
+        "import sys, coarsebell.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(coarsebell.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
