@@ -18,10 +18,15 @@ with an amplitude A that encodes the imperfection:
 * smeared homodyne angle:      A = I(alpha, Delta)^2 / (1 + e^{-4 alpha^2})
 
 where I(alpha, Delta) is a Gaussian average over the homodyne-angle error
-lambda of an erf-shaped sharp response; it tends to erf(sqrt(2) alpha) as
-Delta -> 0.  The integral is evaluated by adaptive Gauss-Kronrod quadrature
-with a guard excluding the removable singularity of the printed integrand at
-cos(lambda) = 0.
+lambda of the sharp response erf(sqrt(2) alpha cos lambda); it tends to
+erf(sqrt(2) alpha) as Delta -> 0.  The integral is evaluated by an in-house
+adaptive Gauss-Kronrod (7/15) quadrature with breakpoints at the erf steps,
+so this module needs no scipy (only the test oracles and the Gauss-Hermite
+rules of ``kernels`` use it).
+
+Each ``ecs_*_correlator(params)`` computes its amplitude, the quadrature
+included, once and returns ``(theta_a, theta_b) -> E``; sweeps bind one per
+point, and the ``corr_ecs_*`` functions are one-call conveniences.
 
 ``oracle_ecs_quadrature`` rebuilds the efficiency-free correlation from
 first principles - coherent-state position wavefunctions, sign-probability
@@ -31,10 +36,13 @@ closed form.
 
 from __future__ import annotations
 
+import heapq
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import erf
+from typing import Callable
 
 import numpy as np
 
@@ -43,6 +51,9 @@ from .kernels import require_finite
 __all__ = [
     "EcsParams",
     "ConvergenceError",
+    "ecs_efficiency_correlator",
+    "ecs_reference_correlator",
+    "ecs_homodyne_correlator",
     "corr_ecs_efficiency",
     "corr_ecs_reference",
     "corr_ecs_homodyne_angle",
@@ -51,8 +62,6 @@ __all__ = [
 ]
 
 _SQRT_2 = math.sqrt(2.0)
-_COS_GUARD = 1e-8
-_QUAD_TOL = 1e-9
 
 
 class ConvergenceError(RuntimeError):
@@ -83,7 +92,17 @@ def _overlap_denominator(alpha: float) -> float:
     return 1.0 + math.exp(-4.0 * alpha * alpha)
 
 
-def corr_ecs_efficiency(theta_a: float, theta_b: float, params: EcsParams) -> float:
+def _separable(amp: float) -> Callable[[float, float], float]:
+    """``(theta_a, theta_b) -> amp * cos 2(theta_a - theta_b)``, shared by all three variants."""
+    cos = math.cos
+
+    def corr(theta_a: float, theta_b: float) -> float:
+        return amp * cos(2.0 * (theta_a - theta_b))
+
+    return corr
+
+
+def ecs_efficiency_correlator(params: EcsParams) -> Callable[[float, float], float]:
     """Correlation with detector efficiency ``eta`` (sharp references).
 
     Amplitude ``erf(sqrt(2 eta) alpha)^2 / (1 + e^{-4 alpha^2})``; increasing
@@ -91,11 +110,10 @@ def corr_ecs_efficiency(theta_a: float, theta_b: float, params: EcsParams) -> fl
     compensated by amplitude.
     """
     e = erf(math.sqrt(2.0 * params.eta) * params.alpha)
-    amp = e * e / _overlap_denominator(params.alpha)
-    return amp * math.cos(2.0 * (theta_a - theta_b))
+    return _separable(e * e / _overlap_denominator(params.alpha))
 
 
-def corr_ecs_reference(theta_a: float, theta_b: float, params: EcsParams) -> float:
+def ecs_reference_correlator(params: EcsParams) -> Callable[[float, float], float]:
     """Correlation with Gaussian-smeared rotation references (unit efficiency).
 
     The smearing multiplies the sharp amplitude by ``e^{-4 Delta^2}``,
@@ -103,64 +121,175 @@ def corr_ecs_reference(theta_a: float, theta_b: float, params: EcsParams) -> flo
     """
     e = erf(_SQRT_2 * params.alpha)
     damping = math.exp(-4.0 * params.Delta * params.Delta)
-    amp = damping * e * e / _overlap_denominator(params.alpha)
-    return amp * math.cos(2.0 * (theta_a - theta_b))
+    return _separable(damping * e * e / _overlap_denominator(params.alpha))
 
 
-def _homodyne_integrand(lam: float, alpha: float, Delta: float) -> float:
-    c = math.cos(lam)
-    if abs(c) < _COS_GUARD:
-        return 0.0
-    kernel = math.exp(-lam * lam / (2.0 * Delta * Delta)) / (Delta * math.sqrt(2.0 * math.pi))
-    response = alpha * c * erf(math.sqrt(alpha * alpha * (1.0 + math.cos(2.0 * lam))))
-    return kernel * response / math.sqrt(alpha * alpha * c * c)
+def ecs_homodyne_correlator(params: EcsParams) -> Callable[[float, float], float]:
+    """Correlation with a Gaussian-smeared homodyne measurement angle.
+
+    Amplitude ``I(alpha, Delta)^2 / (1 + e^{-4 alpha^2})``, with the average
+    I computed once here.  Unlike the efficiency case this degradation
+    cannot be compensated by increasing ``alpha``.
+    """
+    i_val = homodyne_angle_average(params.alpha, params.Delta)
+    return _separable(i_val * i_val / _overlap_denominator(params.alpha))
+
+
+def corr_ecs_efficiency(theta_a: float, theta_b: float, params: EcsParams) -> float:
+    """:func:`ecs_efficiency_correlator` of ``params`` at one pair of angles."""
+    return ecs_efficiency_correlator(params)(theta_a, theta_b)
+
+
+def corr_ecs_reference(theta_a: float, theta_b: float, params: EcsParams) -> float:
+    """:func:`ecs_reference_correlator` of ``params`` at one pair of angles."""
+    return ecs_reference_correlator(params)(theta_a, theta_b)
+
+
+def corr_ecs_homodyne_angle(theta_a: float, theta_b: float, params: EcsParams) -> float:
+    """:func:`ecs_homodyne_correlator` of ``params`` at one pair of angles."""
+    return ecs_homodyne_correlator(params)(theta_a, theta_b)
+
+
+# ---------------------------------------------------------------------------
+# homodyne-angle quadrature
+
+# Gauss-Kronrod 7/15 rule on [-1, 1], as in QUADPACK's qk15: the positive
+# Kronrod nodes and their weights, then the weight of the centre.  The
+# 7-point Gauss rule uses every second of those nodes, from the second on,
+# and the centre.
+_XK = (
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+)
+_WK = (
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+)
+_WK0 = 0.209482141084727828012999174891714
+_WG = (
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+)
+_WG0 = 0.417959183673469387755102040816327
+
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min
+
+# Error targets of the adaptive integration, the error estimate above which
+# it fails, and the most pieces it may cut the window into.  The breakpoints
+# alone take 7 pieces per sign flip of cos(lambda), so the limit admits
+# Delta up to ~35; I(alpha, Delta) ~ exp(-Delta^2 / 2) underflows to 0 there.
+_EPSABS = 1e-13
+_EPSREL = 1e-12
+_QUAD_TOL = 1e-9
+_QUAD_LIMIT = 2000
+# Breakpoints around each sign flip, in units of the erf transition width.
+_FLIP_OFFSETS = (-10.0, -3.0, -1.0, 0.0, 1.0, 3.0, 10.0)
+
+
+def _kronrod(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """Gauss-Kronrod 7/15 value of the integral of ``f`` over [a, b].
+
+    Also returns QUADPACK's error estimate for it.
+    """
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    fc = f(c)
+    pairs = [(f(c - h * x), f(c + h * x)) for x in _XK]
+    kronrod = _WK0 * fc + sum(w * (lo + hi) for w, (lo, hi) in zip(_WK, pairs))
+    gauss = _WG0 * fc + sum(w * (lo + hi) for w, (lo, hi) in zip(_WG, pairs[1::2]))
+    mean = 0.5 * kronrod
+    spread = _WK0 * abs(fc - mean) + sum(
+        w * (abs(lo - mean) + abs(hi - mean)) for w, (lo, hi) in zip(_WK, pairs)
+    )
+    size = _WK0 * abs(fc) + sum(w * (abs(lo) + abs(hi)) for w, (lo, hi) in zip(_WK, pairs))
+    h = abs(h)
+    err, spread, size = abs((kronrod - gauss) * h), spread * h, size * h
+    if spread and err:
+        err = spread * min(1.0, (200.0 * err / spread) ** 1.5)
+    if size > _TINY / (50.0 * _EPS):
+        err = max(50.0 * _EPS * size, err)
+    return kronrod * h, err
+
+
+def _adaptive(f: Callable[[float], float], edges: list[float]) -> tuple[float, float]:
+    """Integral of ``f`` over consecutive ``edges``, and its error estimate.
+
+    Global adaptive bisection: while the summed error estimate exceeds
+    max(``_EPSABS``, ``_EPSREL`` |value|) and fewer than ``_QUAD_LIMIT``
+    pieces exist, the piece with the largest estimate is halved.
+    """
+    heap = []
+    for a, b in zip(edges, edges[1:]):
+        value, err = _kronrod(f, a, b)
+        heap.append((-err, a, b, value))
+    heapq.heapify(heap)
+    total = math.fsum(piece[3] for piece in heap)
+    total_err = -math.fsum(piece[0] for piece in heap)
+    while total_err > max(_EPSABS, _EPSREL * abs(total)) and len(heap) < _QUAD_LIMIT:
+        neg_err, a, b, value = heap[0]
+        mid = 0.5 * (a + b)
+        if not a < mid < b:  # the worst piece is as narrow as floats allow
+            break
+        heapq.heappop(heap)
+        for lo, hi in ((a, mid), (mid, b)):
+            part, part_err = _kronrod(f, lo, hi)
+            heapq.heappush(heap, (-part_err, lo, hi, part))
+            total += part
+            total_err += part_err
+        total -= value
+        total_err += neg_err
+    return math.fsum(piece[3] for piece in heap), -math.fsum(piece[0] for piece in heap)
 
 
 @lru_cache(maxsize=1024)
 def homodyne_angle_average(alpha: float, Delta: float) -> float:
     """Gaussian average I(alpha, Delta) of the sharp homodyne sign response.
 
-    Evaluated by adaptive Gauss-Kronrod quadrature over a 12-sigma window
-    with breakpoints at the sign flips of cos(lambda); raises
-    :class:`ConvergenceError` if the estimated error exceeds 1e-9 rather
-    than silently returning a truncated result.  ``Delta == 0`` is the exact
+    The integrand is ``erf(sqrt(2) alpha cos(lambda))`` times the Gaussian of
+    width ``Delta``, integrated over a 12-sigma window by an in-house
+    adaptive Gauss-Kronrod (7/15) rule.  Breakpoints sit at every sign flip
+    of cos(lambda) in the window and at +-1, +-3 and +-10 widths
+    1/(sqrt(2) alpha) of its erf step either side of each.  Raises
+    :class:`ConvergenceError` if the estimated error exceeds 1e-9, or if the
+    breakpoints alone exceed the piece limit (Delta above ~37.3; from ~36 up
+    the pieces left for bisection no longer suffice), rather than
+    silently returning a truncated result.  ``Delta == 0`` is the exact
     point-mass branch ``erf(sqrt(2) alpha)``.
     """
     if Delta == 0.0:
         return erf(_SQRT_2 * alpha)
-    from scipy import integrate
-
     window = 12.0 * Delta
-    flips = [s * 0.5 * k * math.pi for k in (1, 3, 5, 7) for s in (-1, 1)]
-    points = sorted(p for p in flips if -window < p < window)
-    value, est_err = integrate.quad(
-        _homodyne_integrand,
-        -window,
-        window,
-        args=(alpha, Delta),
-        epsabs=1e-13,
-        epsrel=1e-12,
-        limit=400,
-        points=points or None,
-    )
+    # sign flips (k + 1/2) pi < window, k >= 0; min() keeps ceil() finite
+    flips = max(0, math.ceil(min(window / math.pi - 0.5, _QUAD_LIMIT)))
+    if 2 * flips * len(_FLIP_OFFSETS) + 1 > _QUAD_LIMIT:
+        raise ConvergenceError(
+            f"homodyne-angle average did not converge: alpha={alpha}, Delta={Delta}, "
+            f"its {2 * flips} sign flips need more than {_QUAD_LIMIT} pieces"
+        )
+    width = 1.0 / (_SQRT_2 * alpha)
+    points = {
+        s * (k + 0.5) * math.pi + d * width
+        for k in range(flips) for s in (-1.0, 1.0) for d in _FLIP_OFFSETS
+    }
+    edges = [-window, *sorted(p for p in points if -window < p < window), window]
+    scale, norm = _SQRT_2 * alpha, 1.0 / (Delta * math.sqrt(2.0 * math.pi))
+    cos, exp = math.cos, math.exp
+
+    def integrand(lam: float) -> float:
+        u = lam / Delta
+        return norm * exp(-0.5 * u * u) * erf(scale * cos(lam))
+
+    value, est_err = _adaptive(integrand, edges)
     if est_err > _QUAD_TOL:
         raise ConvergenceError(
             f"homodyne-angle average did not converge: alpha={alpha}, Delta={Delta}, "
             f"estimated error {est_err:g} > {_QUAD_TOL:g}"
         )
     return value
-
-
-def corr_ecs_homodyne_angle(theta_a: float, theta_b: float, params: EcsParams) -> float:
-    """Correlation with a Gaussian-smeared homodyne measurement angle.
-
-    Amplitude ``I(alpha, Delta)^2 / (1 + e^{-4 alpha^2})``.  Unlike the
-    efficiency case this degradation cannot be compensated by increasing
-    ``alpha``.
-    """
-    i_val = homodyne_angle_average(params.alpha, params.Delta)
-    amp = i_val * i_val / _overlap_denominator(params.alpha)
-    return amp * math.cos(2.0 * (theta_a - theta_b))
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from . import kernels
 from .kernels import QuadratureRule, gauss_hermite, require_finite
@@ -47,6 +48,8 @@ __all__ = [
     "chi",
     "f_delta",
     "g_delta",
+    "fuzzy_detector_correlator",
+    "coarse_reference_correlator",
     "corr_fuzzy_detector",
     "corr_coarse_reference",
     "corr_coarse_reference_quad",
@@ -61,6 +64,18 @@ _SQRT_2 = math.sqrt(2.0)
 # smeared value, so this keeps it near 1e5 entries; without a limit, V = 1e300
 # asks numpy for a window of ~1e151 entries.
 DELTA_MAX = 1e4
+
+# Largest size n.  The same window is ceil(n + 8 delta) wide, so at this n it
+# holds at most ~3.6e5 entries and one generic-delta point stays under ~1 s
+# on a 2-vCPU Xeon; n = 1e6 takes ~3 s, and n = 1e18 overflows numpy.
+N_MAX = 100_000
+
+
+def _check_size(n: int) -> None:
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if n > N_MAX:
+        raise ValueError(f"n must be <= N_MAX = {N_MAX}, got {n}")
 
 
 def _check_delta(delta: float) -> None:
@@ -80,8 +95,7 @@ class GenericParams:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        _check_size(self.n)
         _check_delta(self.delta)
         if self.Delta < 0.0:
             raise ValueError(f"Delta must be >= 0, got {self.Delta}")
@@ -130,35 +144,59 @@ def g_delta(n: int, theta: float, params: GenericParams) -> float:
     return math.sin(theta) * math.cos(theta) * (s_pos - s_neg)
 
 
-def corr_fuzzy_detector(theta_a: float, theta_b: float, params: GenericParams) -> float:
+def fuzzy_detector_correlator(params: GenericParams) -> Callable[[float, float], float]:
     """Two-party correlation with smearing applied at the final detection.
 
-    Any ``Delta`` in ``params`` is ignored here; this is the pure
-    detector-fuzziness branch.  For ``delta == 0`` it reduces exactly to
-    ``-cos 2(theta_a + theta_b)``.  Equal, bit for bit, to the composition
-    of :func:`f_delta` and :func:`g_delta` in the module docstring.
+    Returns ``(theta_a, theta_b) -> E`` with the two smeared signs of
+    ``params`` computed once.  Any ``Delta`` in ``params`` is ignored here;
+    this is the pure detector-fuzziness branch.  For ``delta == 0`` it
+    reduces exactly to ``-cos 2(theta_a + theta_b)``.  Equal, bit for bit,
+    to the composition of :func:`f_delta` and :func:`g_delta` in the module
+    docstring.
     """
     n, delta = params.n, params.delta
     k_max = _k_max(n, delta)
     up = _smeared_sign(n, delta, k_max)
     down = _smeared_sign(-n, delta, k_max)
-    ca, sa = math.cos(theta_a), math.sin(theta_a)
-    cb, sb = math.cos(theta_b), math.sin(theta_b)
-    return 0.5 * (
-        (ca * ca * up + sa * sa * down) * (cb * cb * down + sb * sb * up)
-        + (ca * ca * down + sa * sa * up) * (cb * cb * up + sb * sb * down)
-        + 2.0 * (sa * ca * (up - down)) * (sb * cb * (up - down))
-    )
+    odd = up - down
+    cos, sin = math.cos, math.sin
+
+    def corr(theta_a: float, theta_b: float) -> float:
+        ca, sa = cos(theta_a), sin(theta_a)
+        cb, sb = cos(theta_b), sin(theta_b)
+        caa, saa, cbb, sbb = ca * ca, sa * sa, cb * cb, sb * sb
+        return 0.5 * (
+            (caa * up + saa * down) * (cbb * down + sbb * up)
+            + (caa * down + saa * up) * (cbb * up + sbb * down)
+            + 2.0 * (sa * ca * odd) * (sb * cb * odd)
+        )
+
+    return corr
+
+
+def corr_fuzzy_detector(theta_a: float, theta_b: float, params: GenericParams) -> float:
+    """:func:`fuzzy_detector_correlator` of ``params`` at one pair of angles."""
+    return fuzzy_detector_correlator(params)(theta_a, theta_b)
+
+
+def coarse_reference_correlator(params: GenericParams) -> Callable[[float, float], float]:
+    """Two-party correlation with a Gaussian-smeared rotation reference.
+
+    Returns ``(theta_a, theta_b) -> -exp(-4 Delta^2) cos 2(theta_a + theta_b)``
+    with the damping computed once; note it does not depend on the size ``n``.
+    """
+    scale = -math.exp(-4.0 * params.Delta * params.Delta)
+    cos = math.cos
+
+    def corr(theta_a: float, theta_b: float) -> float:
+        return scale * cos(2.0 * (theta_a + theta_b))
+
+    return corr
 
 
 def corr_coarse_reference(theta_a: float, theta_b: float, params: GenericParams) -> float:
-    """Two-party correlation with a Gaussian-smeared rotation reference.
-
-    Closed form ``-exp(-4 Delta^2) cos 2(theta_a + theta_b)``; note it does
-    not depend on the size ``n``.
-    """
-    damping = math.exp(-4.0 * params.Delta * params.Delta)
-    return -damping * math.cos(2.0 * (theta_a + theta_b))
+    """:func:`coarse_reference_correlator` of ``params`` at one pair of angles."""
+    return coarse_reference_correlator(params)(theta_a, theta_b)
 
 
 def corr_coarse_reference_quad(
@@ -202,8 +240,9 @@ def corr_combined(
     branches when either width vanishes.
     """
     Delta = params.Delta
+    corr = fuzzy_detector_correlator(params)
     if Delta == 0.0:
-        return corr_fuzzy_detector(theta_a, theta_b, params)
+        return corr(theta_a, theta_b)
     if rule is None:
         rule = gauss_hermite(40)
     scale = _SQRT_2 * Delta
@@ -212,7 +251,7 @@ def corr_combined(
         pa = theta_a + scale * xa
         for xb, wb in zip(rule.nodes, rule.weights):
             pb = theta_b + scale * xb
-            total += wa * wb * corr_fuzzy_detector(pa, pb, params)
+            total += wa * wb * corr(pa, pb)
     return total
 
 
@@ -223,8 +262,7 @@ def discrimination_error(n: int, delta: float) -> float:
     and, for fixed n, grows to 1 as delta -> infinity (the smeared sign
     carries no information left).  Larger n at fixed delta reduces it.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    _check_size(n)
     _check_delta(delta)
     bracket = _smeared_sign(n, delta, _k_max(n, delta))
     return 1.0 - bracket * bracket

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -42,6 +43,8 @@ __all__ = [
     "SpinParams",
     "LgTimes",
     "parity_operator",
+    "spin_parity_correlator",
+    "nonclassical_correlator",
     "corr_spin_parity",
     "corr_spin_parity_quad",
     "corr_nonclassical",
@@ -124,17 +127,28 @@ def _spin_terms(params: SpinParams) -> tuple[np.ndarray, np.ndarray]:
     return damping, freq
 
 
-def corr_spin_parity(tau: float, params: SpinParams) -> float:
+def spin_parity_correlator(params: SpinParams) -> Callable[[float], float]:
     """Two-time parity correlation of the smeared spin-j measurement.
 
-    Closed sum over projection quantum numbers; each m-sector is damped by
-    ``exp(-2 m^2 Delta^2)``, so the spin-1/2 case reduces to
+    Returns ``tau -> C`` with the sector factors of ``params`` looked up
+    once.  Closed sum over projection quantum numbers; each m-sector is
+    damped by ``exp(-2 m^2 Delta^2)``, so the spin-1/2 case reduces to
     ``exp(-Delta^2/2) cos(omega tau)`` while large spins lose their
     high-frequency content first.
     """
     damping, freq = _spin_terms(params)
-    total = float(np.sum(damping * np.cos(freq * tau)))
-    return total / (2.0 * params.j + 1.0)
+    norm = 2.0 * params.j + 1.0
+    cos, add_up = np.cos, np.sum
+
+    def corr(tau: float) -> float:
+        return float(add_up(damping * cos(freq * tau))) / norm
+
+    return corr
+
+
+def corr_spin_parity(tau: float, params: SpinParams) -> float:
+    """:func:`spin_parity_correlator` of ``params`` at one gap."""
+    return spin_parity_correlator(params)(tau)
 
 
 def corr_spin_parity_quad(
@@ -161,10 +175,24 @@ def corr_spin_parity_quad(
     return total / (2.0 * params.j + 1.0)
 
 
-def corr_nonclassical(tau: float, params: SpinParams) -> float:
-    """Invasion-free two-level probe correlation; deliberately ignores ``j``."""
+def nonclassical_correlator(params: SpinParams) -> Callable[[float], float]:
+    """Invasion-free two-level probe correlation; deliberately ignores ``j``.
+
+    Returns ``tau -> exp(-Delta^2 / 2) cos(omega tau)`` with the damping
+    computed once.
+    """
     damping = math.exp(-0.5 * params.Delta * params.Delta)
-    return damping * math.cos(params.omega * tau)
+    omega, cos = params.omega, math.cos
+
+    def corr(tau: float) -> float:
+        return damping * cos(omega * tau)
+
+    return corr
+
+
+def corr_nonclassical(tau: float, params: SpinParams) -> float:
+    """:func:`nonclassical_correlator` of ``params`` at one gap."""
+    return nonclassical_correlator(params)(tau)
 
 
 def lg_function(correlator, times: LgTimes) -> float:

@@ -238,20 +238,21 @@ class _Polish:
         self.period = period
         self.count = 0
 
-    def evaluate(self, x: tuple[float, ...]) -> float:
-        self.count += 1
-        value = float(self.objective(x))
-        if not math.isfinite(value):
-            raise ValueError(f"objective value is not finite: {value!r} at {x!r}")
-        return value
-
     def refine(self, x0: tuple[float, ...]) -> tuple[float, tuple[float, ...], bool]:
+        objective, isfinite = self.objective, math.isfinite
+
+        # one frame per simplex call (~6k calls per CHSH start)
+        def negated(x: tuple[float, ...]) -> float:
+            self.count += 1
+            value = float(objective(x))
+            if not isfinite(value):
+                raise ValueError(f"objective value is not finite: {value!r} at {x!r}")
+            return -value
+
         d = self.d
-        x, ok = _nelder_mead(
-            lambda x: -self.evaluate(x), x0, maxiter=4000 * d, maxfev=8000 * d
-        )
+        x, ok = _nelder_mead(negated, x0, maxiter=4000 * d, maxfev=8000 * d)
         point = tuple(v % self.period for v in x)
-        return self.evaluate(point), point, ok
+        return -negated(point), point, ok
 
     def best(self, starts) -> tuple[float, tuple[float, ...], bool]:
         """Refine from every start and keep the best result (see ``_better``)."""

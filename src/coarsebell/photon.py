@@ -29,7 +29,7 @@ an angle average that damps each party by exp(-2 Delta^2), the correlation is
 
     E = m^2 - (1 - m)^2 exp(-4 Delta^2) cos 2(theta_a + theta_b).
 
-``corr_photon_closed`` evaluates it for any n and is what sweeps optimise.
+``photon_correlator`` binds it for any n and is what sweeps optimise.
 ``corr_photon`` runs the density-matrix pipeline at every quadrature node and
 is the independent oracle, limited to n <= 4 (its matrix has (n + 1)^8 entries).
 """
@@ -40,6 +40,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import Callable
 
 import numpy as np
 
@@ -283,13 +284,23 @@ def corr_photon(
     return total
 
 
-def corr_photon_closed(theta_a: float, theta_b: float, params: PhotonParams) -> float:
-    """Closed form of :func:`corr_photon` (see the module docstring), for any ``n``."""
+def photon_correlator(params: PhotonParams) -> Callable[[float, float], float]:
+    """Closed form of :func:`corr_photon` (see the module docstring), for any ``n``.
+
+    Returns ``(theta_a, theta_b) -> E`` with the loss and damping factors
+    of ``params`` computed once.
+    """
     miss = (1.0 - params.eta) ** params.n
     damping = math.exp(-4.0 * params.Delta * params.Delta)
-    return miss * miss - (1.0 - miss) ** 2 * damping * math.cos(2.0 * (theta_a + theta_b))
+    floor, scale = miss * miss, (1.0 - miss) ** 2 * damping
+    cos = math.cos
+
+    def corr(theta_a: float, theta_b: float) -> float:
+        return floor - scale * cos(2.0 * (theta_a + theta_b))
+
+    return corr
 
 
-def photon_correlator(params: PhotonParams):
-    """Two-argument evaluator ``(theta_a, theta_b) -> E`` of the closed form."""
-    return lambda theta_a, theta_b: corr_photon_closed(theta_a, theta_b, params)
+def corr_photon_closed(theta_a: float, theta_b: float, params: PhotonParams) -> float:
+    """:func:`photon_correlator` of ``params`` at one pair of angles."""
+    return photon_correlator(params)(theta_a, theta_b)

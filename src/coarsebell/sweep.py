@@ -22,8 +22,10 @@ Limits: every number must be finite; ``sweep.steps`` lies in [1, 10000]
 optimiser's absolute gap tolerance of 1e-8 resolves a period; ``j`` of the
 LG systems is at most 256 (``leggett_garg.J_MAX``), the largest spin whose
 sharp correlator the LG grid resolves; and the detector width of
-``generic-delta`` is at most 1e4 (``generic.DELTA_MAX``, V <= 1e8).  Each
-limit is a validation error that names it (exit code 2 on the command line).
+``generic-delta`` is at most 1e4 (``generic.DELTA_MAX``, V <= 1e8) and its
+``n`` at most 100000 (``generic.N_MAX``), which keep its smearing window
+small and one point under ~1 s.  Each limit is a validation error that
+names it (exit code 2 on the command line).
 
 Systems and their sweep variable / fixed parameters:
 
@@ -40,10 +42,14 @@ lg-spin           V           reference variance      j, omega
 lg-nonclassical   V           reference variance      j, omega
 ================  ==========  ======================  =====================
 
-Every grid point builds the system's correlator and maximises the CHSH (or
-four-time LG) combination; rows are emitted in lexicographic
-(series, sweep_value) order with 12 significant digits.  Both the CSV and
-the SVG renderings are byte-deterministic.
+Every grid point binds the system's correlator once, through the factory in
+its ``SYSTEMS`` row, and maximises the CHSH (or four-time LG) combination of
+the returned closure.  The factory computes the point's constants (smeared
+signs, dampings, the in-house homodyne quadrature); the optimiser's ~1e5
+calls then run only the closure.  No sweep point imports scipy; only the
+test oracles and the Gauss-Hermite rules use it.  Rows are emitted in
+lexicographic (series, sweep_value) order with 12 significant digits.  Both
+the CSV and the SVG renderings are byte-deterministic.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ import csv
 import math
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Mapping
 
 import numpy as np
@@ -144,7 +151,7 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
     def sorted_rows(self) -> list[SweepRow]:
-        return sorted(self.rows, key=lambda r: (r.series, r.sweep_value))
+        return sorted(self.rows, key=attrgetter("series", "sweep_value"))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +164,8 @@ class _System:
 
     The sweep value, or its square root (a width) when it is the variance
     ``V``, sets the ``swept`` field of the model's params object ``mp``;
-    ``corr`` takes ``mp`` last (``corr(ta, tb, mp)`` or ``corr(tau, mp)``).
+    ``correlator(mp)`` binds that configuration once and returns the bare
+    function the optimiser calls (``(ta, tb) -> E`` or ``tau -> C``).
     """
 
     kind: str  # "chsh" | "lg"
@@ -166,7 +174,7 @@ class _System:
     params: Mapping[str, float]
     model: type
     swept: str
-    corr: Callable[..., object]
+    correlator: Callable[[object], Callable[..., float]]
 
     def model_params(self, fixed: Mapping[str, float], value: float) -> object:
         x = math.sqrt(value) if self.variable == "V" else value
@@ -177,36 +185,39 @@ SYSTEMS: dict[str, _System] = {
     name: _System(*row)
     for name, *row in (
         # name, kind, variable, its default, fixed parameters with defaults,
-        # model params class, the field the sweep value sets, correlator
+        # model params class, the field the sweep value sets, correlator factory
         ("generic-delta", "chsh", "V", 0.0, {"n": 1},
-         generic.GenericParams, "delta", generic.corr_fuzzy_detector),
+         generic.GenericParams, "delta", generic.fuzzy_detector_correlator),
         ("generic-ref", "chsh", "V", 0.0, {"n": 1},
-         generic.GenericParams, "Delta", generic.corr_coarse_reference),
+         generic.GenericParams, "Delta", generic.coarse_reference_correlator),
         ("photon", "chsh", "V", 0.0, {"n": 1, "eta": 1.0},
-         photon.PhotonParams, "Delta", photon.corr_photon_closed),
+         photon.PhotonParams, "Delta", photon.photon_correlator),
         ("ecs-eta", "chsh", "eta", 1.0, {"alpha": 10.0},
-         ecs.EcsParams, "eta", ecs.corr_ecs_efficiency),
+         ecs.EcsParams, "eta", ecs.ecs_efficiency_correlator),
         ("ecs-ref", "chsh", "V", 0.0, {"alpha": 10.0},
-         ecs.EcsParams, "Delta", ecs.corr_ecs_reference),
+         ecs.EcsParams, "Delta", ecs.ecs_reference_correlator),
         ("ecs-homodyne", "chsh", "V", 0.0, {"alpha": 10.0},
-         ecs.EcsParams, "Delta", ecs.corr_ecs_homodyne_angle),
+         ecs.EcsParams, "Delta", ecs.ecs_homodyne_correlator),
         ("lg-spin", "lg", "V", 0.0, {"j": 0.5, "omega": 1.0},
-         leggett_garg.SpinParams, "Delta", leggett_garg.corr_spin_parity),
+         leggett_garg.SpinParams, "Delta", leggett_garg.spin_parity_correlator),
         ("lg-nonclassical", "lg", "V", 0.0, {"j": 0.5, "omega": 1.0},
-         leggett_garg.SpinParams, "Delta", leggett_garg.corr_nonclassical),
+         leggett_garg.SpinParams, "Delta", leggett_garg.nonclassical_correlator),
     )
 }
 
 
 def _correlator(sysdef: _System, fixed: Mapping, value: float) -> Correlator:
-    """Build one configuration's correlator from its table row."""
-    # Fixed-arity closures: the optimiser makes ~1e5 calls per point, and
-    # ``*args`` forwarding would add half the cost of the cheapest correlator.
+    """Build one configuration's correlator from its table row.
+
+    The factory runs once per point: it computes the configuration's
+    constants (smeared signs, damping, the homodyne quadrature) and returns
+    a fixed-arity closure, which the optimiser calls ~1e5 times.
+    """
     mp = sysdef.model_params(fixed, value)
-    corr = sysdef.corr
+    fn = sysdef.correlator(mp)
     if sysdef.kind == "lg":
-        return Correlator(fn=lambda tau: corr(tau, mp), period=2.0 * math.pi / mp.omega, kind="lg")
-    return Correlator(fn=lambda ta, tb: corr(ta, tb, mp), period=math.pi, kind="chsh")
+        return Correlator(fn=fn, period=2.0 * math.pi / mp.omega, kind="lg")
+    return Correlator(fn=fn, period=math.pi, kind="chsh")
 
 
 def _system(name: str) -> _System:

@@ -214,6 +214,9 @@ def test_bad_numbers_exit_two_with_a_one_line_error(tmp_path, capsys, argv, job_
         (["point", "lg-spin", "--param", "j=1e6"], None, EXIT_VALIDATION, "J_MAX = 256"),
         (["point", "lg-spin", "--param", "j=256.5"], None, EXIT_VALIDATION, "J_MAX = 256"),
         (["point", "lg-spin", "--param", "j=256"], None, EXIT_OK, None),
+        (["point", "generic-delta", "--param", "n=100001"], None, EXIT_VALIDATION, "N_MAX = 100000"),
+        (["point", "generic-delta", "--param", "n=1e8"], None, EXIT_VALIDATION, "N_MAX = 100000"),
+        (["point", "generic-delta", "--param", "n=100000", "--param", "V=1", "--starts", "1"], None, EXIT_OK, None),
     ],
 )
 def test_documented_limits_exit_two_and_name_the_limit(tmp_path, capsys, argv, job_text, code, needle):

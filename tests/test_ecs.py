@@ -2,7 +2,8 @@
 
 oracle_ecs_quadrature rebuilds the unit-efficiency correlation from position
 wavefunctions; the homodyne-angle average is cross-checked by a piecewise
-trapezoid integration written here with scipy.special.erf only.
+trapezoid integration written here with scipy.special.erf only, and at large
+alpha by a composite Gauss-Legendre rule written here with math.erf.
 """
 
 import math
@@ -163,12 +164,58 @@ def test_homodyne_correlation_sharp_limit_equals_efficiency_form():
 
 
 def test_homodyne_average_raises_when_integration_stalls(monkeypatch):
-    def fake_quad(*args, **kwargs):
-        return 0.123, 1e-3
+    # no sign flip lies in this window, so it is one piece; a limit of 4
+    # pieces leaves 3 bisections, too few to resolve a Gaussian 24 sigma wide
+    monkeypatch.setattr("coarsebell.ecs._QUAD_LIMIT", 4)
+    with pytest.raises(ConvergenceError, match="did not converge.*estimated error"):
+        homodyne_angle_average(4.321, 0.0777)  # fresh args, not cached
 
-    monkeypatch.setattr("scipy.integrate.quad", fake_quad)
-    with pytest.raises(ConvergenceError, match="did not converge"):
-        homodyne_angle_average(4.321, 0.777)  # fresh args, not cached
+
+def test_homodyne_average_refuses_a_window_beyond_the_piece_limit():
+    # Delta = 100 puts ~760 sign flips of cos(lambda) in the window
+    for Delta in (100.0, 1e308):
+        with pytest.raises(ConvergenceError, match="did not converge.*more than 2000 pieces"):
+            homodyne_angle_average(10.0, Delta)
+    assert abs(homodyne_angle_average(10.0, 10.0)) < 1e-15  # ~2.5e-22
+
+
+def gauss_legendre_average(alpha: float, Delta: float, order: int = 20) -> float:
+    """Composite Gauss-Legendre rule for I(alpha, Delta) with ``math.erf``.
+
+    Panels are half an erf width 1/(sqrt(2) alpha) wide within 8 widths of
+    each sign flip of cos(lambda), where the response steps, and Delta/8
+    wide elsewhere, where it is +-1 and only the Gaussian varies.
+    """
+    window = 12.0 * Delta
+    width = 1.0 / (math.sqrt(2.0) * alpha)
+    flips = [
+        s * (k + 0.5) * math.pi
+        for k in range(int(window / math.pi) + 1)
+        for s in (-1.0, 1.0)
+        if (k + 0.5) * math.pi < window
+    ]
+    cuts = {-window, window}
+    cuts.update(p + d for p in flips for d in (-8.0 * width, 8.0 * width) if -window < p + d < window)
+    edges = sorted(cuts)
+    x, w = np.polynomial.legendre.leggauss(order)
+    pieces = []
+    for a, b in zip(edges, edges[1:]):
+        near = any(abs(0.5 * (a + b) - p) < 8.0 * width for p in flips)
+        step = 0.5 * width if near else Delta / 8.0
+        panel = np.linspace(a, b, max(1, math.ceil((b - a) / step)) + 1)
+        lo, hi = panel[:-1, None], panel[1:, None]
+        lam = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+        response = np.array([math.erf(math.sqrt(2.0) * alpha * c) for c in np.cos(lam).ravel()])
+        kernel = np.exp(-0.5 * (lam / Delta) ** 2) / (Delta * math.sqrt(2.0 * math.pi))
+        pieces.append(math.fsum((0.5 * (hi - lo) * w * kernel * response.reshape(lam.shape)).ravel()))
+    return math.fsum(pieces)
+
+
+@pytest.mark.parametrize("alpha", [300.0, 1000.0])
+@pytest.mark.parametrize("Delta", [0.3, 0.5, 3.0])
+def test_homodyne_average_resolves_narrow_erf_steps(alpha, Delta):
+    # the erf step at each sign flip is only 1/(sqrt(2) alpha) wide
+    assert abs(homodyne_angle_average(alpha, Delta) - gauss_legendre_average(alpha, Delta)) <= 1e-14
 
 
 def test_homodyne_correlation_decays_with_smearing():

@@ -413,10 +413,19 @@ def test_simplex_ties_keep_the_earlier_vertex():
 def test_importing_the_command_line_does_not_import_scipy():
     import coarsebell
 
-    code = (
-        "import sys, coarsebell.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
     env = dict(os.environ, PYTHONPATH=str(Path(coarsebell.__file__).resolve().parents[1]))
+    loaded = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+    code = f"import sys, coarsebell.cli; print({loaded})"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+    # nor does a whole ecs-homodyne point, whose quadrature is in-house
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['coarsebell', 'point', 'ecs-homodyne', '--param', 'V=0.3']\n"
+        "try:\n    runpy.run_module('coarsebell', run_name='__main__')\n"
+        "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
+        f"print({loaded})\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.startswith("value = ")
+    assert out.stdout.strip().splitlines()[-1] == "[]"

@@ -1,18 +1,20 @@
 """Tests for job parsing, sweep execution, and the CSV/SVG emitters."""
 
+import dataclasses
 import math
 import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from coarsebell import ecs
 from coarsebell.ecs import (
     EcsParams,
     corr_ecs_efficiency,
     corr_ecs_homodyne_angle,
     corr_ecs_reference,
 )
-from coarsebell.generic import GenericParams, corr_coarse_reference, corr_fuzzy_detector
+from coarsebell.generic import N_MAX, GenericParams, corr_coarse_reference, corr_fuzzy_detector
 from coarsebell.leggett_garg import (
     OMEGA_MAX,
     OMEGA_MIN,
@@ -251,6 +253,11 @@ def test_documented_limits_hold_at_both_ends():
     for omega in (0.99 * OMEGA_MIN, 1.01 * OMEGA_MAX, 1e-300, 1e300):
         with pytest.raises(JobError, match=r"omega must lie in \[0.0001, 100\]"):
             optimized_point("lg-spin", {"omega": omega})
+    res = optimized_point("generic-delta", {"n": N_MAX, "V": 1.0}, starts=1)
+    assert res.converged and res.value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-9)
+    for n in (N_MAX + 1, 1e18, 1e300):
+        with pytest.raises(JobError, match="n must be <= N_MAX = 100000"):
+            optimized_point("generic-delta", {"n": n, "V": 1.0})
 
 
 def test_photon_sweep_reaches_large_n_through_the_closed_form():
@@ -340,6 +347,31 @@ def test_system_row_builds_the_model_correlator(system, fixed, value, want, mode
         assert (corr.kind, corr.period) == ("chsh", math.pi)
         for a, b in ANGLE_PAIRS:
             assert corr(a, b) == model(a, b, want)
+
+
+def test_each_point_binds_its_correlator_and_homodyne_average_once(monkeypatch):
+    factory_calls: dict[str, int] = {}
+    for name, sysdef in list(SYSTEMS.items()):
+        def counted(mp, name=name, factory=sysdef.correlator):
+            factory_calls[name] = factory_calls.get(name, 0) + 1
+            return factory(mp)
+
+        monkeypatch.setitem(SYSTEMS, name, dataclasses.replace(sysdef, correlator=counted))
+    averages = []
+    average = ecs.homodyne_angle_average
+
+    def counted_average(alpha, Delta):
+        averages.append((alpha, Delta))
+        return average(alpha, Delta)
+
+    monkeypatch.setattr("coarsebell.ecs.homodyne_angle_average", counted_average)
+    for name, sysdef in SYSTEMS.items():
+        series = (SeriesSpec("a", {}), SeriesSpec("b", {}))
+        spec = SweepSpec(name, sysdef.variable, 0.25, 0.5, 2, series)
+        assert len(run_sweep(spec, starts=1).rows) == 4
+        assert factory_calls[name] == 4, name
+    alpha = SYSTEMS["ecs-homodyne"].params["alpha"]
+    assert averages == [(alpha, 0.5), (alpha, math.sqrt(0.5))] * 2
 
 
 def test_sweep_variable_defaults_are_the_sharp_or_ideal_values():

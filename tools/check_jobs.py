@@ -6,9 +6,11 @@ temporary directory, with this checkout's ``src/`` first on ``PYTHONPATH``,
 and compares the sha256 digest of each output file with
 ``jobs/expected.sha256`` (``sha256sum`` format: digest, two spaces, file
 name).  Exits 0 when every file matches and 1 otherwise, naming each file
-whose digest differs or that is missing.
+whose digest differs or that is missing.  Each job's wall-clock seconds and
+their total go to stderr: the total is the first end-to-end number of
+ROADMAP.md (the ten jobs).
 
-    python tools/check_jobs.py            # all ten jobs (~1.5 minutes)
+    python tools/check_jobs.py            # all ten jobs (~40-55 s on a 2-vCPU Xeon)
     python tools/check_jobs.py --write    # regenerate the digest file
 """
 
@@ -20,6 +22,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,15 +48,20 @@ def _run_jobs(names: list[str], out: Path) -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     digests = {}
+    total = 0.0
     for name in names:
         csv, svg = out / f"{name}.csv", out / f"{name}.svg"
         cmd = [sys.executable, "-m", "coarsebell", "sweep", str(JOBS / f"{name}.job"),
                "--csv", str(csv), "--svg", str(svg)]
+        start = time.perf_counter()
         code = subprocess.run(cmd, env=env).returncode
-        print(f"{name}: exit {code}", file=sys.stderr)
+        seconds = time.perf_counter() - start
+        total += seconds
+        print(f"{name}: exit {code}, {seconds:.2f} s", file=sys.stderr)
         for path in (csv, svg):
             if path.exists():
                 digests[path.name] = _digest(path)
+    print(f"all {len(names)} jobs: {total:.2f} s", file=sys.stderr)
     return digests
 
 
