@@ -1,8 +1,8 @@
 """Entangled coherent states: where amplitude helps and where it does not.
 
-Photon-number parity on a pair of entangled coherent beams gives a CHSH
-correlation E = A cos 2(a - b).  The demo contrasts three readings of the
-amplitude alpha:
+The sign of a homodyne position quadrature, read on each of a pair of
+entangled coherent beams, gives a CHSH correlation E = A cos 2(a - b).  The
+demo contrasts three readings of the amplitude alpha:
 
 * detector efficiency eta: growing alpha compensates arbitrarily poor
   detectors (A -> 1 even at eta = 0.05),

@@ -62,30 +62,14 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-from .kernels import (  # noqa: E402
-    DiscreteGaussianWeights,
-    QuadratureRule,
-    discrete_gaussian,
-    gauss_hermite,
-)
+from .kernels import DiscreteGaussianWeights, discrete_gaussian  # noqa: E402
 from .generic import (  # noqa: E402
     GenericParams,
-    corr_combined,
     corr_coarse_reference,
     corr_fuzzy_detector,
     discrimination_error,
 )
-from .photon import (  # noqa: E402
-    FockDensityMatrix,
-    PhotonParams,
-    build_psi_n,
-    corr_photon,
-    corr_photon_closed,
-    dichotomic_expectation,
-    loss_channel,
-    photon_correlator,
-    rotate_polarization,
-)
+from .photon import PhotonParams, corr_photon_closed, photon_correlator  # noqa: E402
 from .ecs import (  # noqa: E402
     ConvergenceError,
     EcsParams,
@@ -94,20 +78,14 @@ from .ecs import (  # noqa: E402
     corr_ecs_reference,
     homodyne_angle_average,
 )
-from .leggett_garg import (  # noqa: E402
-    LgTimes,
-    SpinParams,
-    corr_nonclassical,
-    corr_spin_parity,
-    corr_spin_parity_quad,
-    lg_function,
-    parity_operator,
-)
+from .leggett_garg import SpinParams, corr_nonclassical, corr_spin_parity  # noqa: E402
 from .optimize import (  # noqa: E402
     ChshSettings,
     Correlator,
+    LgTimes,
     OptimizationResult,
     chsh_value,
+    lg_function,
     maximize,
     maximize_chsh,
     maximize_lg,
@@ -123,4 +101,17 @@ from .sweep import (  # noqa: E402
     optimized_point,
     parse_job,
     run_sweep,
+)
+from .oracles import (  # noqa: E402
+    FockDensityMatrix,
+    QuadratureRule,
+    build_psi_n,
+    corr_combined,
+    corr_photon,
+    corr_spin_parity_quad,
+    dichotomic_expectation,
+    gauss_hermite,
+    loss_channel,
+    parity_operator,
+    rotate_polarization,
 )

@@ -5,9 +5,9 @@ Two subcommands::
     coarsebell sweep <jobfile> --csv out.csv [--svg out.svg]
     coarsebell point <system> [--param name=value ...]
 
-Exit codes: 0 on success, 2 for validation problems (bad job file, unknown
-system or parameter, NaN or infinite number, malformed grid, ``--starts``
-below 1), 3 when a numerical routine failed to converge.
+Exit codes: 0 on success, 2 for validation problems (bad job file, one that
+is not UTF-8, unknown system or parameter, NaN or infinite number, malformed
+grid, ``--starts`` below 1), 3 when a numerical routine failed to converge.
 """
 
 from __future__ import annotations
@@ -91,8 +91,13 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _run_sweep_command(args: argparse.Namespace) -> int:
-    with open(args.jobfile) as fh:
-        spec = parse_job(fh.read())
+    try:
+        with open(args.jobfile, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        reason = f"{exc.reason} at byte {exc.start}"
+        raise JobError(f"{args.jobfile}: not UTF-8 text ({reason})") from None
+    spec = parse_job(text)
     result = run_sweep(spec, starts=args.starts)
     emit_csv(result, args.csv)
     if args.svg is not None:

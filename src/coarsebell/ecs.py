@@ -21,17 +21,16 @@ where I(alpha, Delta) is a Gaussian average over the homodyne-angle error
 lambda of the sharp response erf(sqrt(2) alpha cos lambda); it tends to
 erf(sqrt(2) alpha) as Delta -> 0.  The integral is evaluated by an in-house
 adaptive Gauss-Kronrod (7/15) quadrature with breakpoints at the erf steps,
-so this module needs no scipy (only the test oracles and the Gauss-Hermite
-rules of ``kernels`` use it).
+so this module needs no scipy.
 
 Each ``ecs_*_correlator(params)`` computes its amplitude, the quadrature
 included, once and returns ``(theta_a, theta_b) -> E``; sweeps bind one per
 point, and the ``corr_ecs_*`` functions are one-call conveniences.
 
-``oracle_ecs_quadrature`` rebuilds the efficiency-free correlation from
-first principles - coherent-state position wavefunctions, sign-probability
-integrals, cross-term overlaps and all - as an independent check on the
-closed form.
+``oracles.oracle_ecs_quadrature`` rebuilds the efficiency-free correlation
+from first principles - coherent-state position wavefunctions,
+sign-probability integrals, cross-term overlaps and all - as an independent
+check on the closed form.
 """
 
 from __future__ import annotations
@@ -43,8 +42,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import erf
 from typing import Callable
-
-import numpy as np
 
 from .kernels import require_finite
 
@@ -58,7 +55,6 @@ __all__ = [
     "corr_ecs_reference",
     "corr_ecs_homodyne_angle",
     "homodyne_angle_average",
-    "oracle_ecs_quadrature",
 ]
 
 _SQRT_2 = math.sqrt(2.0)
@@ -290,74 +286,3 @@ def homodyne_angle_average(alpha: float, Delta: float) -> float:
             f"estimated error {est_err:g} > {_QUAD_TOL:g}"
         )
     return value
-
-
-# ---------------------------------------------------------------------------
-# first-principles oracle
-
-
-_ORACLE_ALPHA_MAX = 10.0
-_GL_ORDER = 400
-
-
-@lru_cache(maxsize=64)
-def _half_line_moments(alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sign-weighted and total overlap matrices of the coherent doublet.
-
-    Returns (sign_matrix, overlap_matrix) over the nonorthogonal basis
-    (|alpha>, |-alpha>), computed by Gauss-Legendre integration of the
-    position wavefunctions  <x|+-alpha> = pi^{-1/4} exp(-(x -+ sqrt(2) alpha)^2 / 2)
-    over x > 0 and x < 0 separately.
-    """
-    x_nodes, x_weights = np.polynomial.legendre.leggauss(_GL_ORDER)
-    span = _SQRT_2 * alpha + 12.0
-
-    def wave(x: np.ndarray, sign: float) -> np.ndarray:
-        return math.pi ** -0.25 * np.exp(-0.5 * (x - sign * _SQRT_2 * alpha) ** 2)
-
-    def half(lo: float, hi: float) -> np.ndarray:
-        x = 0.5 * (hi - lo) * x_nodes + 0.5 * (hi + lo)
-        w = 0.5 * (hi - lo) * x_weights
-        out = np.empty((2, 2))
-        for i, si in enumerate((1.0, -1.0)):
-            for j, sj in enumerate((1.0, -1.0)):
-                out[i, j] = float(np.sum(w * wave(x, si) * wave(x, sj)))
-        return out
-
-    plus = half(0.0, span)
-    minus = half(-span, 0.0)
-    return plus - minus, plus + minus
-
-
-def oracle_ecs_quadrature(theta_a: float, theta_b: float, alpha: float) -> float:
-    """Independent rebuild of the unit-efficiency correlation from scratch.
-
-    Expands the ideally rotated two-party state on the nonorthogonal doublet
-    {|alpha>, |-alpha>} per party and contracts it against numerically
-    integrated sign-probability matrices, keeping every cross-term overlap.
-    The party-b rotation sense is chosen so the result carries the same
-    ``cos 2(theta_a - theta_b)`` dependence as the closed forms.  Valid for
-    ``alpha <= 10`` where the cross-term arithmetic is stable.
-    """
-    if not 0.0 < alpha <= _ORACLE_ALPHA_MAX:
-        raise ValueError(f"alpha must lie in (0, {_ORACLE_ALPHA_MAX}] for the oracle, got {alpha}")
-    sign_m, overlap_m = _half_line_moments(alpha)
-
-    ca, sa = math.cos(theta_a), math.sin(theta_a)
-    cb, sb = math.cos(-theta_b), math.sin(-theta_b)
-    # coefficient matrix psi[i, j] on (|alpha>, |-alpha>) x (|alpha>, |-alpha>)
-    col_a = np.array([[ca, 1j * sa], [1j * sa, ca]], dtype=complex)
-    col_b = np.array([[cb, 1j * sb], [1j * sb, cb]], dtype=complex)
-    bare = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)  # |aa> + |-a,-a| coefficients
-    psi = col_a @ bare @ col_b.T
-
-    numer = 0.0
-    denom = 0.0
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    w = psi[i, j] * np.conj(psi[k, l])
-                    numer += float(np.real(w * sign_m[k, i] * sign_m[l, j]))
-                    denom += float(np.real(w * overlap_m[k, i] * overlap_m[l, j]))
-    return numer / denom

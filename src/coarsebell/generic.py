@@ -41,23 +41,17 @@ from functools import lru_cache
 from typing import Callable
 
 from . import kernels
-from .kernels import QuadratureRule, gauss_hermite, require_finite
+from .kernels import require_finite
 
 __all__ = [
     "GenericParams",
     "chi",
-    "f_delta",
-    "g_delta",
     "fuzzy_detector_correlator",
     "coarse_reference_correlator",
     "corr_fuzzy_detector",
     "corr_coarse_reference",
-    "corr_coarse_reference_quad",
-    "corr_combined",
     "discrimination_error",
 ]
-
-_SQRT_2 = math.sqrt(2.0)
 
 # Largest detector width delta (variance V = 1e8).  The smearing window spans
 # ceil(n + 8 delta) integers either side of zero and is summed once per
@@ -123,27 +117,6 @@ def _smeared_sign(m: int, delta: float, k_max: int) -> float:
     return total
 
 
-def f_delta(n: int, theta: float, params: GenericParams) -> float:
-    """Even part of the single-party response for carried value ``n`` (may be negative)."""
-    if n == 0:
-        raise ValueError("n must be a nonzero integer")
-    k_max = _k_max(abs(n), params.delta)
-    s_pos = _smeared_sign(n, params.delta, k_max)
-    s_neg = _smeared_sign(-n, params.delta, k_max)
-    c, s = math.cos(theta), math.sin(theta)
-    return c * c * s_pos + s * s * s_neg
-
-
-def g_delta(n: int, theta: float, params: GenericParams) -> float:
-    """Odd (interference) part of the single-party response, n >= 1."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    k_max = _k_max(n, params.delta)
-    s_pos = _smeared_sign(n, params.delta, k_max)
-    s_neg = _smeared_sign(-n, params.delta, k_max)
-    return math.sin(theta) * math.cos(theta) * (s_pos - s_neg)
-
-
 def fuzzy_detector_correlator(params: GenericParams) -> Callable[[float, float], float]:
     """Two-party correlation with smearing applied at the final detection.
 
@@ -151,8 +124,8 @@ def fuzzy_detector_correlator(params: GenericParams) -> Callable[[float, float],
     ``params`` computed once.  Any ``Delta`` in ``params`` is ignored here;
     this is the pure detector-fuzziness branch.  For ``delta == 0`` it
     reduces exactly to ``-cos 2(theta_a + theta_b)``.  Equal, bit for bit,
-    to the composition of :func:`f_delta` and :func:`g_delta` in the module
-    docstring.
+    to the composition of ``oracles.f_delta`` and ``oracles.g_delta`` in the
+    module docstring.
     """
     n, delta = params.n, params.delta
     k_max = _k_max(n, delta)
@@ -197,62 +170,6 @@ def coarse_reference_correlator(params: GenericParams) -> Callable[[float, float
 def corr_coarse_reference(theta_a: float, theta_b: float, params: GenericParams) -> float:
     """:func:`coarse_reference_correlator` of ``params`` at one pair of angles."""
     return coarse_reference_correlator(params)(theta_a, theta_b)
-
-
-def corr_coarse_reference_quad(
-    theta_a: float,
-    theta_b: float,
-    params: GenericParams,
-    rule: QuadratureRule | None = None,
-) -> float:
-    """Same quantity as :func:`corr_coarse_reference`, by 2-D quadrature.
-
-    Averages the sharp correlation ``-cos 2(pa + pb)`` over independent
-    Gaussian angle offsets on both sides.  Kept as a separate code path so
-    the closed form and the integral representation can be checked against
-    each other (they agree to well under 1e-9 at the default order).
-    """
-    if rule is None:
-        rule = gauss_hermite(40)
-    Delta = params.Delta
-    if Delta == 0.0:
-        return -math.cos(2.0 * (theta_a + theta_b))
-    scale = _SQRT_2 * Delta
-    total = 0.0
-    for xa, wa in zip(rule.nodes, rule.weights):
-        pa = theta_a + scale * xa
-        for xb, wb in zip(rule.nodes, rule.weights):
-            pb = theta_b + scale * xb
-            total += wa * wb * (-math.cos(2.0 * (pa + pb)))
-    return total
-
-
-def corr_combined(
-    theta_a: float,
-    theta_b: float,
-    params: GenericParams,
-    rule: QuadratureRule | None = None,
-) -> float:
-    """Correlation with both coarsenings active.
-
-    Evaluated as the 2-D Gaussian angle average (width ``Delta`` per party)
-    of the detector-fuzzy correlator.  Degenerates to the single-mechanism
-    branches when either width vanishes.
-    """
-    Delta = params.Delta
-    corr = fuzzy_detector_correlator(params)
-    if Delta == 0.0:
-        return corr(theta_a, theta_b)
-    if rule is None:
-        rule = gauss_hermite(40)
-    scale = _SQRT_2 * Delta
-    total = 0.0
-    for xa, wa in zip(rule.nodes, rule.weights):
-        pa = theta_a + scale * xa
-        for xb, wb in zip(rule.nodes, rule.weights):
-            pb = theta_b + scale * xb
-            total += wa * wb * corr(pa, pb)
-    return total
 
 
 def discrimination_error(n: int, delta: float) -> float:

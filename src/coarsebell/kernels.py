@@ -1,13 +1,10 @@
-"""Gaussian smearing kernels and the quadrature rules that integrate against them.
+"""The discrete Gaussian smearing kernel, and the finiteness check of model params.
 
 Every coarsening mechanism in this package is a Gaussian average of a sharp
 quantity.  Two kernel flavours appear:
 
 * a *continuous* kernel  P_s(x - x0) = exp(-(x - x0)^2 / 2 s^2) / (s sqrt(2 pi)),
-  used to smear a measurement-reference angle, and integrated with
-  Gauss-Hermite rules:
-
-      int P_s(x - x0) f(x) dx  ~=  sum_i w_i f(x0 + sqrt(2) s x_i)
+  used to smear a measurement-reference angle (``oracles.angle_average``).
 
 * a *discrete* kernel over integer offsets k, w_k ~ exp(-k^2 / 2 s^2),
   renormalised over a finite window |k| <= k_max, used to smear a discrete
@@ -18,18 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "DiscreteGaussianWeights",
     "discrete_gaussian",
-    "QuadratureRule",
-    "gauss_hermite",
 ]
-
-_SQRT_PI = math.sqrt(math.pi)
 
 # Below this the discrete kernel is numerically a point mass anyway
 # (exp(-1/(2 s^2)) underflows); treat it explicitly to avoid 0/0.
@@ -96,43 +88,3 @@ def discrete_gaussian(sigma: float, k_max: int) -> DiscreteGaussianWeights:
     offsets.flags.writeable = False
     weights.flags.writeable = False
     return DiscreteGaussianWeights(offsets=offsets, weights=weights, sigma=sigma)
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Hermite nodes/weights normalised for unit-weight Gaussian averages."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    order: int
-
-
-@lru_cache(maxsize=None)
-def _hermite_rule(order: int) -> QuadratureRule:
-    # Internal, uncapped constructor.  scipy's recurrence+Newton root finder
-    # stays fast and accurate into the thousands of nodes, which the
-    # characteristic-function identity needs for very oscillatory integrands.
-    from scipy.special import roots_hermite
-
-    x, w = roots_hermite(order)
-    w = w / _SQRT_PI
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return QuadratureRule(nodes=x, weights=w, order=order)
-
-
-def gauss_hermite(order: int) -> QuadratureRule:
-    """Gauss-Hermite rule of the given order, weights normalised to sum to 1.
-
-    The rule computes Gaussian averages exactly for polynomials up to degree
-    ``2*order - 1``:  with nodes x_i and weights w_i,
-
-        int P_s(x - x0) f(x) dx = sum_i w_i f(x0 + sqrt(2) s x_i).
-
-    Orders outside ``1..128`` are rejected; the default used throughout the
-    package is 40 (20 per axis for tensor-product grids).
-    """
-    if not isinstance(order, (int, np.integer)) or not 1 <= order <= 128:
-        raise ValueError(f"order must be an integer in 1..128, got {order!r}")
-    return _hermite_rule(int(order))
-

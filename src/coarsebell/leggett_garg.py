@@ -25,7 +25,7 @@ The four-time figure of merit is
 
     K = C(g1) + C(g2) + C(g3) - C(g1 + g2 + g3)
 
-over three non-negative time gaps g1, g2, g3.
+over three non-negative time gaps g1, g2, g3 (``optimize.lg_function``).
 """
 
 from __future__ import annotations
@@ -37,21 +37,15 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import QuadratureRule, gauss_hermite, require_finite
+from .kernels import require_finite
 
 __all__ = [
     "SpinParams",
-    "LgTimes",
-    "parity_operator",
     "spin_parity_correlator",
     "nonclassical_correlator",
     "corr_spin_parity",
-    "corr_spin_parity_quad",
     "corr_nonclassical",
-    "lg_function",
 ]
-
-_SQRT_2 = math.sqrt(2.0)
 
 # The LG optimiser polishes time gaps to an absolute tolerance of 1e-8.  Over
 # this range of omega the period 2 pi / omega lies between 0.063 and 63,000,
@@ -98,25 +92,6 @@ class SpinParams:
         return np.arange(-self.j, self.j + 0.5)
 
 
-@dataclass(frozen=True)
-class LgTimes:
-    """Three non-negative gaps between the four measurement times."""
-
-    gaps: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        if len(self.gaps) != 3 or any(g < 0.0 for g in self.gaps):
-            raise ValueError(f"need three non-negative gaps, got {self.gaps!r}")
-
-
-def parity_operator(j: float) -> np.ndarray:
-    """Dichotomic parity observable in the m = -j..j projection basis."""
-    j = _check_spin(j)
-    m = np.arange(-j, j + 0.5)
-    signs = np.where(np.round(j - m).astype(int) % 2 == 0, 1.0, -1.0)
-    return np.diag(signs)
-
-
 @lru_cache(maxsize=64)
 def _spin_terms(params: SpinParams) -> tuple[np.ndarray, np.ndarray]:
     """Per-sector damping exp(-2 m^2 Delta^2) and angular factor 2 m omega."""
@@ -151,30 +126,6 @@ def corr_spin_parity(tau: float, params: SpinParams) -> float:
     return spin_parity_correlator(params)(tau)
 
 
-def corr_spin_parity_quad(
-    tau: float, params: SpinParams, rule: QuadratureRule | None = None
-) -> float:
-    """Same correlation evaluated through the Gaussian angle average.
-
-    Each m-sector phase ``exp(2 i m theta)`` is averaged over a Gaussian
-    rotation angle centred at ``omega tau`` by Gauss-Hermite quadrature;
-    kept separate from the closed form so the two routes can be compared.
-    """
-    if rule is None:
-        rule = gauss_hermite(40)
-    m = params.magnetic_numbers()
-    center = params.omega * tau
-    if params.Delta == 0.0:
-        total = float(np.sum(np.cos(2.0 * m * center)))
-        return total / (2.0 * params.j + 1.0)
-    scale = _SQRT_2 * params.Delta
-    total = 0.0
-    for x, w in zip(rule.nodes, rule.weights):
-        angle = center + scale * x
-        total += w * float(np.sum(np.cos(2.0 * m * angle)))
-    return total / (2.0 * params.j + 1.0)
-
-
 def nonclassical_correlator(params: SpinParams) -> Callable[[float], float]:
     """Invasion-free two-level probe correlation; deliberately ignores ``j``.
 
@@ -193,9 +144,3 @@ def nonclassical_correlator(params: SpinParams) -> Callable[[float], float]:
 def corr_nonclassical(tau: float, params: SpinParams) -> float:
     """:func:`nonclassical_correlator` of ``params`` at one gap."""
     return nonclassical_correlator(params)(tau)
-
-
-def lg_function(correlator, times: LgTimes) -> float:
-    """Four-time combination K = C(g1) + C(g2) + C(g3) - C(g1+g2+g3)."""
-    g1, g2, g3 = times.gaps
-    return correlator(g1) + correlator(g2) + correlator(g3) - correlator(g1 + g2 + g3)

@@ -50,8 +50,10 @@ import numpy as np
 __all__ = [
     "Correlator",
     "ChshSettings",
+    "LgTimes",
     "OptimizationResult",
     "chsh_value",
+    "lg_function",
     "maximize",
     "maximize_chsh",
     "maximize_lg",
@@ -107,6 +109,17 @@ class ChshSettings:
 
 
 @dataclass(frozen=True)
+class LgTimes:
+    """Three non-negative gaps between the four measurement times."""
+
+    gaps: tuple[float, float, float]
+
+    def __post_init__(self) -> None:
+        if len(self.gaps) != 3 or any(g < 0.0 for g in self.gaps):
+            raise ValueError(f"need three non-negative gaps, got {self.gaps!r}")
+
+
+@dataclass(frozen=True)
 class OptimizationResult:
     """Outcome of a maximisation.
 
@@ -125,15 +138,34 @@ class OptimizationResult:
     starts_used: int
 
 
+def _chsh_objective(corr: Callable[[float, float], float]) -> Callable[[tuple[float, ...]], float]:
+    """The CHSH combination of ``corr`` as a function of the four angles (a, a', b, b')."""
+
+    def objective(x: tuple[float, ...]) -> float:
+        a, ap, b, bp = x
+        return corr(a, b) + corr(ap, b) + corr(a, bp) - corr(ap, bp)
+
+    return objective
+
+
+def _lg_objective(corr: Callable[[float], float]) -> Callable[[tuple[float, ...]], float]:
+    """The four-time combination of ``corr`` as a function of the three gaps (g1, g2, g3)."""
+
+    def objective(x: tuple[float, ...]) -> float:
+        g1, g2, g3 = x
+        return corr(g1) + corr(g2) + corr(g3) - corr(g1 + g2 + g3)
+
+    return objective
+
+
 def chsh_value(correlator, settings: ChshSettings) -> float:
     """CHSH combination of a two-angle correlation at the given settings."""
-    a, ap, b, bp = settings.as_tuple()
-    return (
-        correlator(a, b)
-        + correlator(ap, b)
-        + correlator(a, bp)
-        - correlator(ap, bp)
-    )
+    return _chsh_objective(correlator)(settings.as_tuple())
+
+
+def lg_function(correlator, times: LgTimes) -> float:
+    """Four-time combination K = C(g1) + C(g2) + C(g3) - C(g1+g2+g3)."""
+    return _lg_objective(correlator)(times.gaps)
 
 
 class _OutOfCalls(Exception):
@@ -338,13 +370,7 @@ def maximize(
 def maximize_chsh(correlator, starts: int | None = None) -> OptimizationResult:
     """Maximise the CHSH combination of a two-angle correlator."""
     period = getattr(correlator, "period", math.pi)
-    corr = _bare(correlator)
-
-    def objective(x: tuple[float, ...]) -> float:
-        a, ap, b, bp = x
-        return corr(a, b) + corr(ap, b) + corr(a, bp) - corr(ap, bp)
-
-    return maximize(objective, d=4, period=period, starts=starts)
+    return maximize(_chsh_objective(_bare(correlator)), d=4, period=period, starts=starts)
 
 
 def _maxplus(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -437,16 +463,12 @@ def maximize_lg(correlator, starts: int | None = None) -> OptimizationResult:
         peaks = np.array([int(np.argmax(k_grid))])
     peaks = peaks[np.lexsort((peaks, -k_grid[peaks]))][:_LG_POLISHED]
 
-    def objective(x: tuple[float, ...]) -> float:
-        g1, g2, g3 = x
-        return corr(g1) + corr(g2) + corr(g3) - corr(g1 + g2 + g3)
-
     def grid_gaps(s: int) -> tuple[float, float, float]:
         k = int(second[s])
         g1 = int(first[k])
         return tuple(g * period / n for g in (g1, (k - g1) % n, (s - k) % n))
 
-    polish = _Polish(objective, 3, period)
+    polish = _Polish(_lg_objective(corr), 3, period)
     value, point, ok = polish.best(grid_gaps(int(s)) for s in peaks)
     return OptimizationResult(
         value=value,

@@ -46,10 +46,10 @@ Every grid point binds the system's correlator once, through the factory in
 its ``SYSTEMS`` row, and maximises the CHSH (or four-time LG) combination of
 the returned closure.  The factory computes the point's constants (smeared
 signs, dampings, the in-house homodyne quadrature); the optimiser's ~1e5
-calls then run only the closure.  No sweep point imports scipy; only the
-test oracles and the Gauss-Hermite rules use it.  Rows are emitted in
-lexicographic (series, sweep_value) order with 12 significant digits.  Both
-the CSV and the SVG renderings are byte-deterministic.
+calls then run only the closure.  No sweep point imports scipy or runs
+anything of ``oracles``.  Rows are emitted in lexicographic (series,
+sweep_value) order with 12 significant digits.  Both the CSV and the SVG
+renderings are byte-deterministic.
 """
 
 from __future__ import annotations

@@ -63,6 +63,17 @@ def test_sweep_missing_jobfile(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_job_file_that_is_not_utf8_exits_two_with_a_one_line_error(tmp_path, capsys):
+    job = tmp_path / "bad.job"
+    job.write_bytes(b"system = generic-ref\n\xff\xfe = 1\n")
+    csv_path = tmp_path / "o.csv"
+    assert main(["sweep", str(job), "--csv", str(csv_path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not UTF-8" in err
+    assert not csv_path.exists()
+
+
 def test_sweep_reports_non_convergence(tmp_path, monkeypatch, capsys):
     def stuck(correlator, starts=None):
         return OptimizationResult(

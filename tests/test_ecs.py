@@ -15,13 +15,12 @@ import scipy.special
 from coarsebell.ecs import (
     ConvergenceError,
     EcsParams,
-    _half_line_moments,
     corr_ecs_efficiency,
     corr_ecs_homodyne_angle,
     corr_ecs_reference,
     homodyne_angle_average,
-    oracle_ecs_quadrature,
 )
+from coarsebell.oracles import _half_line_moments, oracle_ecs_quadrature
 
 ANGLES = (0.0, 0.55, 2.1)
 

@@ -16,14 +16,11 @@ from coarsebell.generic import (
     _k_max,
     _smeared_sign,
     chi,
-    corr_combined,
     corr_coarse_reference,
-    corr_coarse_reference_quad,
     corr_fuzzy_detector,
     discrimination_error,
-    f_delta,
-    g_delta,
 )
+from coarsebell.oracles import corr_combined, corr_coarse_reference_quad, f_delta, g_delta
 
 WIDE = 60  # brute-force window, generous for every sigma used below
 

@@ -10,13 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from coarsebell.kernels import (
-    DiscreteGaussianWeights,
-    QuadratureRule,
-    _hermite_rule,
-    discrete_gaussian,
-    gauss_hermite,
-)
+from coarsebell.kernels import DiscreteGaussianWeights, discrete_gaussian
+from coarsebell.oracles import QuadratureRule, _hermite_rule, gauss_hermite
 
 
 def gaussian_average(f, center: float, sigma: float, rule: QuadratureRule) -> float:

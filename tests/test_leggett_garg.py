@@ -11,17 +11,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from coarsebell.kernels import gauss_hermite
-from coarsebell.leggett_garg import (
-    J_MAX,
-    LgTimes,
-    SpinParams,
-    corr_nonclassical,
-    corr_spin_parity,
-    corr_spin_parity_quad,
-    lg_function,
-    parity_operator,
-)
+from coarsebell.leggett_garg import J_MAX, SpinParams, corr_nonclassical, corr_spin_parity
+from coarsebell.optimize import LgTimes, lg_function
+from coarsebell.oracles import corr_spin_parity_quad, gauss_hermite, parity_operator
 
 
 def spin_x(j: float) -> np.ndarray:

@@ -12,21 +12,20 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from coarsebell.photon import (
+from coarsebell.oracles import (
     FockDensityMatrix,
-    PhotonParams,
     _corr_sharp,
     _kraus_ops,
     _party_rotation,
     build_psi_n,
     corr_photon,
     dichotomic_expectation,
+    gauss_hermite,
     loss_channel,
     mode_observable,
-    photon_correlator,
     rotate_polarization,
 )
-from coarsebell.kernels import gauss_hermite
+from coarsebell.photon import PhotonParams, photon_correlator
 
 
 def dense_rotation(n_max: int, n: int, theta: float) -> np.ndarray:

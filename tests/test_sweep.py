@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from coarsebell import ecs
+from coarsebell import ecs, oracles
 from coarsebell.ecs import (
     EcsParams,
     corr_ecs_efficiency,
@@ -277,12 +277,25 @@ def test_photon_sweep_reaches_large_n_through_the_closed_form():
         assert row.converged
 
 
-def test_photon_points_never_run_the_density_matrix_pipeline(monkeypatch):
-    def oracle_only(*args):
-        raise AssertionError("the density-matrix pipeline ran on the sweep path")
+# one point per system; the photon point is a lossy n = 3 pair
+ORACLE_FREE_POINTS = {
+    name: {"n": 3, "eta": 0.9, "V": 0.5} if name == "photon" else {sysdef.variable: 0.5}
+    for name, sysdef in SYSTEMS.items()
+}
 
-    monkeypatch.setattr("coarsebell.photon._corr_sharp", oracle_only)
-    res = optimized_point("photon", {"n": 3, "eta": 0.9, "V": 0.5}, starts=1)
+
+@pytest.mark.parametrize("system", sorted(ORACLE_FREE_POINTS))
+def test_sweep_points_never_run_an_oracle(system, monkeypatch):
+    def oracle_only(*args, **kwargs):
+        raise AssertionError("an oracle ran on the sweep path")
+
+    patched = set()
+    for name, obj in vars(oracles).items():
+        if callable(obj) and getattr(obj, "__module__", None) == oracles.__name__:
+            monkeypatch.setattr(oracles, name, oracle_only)
+            patched.add(name)
+    assert {"_corr_sharp", "angle_average", "gauss_hermite", "FockDensityMatrix"} <= patched
+    res = optimized_point(system, ORACLE_FREE_POINTS[system], starts=1)
     assert math.isfinite(res.value)
 
 
