@@ -42,6 +42,7 @@ __all__ = [
     "lg_function",
     "Correlator",
     "ChshSettings",
+    "NonFiniteObjectiveError",
     "OptimizationResult",
     "chsh_value",
     "maximize",
@@ -83,6 +84,7 @@ from .optimize import (  # noqa: E402
     ChshSettings,
     Correlator,
     LgTimes,
+    NonFiniteObjectiveError,
     OptimizationResult,
     chsh_value,
     lg_function,

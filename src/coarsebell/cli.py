@@ -7,7 +7,8 @@ Two subcommands::
 
 Exit codes: 0 on success, 2 for validation problems (bad job file, one that
 is not UTF-8, unknown system or parameter, NaN or infinite number, malformed
-grid, ``--starts`` below 1), 3 when a numerical routine failed to converge.
+grid, ``--starts`` below 1), 3 when a numerical routine failed: it did not
+converge, or an objective value came out NaN or infinite.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 from typing import Sequence
 
 from .ecs import ConvergenceError
+from .optimize import NonFiniteObjectiveError
 from .sweep import JobError, SYSTEMS, emit_csv, emit_svg, optimized_point, parse_job, run_sweep
 from .sweep import _parse_number
 
@@ -82,7 +84,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except JobError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ConvergenceError as exc:
+    except (ConvergenceError, NonFiniteObjectiveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except OSError as exc:

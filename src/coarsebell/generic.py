@@ -60,8 +60,9 @@ __all__ = [
 DELTA_MAX = 1e4
 
 # Largest size n.  The same window is ceil(n + 8 delta) wide, so at this n it
-# holds at most ~3.6e5 entries and one generic-delta point stays under ~1 s
-# on a 2-vCPU Xeon; n = 1e6 takes ~3 s, and n = 1e18 overflows numpy.
+# holds at most ~3.6e5 entries, and one generic-delta point at n = 1e5,
+# V = 1e8 takes ~0.3 s on a 2-vCPU Xeon (`coarsebell point`, whole process);
+# n = 1e6 takes ~0.8 s, and n = 1e18 overflows numpy.
 N_MAX = 100_000
 
 
@@ -107,13 +108,17 @@ def _k_max(n: int, delta: float) -> int:
 
 @lru_cache(maxsize=4096)
 def _smeared_sign(m: int, delta: float, k_max: int) -> float:
-    """sum_k w_k chi_{m-k} over the truncated, renormalised kernel."""
+    """sum_k w_k chi_{m-k} over the truncated, renormalised kernel, as a built-in float.
+
+    Summed in Python floats, so the closures built from it compute on
+    built-in floats too; numpy scalars made each closure call ~2.4x slower.
+    """
     if delta == 0.0:
         return float(chi(m))
     kern = kernels.discrete_gaussian(delta, k_max)
     total = 0.0
-    for k, w in zip(kern.offsets, kern.weights):
-        total += w * chi(m - int(k))
+    for k, w in zip(kern.offsets.tolist(), kern.weights.tolist()):
+        total += w * chi(m - k)
     return total
 
 

@@ -17,6 +17,10 @@ the same float expressions, so it evaluates the same points.  The one
 deliberate difference is the tie rule: the simplex is ordered by a stable
 sort, so vertices with equal values keep their order, where scipy's
 ``numpy.argsort`` is unstable and its tie order depends on the numpy build.
+The run is written once, as a source template, and compiled per dimension d
+on first use (as ``collections.namedtuple`` builds its classes): centroid,
+trial points and stopping test become straight-line code over float locals,
+with scipy's operation order, instead of loops over coordinates.
 
 LG maximisation is global.  C has period T, so K depends on the gaps only
 through their residues mod T, and for each total s = g1 + g2 + g3 (mod T)
@@ -33,16 +37,17 @@ of the three best local maxima of the grid K over s.
 There is no randomness anywhere: identical inputs produce bit-identical
 results, and every reduction over starts is order-independent because ties
 are broken towards the lexicographically smallest argmax.  A non-finite
-objective value raises ``ValueError``.
+objective value raises ``NonFiniteObjectiveError``, a ``ValueError``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import linecache
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import add
 from typing import Callable
 
 import numpy as np
@@ -51,6 +56,7 @@ __all__ = [
     "Correlator",
     "ChshSettings",
     "LgTimes",
+    "NonFiniteObjectiveError",
     "OptimizationResult",
     "chsh_value",
     "lg_function",
@@ -168,8 +174,156 @@ def lg_function(correlator, times: LgTimes) -> float:
     return _lg_objective(correlator)(times.gaps)
 
 
+class NonFiniteObjectiveError(ValueError):
+    """An objective or correlator value met during a maximisation is NaN or infinite."""
+
+
 class _OutOfCalls(Exception):
     """The evaluation budget of one simplex run is spent."""
+
+
+def _reorder(sim: list, fsim: list) -> None:
+    """Sort the simplex by value in place; the stable sort keeps tied vertices in order."""
+    rank = sorted(range(len(fsim)), key=fsim.__getitem__)
+    sim[:] = [sim[i] for i in rank]
+    fsim[:] = [fsim[i] for i in rank]
+
+
+# One Nelder-Mead run in d dimensions.  ``_compiled_nelder_mead`` fills the
+# fields for one d and compiles the result, so the run's arithmetic is
+# straight-line code over float locals: vertex j of the sorted simplex is
+# s{j}_0 .. s{j}_{d-1} (the worst is j = d), the centroid c0 .. c{d-1}.
+# The evaluation budget is counted inline at each call of f.
+_NELDER_MEAD_TEMPLATE = """\
+def nelder_mead(f, x0, maxiter, maxfev):
+    {x0}, = x0
+    sim = [{initial}]
+    fsim = [math.inf] * ({d} + 1)
+    calls = 0
+    for k, x in enumerate(sim):
+        if calls >= maxfev:
+            break
+        calls += 1
+        fsim[k] = f(x)
+    _reorder(sim, fsim)
+    xatol, fatol = _XATOL, _FATOL
+
+    iterations = 1
+    while calls < maxfev and iterations < maxiter:
+        {vertices}, = sim
+        if fsim[-1] - fsim[0] <= fatol and {close}:
+            break
+        {centroid}
+        try:
+            xr = ({reflect},)
+            if calls >= maxfev:
+                raise _OutOfCalls
+            calls += 1
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = ({expand},)
+                if calls >= maxfev:
+                    raise _OutOfCalls
+                calls += 1
+                fxe = f(xe)
+                if fxe < fxr:
+                    x, fx = xe, fxe
+                else:
+                    x, fx = xr, fxr
+            elif fxr < fsim[-2]:
+                x, fx = xr, fxr
+            elif fxr < fsim[-1]:
+                xc = ({contract_out},)
+                if calls >= maxfev:
+                    raise _OutOfCalls
+                calls += 1
+                fxc = f(xc)
+                if fxc <= fxr:
+                    x, fx = xc, fxc
+                else:
+                    x = None
+            else:
+                xc = ({contract_in},)
+                if calls >= maxfev:
+                    raise _OutOfCalls
+                calls += 1
+                fxc = f(xc)
+                if fxc < fsim[-1]:
+                    x, fx = xc, fxc
+                else:
+                    x = None
+            if x is None:  # shrink towards the best vertex
+                for j, ({v},) in enumerate(sim[1:], 1):
+                    x = ({shrink},)
+                    sim[j] = x
+                    if calls >= maxfev:
+                        raise _OutOfCalls
+                    calls += 1
+                    fsim[j] = f(x)
+                _reorder(sim, fsim)
+            else:
+                # the stable sort of a sorted simplex whose last vertex changed
+                del sim[-1], fsim[-1]
+                k = bisect_right(fsim, fx)
+                sim.insert(k, x)
+                fsim.insert(k, fx)
+            iterations += 1
+        except _OutOfCalls:
+            _reorder(sim, fsim)
+    return sim[0], calls < maxfev and iterations < maxiter
+"""
+
+
+@functools.cache
+def _compiled_nelder_mead(d: int) -> Callable:
+    """The Nelder-Mead run of ``_NELDER_MEAD_TEMPLATE`` for dimension ``d``, compiled once.
+
+    Only ``d`` enters the source; each field spells one per-coordinate
+    expression out for k = 0 .. d-1, in the operation order of scipy's
+    array expression.  Built on first use, not at import.  The code's file
+    name is ``<nelder-mead d=...>``, and its source is put in ``linecache``
+    so that tracebacks through it show their lines.
+    """
+
+    def each(pattern: str) -> str:
+        return ", ".join(pattern.format(k=k, d=d) for k in range(d))
+
+    def vertex(j: int) -> str:
+        return "(" + each(f"s{j}_{{k}}") + ",)"
+
+    def start(j: int) -> str:  # x0, with coordinate j scaled when j < d
+        return "(" + ", ".join(
+            f"(1 + 0.05) * x0_{k} if x0_{k} != 0 else 0.00025" if k == j else f"x0_{k}"
+            for k in range(d)
+        ) + ",)"
+
+    def vertex_sum(k: int) -> str:  # summed vertex by vertex, as numpy reduces axis 0
+        total = f"s0_{k}"
+        for j in range(1, d):
+            total = f"({total} + s{j}_{k})"
+        return total
+
+    source = _NELDER_MEAD_TEMPLATE.format(
+        d=d,
+        x0=each("x0_{k}"),
+        initial=", ".join(start(j) for j in [d, *range(d)]),
+        vertices=", ".join(vertex(j) for j in range(d + 1)),
+        close=" and ".join(
+            f"abs(s{j}_{k} - s0_{k}) <= xatol" for j in range(1, d + 1) for k in range(d)
+        ),
+        centroid="; ".join(f"c{k} = {vertex_sum(k)} / {d}" for k in range(d)),
+        reflect=each("2 * c{k} - s{d}_{k}"),
+        expand=each("3 * c{k} - 2 * s{d}_{k}"),
+        contract_out=each("1.5 * c{k} - 0.5 * s{d}_{k}"),
+        contract_in=each("0.5 * c{k} + 0.5 * s{d}_{k}"),
+        v=each("v{k}"),
+        shrink=each("s0_{k} + 0.5 * (v{k} - s0_{k})"),
+    )
+    filename = f"<nelder-mead d={d}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace: dict = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    return namespace["nelder_mead"]
 
 
 def _nelder_mead(f, x0, maxiter: int, maxfev: int) -> tuple[tuple[float, ...], bool]:
@@ -183,82 +337,12 @@ def _nelder_mead(f, x0, maxiter: int, maxfev: int) -> tuple[tuple[float, ...], b
     a step short.  Ties in the ordering keep the earlier vertex.  ``f`` gets
     each point as a tuple.  Returns the best vertex and whether neither cap
     was reached.
+
+    The run is ``_compiled_nelder_mead(len(x0))``: one template compiled per
+    dimension into straight-line code, with the same float expressions,
+    operation order and calls as scipy's run.
     """
-    n = len(x0)
-    calls = 0
-
-    def call(x: tuple[float, ...]) -> float:
-        nonlocal calls
-        if calls >= maxfev:
-            raise _OutOfCalls
-        calls += 1
-        return f(x)
-
-    def reorder() -> None:
-        rank = sorted(range(n + 1), key=fsim.__getitem__)
-        sim[:] = [sim[i] for i in rank]
-        fsim[:] = [fsim[i] for i in rank]
-
-    sim = [tuple(x0)]
-    for k in range(n):
-        y = list(x0)
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim.append(tuple(y))
-    fsim = [math.inf] * (n + 1)
-    try:
-        for k in range(n + 1):
-            fsim[k] = call(sim[k])
-    except _OutOfCalls:
-        pass
-    reorder()
-
-    iterations = 1
-    while calls < maxfev and iterations < maxiter:
-        best, worst = sim[0], sim[-1]
-        # fsim is ascending, so its largest spread is fsim[-1] - fsim[0]
-        if fsim[-1] - fsim[0] <= _FATOL and all(
-            abs(v - b) <= _XATOL for x in sim[1:] for v, b in zip(x, best)
-        ):
-            break
-        try:
-            total = best  # summed vertex by vertex, as numpy reduces axis 0
-            for x in sim[1:-1]:
-                total = map(add, total, x)
-            xbar = [t / n for t in total]
-            xr = tuple([2 * c - w for c, w in zip(xbar, worst)])
-            fxr = call(xr)
-            if fxr < fsim[0]:
-                xe = tuple([3 * c - 2 * w for c, w in zip(xbar, worst)])
-                fxe = call(xe)
-                new = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                new = (xr, fxr)
-            elif fxr < fsim[-1]:
-                xc = tuple([1.5 * c - 0.5 * w for c, w in zip(xbar, worst)])
-                fxc = call(xc)
-                new = (xc, fxc) if fxc <= fxr else None
-            else:
-                xc = tuple([0.5 * c + 0.5 * w for c, w in zip(xbar, worst)])
-                fxc = call(xc)
-                new = (xc, fxc) if fxc < fsim[-1] else None
-            if new is None:  # shrink towards the best vertex
-                for j in range(1, n + 1):
-                    sim[j] = tuple([b + 0.5 * (v - b) for b, v in zip(best, sim[j])])
-                    fsim[j] = call(sim[j])
-                reorder()
-            else:
-                # The stable sort of a sorted simplex whose last vertex
-                # changed.  Calling reorder() here instead gives the same
-                # order but made chsh-sweep sweep_s 1.21 -> 1.41 s (median
-                # of 10 runs, 2-vCPU Xeon).
-                del sim[-1], fsim[-1]
-                k = bisect_right(fsim, new[1])
-                sim.insert(k, new[0])
-                fsim.insert(k, new[1])
-            iterations += 1
-        except _OutOfCalls:
-            reorder()
-    return sim[0], calls < maxfev and iterations < maxiter
+    return _compiled_nelder_mead(len(x0))(f, x0, maxiter, maxfev)
 
 
 class _Polish:
@@ -278,7 +362,7 @@ class _Polish:
             self.count += 1
             value = float(objective(x))
             if not isfinite(value):
-                raise ValueError(f"objective value is not finite: {value!r} at {x!r}")
+                raise NonFiniteObjectiveError(f"objective value is not finite: {value!r} at {x!r}")
             return -value
 
         d = self.d
@@ -326,7 +410,7 @@ def maximize(
     objective : callable
         Maps a length-``d`` tuple of floats to a float.  Must be periodic with
         ``period`` in every coordinate (the argmax is reported reduced into
-        ``[0, period)``).  A non-finite value raises ``ValueError``.
+        ``[0, period)``).  A non-finite value raises ``NonFiniteObjectiveError``.
     d : int
         Dimension of the search space.
     period : float
@@ -412,7 +496,7 @@ def _lg_samples(correlator, period: float) -> tuple[np.ndarray, bool]:
         bad = np.flatnonzero(~np.isfinite(c))
         if bad.size:
             k = int(bad[0])
-            raise ValueError(
+            raise NonFiniteObjectiveError(
                 f"correlator value is not finite: {float(c[k])!r} at tau={k * period / n!r}"
             )
         spectrum = np.abs(np.fft.rfft(c)) / n
@@ -444,7 +528,7 @@ def maximize_lg(correlator, starts: int | None = None) -> OptimizationResult:
     change the search; ``starts_used`` is the number of polished triples.
     ``converged`` is true only when the grid resolved the bandwidth of C
     below its size cap and the winning polish met its tolerances.  A
-    non-finite sample or objective value raises ``ValueError``.
+    non-finite sample or objective value raises ``NonFiniteObjectiveError``.
     """
     period = getattr(correlator, "period", 2.0 * math.pi)
     _check_search(period, starts)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import dataclasses
 import math
 
 import pytest
@@ -132,6 +133,32 @@ def test_integration_failure_maps_to_exit_three(monkeypatch, capsys):
     code = main(["point", "ecs-homodyne", "--param", "V=0.5", "--starts", "16"])
     assert code == EXIT_NO_CONVERGENCE
     assert "did not converge" in capsys.readouterr().err
+
+
+def nan_system(monkeypatch, name):
+    """Make the correlator factory of system ``name`` return a closure that gives NaN."""
+    sysdef = coarsebell.sweep.SYSTEMS[name]
+    nan = (lambda a, b: math.nan) if sysdef.kind == "chsh" else (lambda tau: math.nan)
+    monkeypatch.setitem(
+        coarsebell.sweep.SYSTEMS, name, dataclasses.replace(sysdef, correlator=lambda mp: nan)
+    )
+
+
+@pytest.mark.parametrize("system,needle", [("generic-ref", "objective"), ("lg-spin", "correlator")])
+def test_point_with_a_non_finite_objective_exits_three(system, needle, monkeypatch, capsys):
+    nan_system(monkeypatch, system)
+    assert main(["point", system, "--starts", "1"]) == EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {needle} value is not finite: nan") and err.count("\n") == 1
+
+
+def test_sweep_with_a_non_finite_objective_exits_three(tmp_path, monkeypatch, capsys):
+    nan_system(monkeypatch, "generic-ref")
+    csv_path = tmp_path / "out.csv"
+    assert main(["sweep", write_job(tmp_path), "--csv", str(csv_path)]) == EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err.startswith("error: objective value is not finite: nan") and err.count("\n") == 1
+    assert not csv_path.exists()
 
 
 def test_quadrature_order_flag_reaches_the_photon_model(tmp_path):

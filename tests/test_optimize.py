@@ -5,10 +5,12 @@ import math
 import os
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coarsebell.generic import GenericParams, corr_fuzzy_detector
 from coarsebell import optimize
@@ -402,12 +404,115 @@ def test_simplex_stops_where_scipy_does_on_the_iteration_cap(maxiter, monkeypatc
     assert not own_nelder_mead(f, (0.5, 1.5, 2.5, 0.5), maxiter, 32000)[2]
 
 
+def lg_polish_starts(system: str, params: dict):
+    """The negated four-time objective of a sweep point and ``maximize_lg``'s grid triples."""
+    from coarsebell import sweep
+
+    sysdef = sweep.SYSTEMS[system]
+    merged = sweep._validate_params(system, {k: v for k, v in params.items() if k != sysdef.variable})
+    corr = sweep._correlator(sysdef, merged, params[sysdef.variable])
+    starts = []
+    run = optimize._nelder_mead
+
+    def recorded(f, x0, maxiter, maxfev):
+        starts.append(x0)
+        return run(f, x0, maxiter, maxfev)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize, "_nelder_mead", recorded)
+        maximize_lg(corr)
+
+    def f(x):
+        g1, g2, g3 = x
+        return -float(corr(g1) + corr(g2) + corr(g3) - corr(g1 + g2 + g3))
+
+    return f, starts
+
+
+@pytest.mark.parametrize("params", [{"j": 2.5, "V": 0.0}, {"j": 7.5, "V": 0.3}])
+@pytest.mark.parametrize("maxfev", [8000 * 3, 9, 30])
+def test_simplex_replays_scipy_from_the_lg_polish_starts(params, maxfev, monkeypatch):
+    f, starts = lg_polish_starts("lg-spin", params)
+    assert len(starts) == 3 and all(len(x0) == 3 for x0 in starts)
+    for x0 in starts:
+        assert_same_run(f, x0, monkeypatch, maxiter=4000 * 3, maxfev=maxfev)
+
+
+@pytest.mark.parametrize("x0", [(0.3, 1.2), (0.0, 2.0), (-1.0, 0.0)])
+def test_simplex_replays_scipy_in_two_dimensions(x0, monkeypatch):
+    def f(x):
+        return -math.sin(x[0]) * math.cos(2.0 * x[1]) + 0.3 * math.cos(x[0] - x[1])
+
+    assert_same_run(f, x0, monkeypatch, maxiter=4000 * 2, maxfev=8000 * 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    d=st.integers(1, 5),
+    maxiter=st.integers(1, 200),
+    maxfev=st.integers(1, 200),
+)
+def test_simplex_replays_scipy_on_random_periodic_objectives(data, d, maxiter, maxfev):
+    coordinate = st.one_of(st.just(0.0), st.floats(-4.0, 4.0))
+    x0 = tuple(data.draw(st.lists(coordinate, min_size=d, max_size=d), label="x0"))
+    weight = st.floats(0.1, 2.0)
+    terms = st.tuples(weight, st.integers(1, 8), st.floats(0.0, 6.0))  # a sin(m v + p)
+    harmonics = data.draw(st.lists(terms, min_size=d, max_size=d), label="harmonics")
+    coupling = data.draw(weight, label="coupling")
+    # a rounded objective has plateaus, whose ties and failed contractions
+    # drive the stable order and the shrink step, both rare on smooth ones
+    step = data.draw(st.sampled_from([0.0, 0.25]), label="rounding step")
+
+    def f(x):
+        value = coupling * math.cos(x[0] - x[-1])
+        for (a, m, p), v in zip(harmonics, x):
+            value += a * math.sin(m * v + p)
+        return step * round(value / step) if step else value
+
+    assert_same_run(f, x0, pytest.MonkeyPatch(), maxiter=maxiter, maxfev=maxfev)
+
+
+def test_one_compiled_run_serves_each_dimension():
+    frames = []
+
+    def f(x):
+        frames.append(sys._getframe(1).f_code)
+        return math.cos(x[0]) + math.sin(x[-1])
+
+    for x0 in [(0.5, 1.0, 1.5), (2.0, 0.1, 0.0), (0.5, 1.0)]:
+        optimize._nelder_mead(f, x0, maxiter=50, maxfev=100)
+    codes = list(dict.fromkeys(frames))
+    assert [code.co_filename for code in codes] == ["<nelder-mead d=3>", "<nelder-mead d=2>"]
+    assert codes[0] is optimize._compiled_nelder_mead(3).__code__
+
+
+def test_an_objective_error_names_the_compiled_frame():
+    def f(x):
+        raise ZeroDivisionError("from the objective")
+
+    with pytest.raises(ZeroDivisionError) as excinfo:
+        optimize._nelder_mead(f, (0.5, 1.0), maxiter=50, maxfev=100)
+    text = "".join(traceback.format_exception(excinfo.value))
+    assert 'File "<nelder-mead d=2>", line ' in text
+    assert "fsim[k] = f(x)" in text  # the source line, from linecache
+
+
 def test_simplex_ties_keep_the_earlier_vertex():
     # a constant objective ties every vertex: the stable order keeps x0 best,
     # and the run converges once shrinks bring every vertex within xatol
     x, ok = optimize._nelder_mead(lambda p: 1.0, (0.4, 0.7), maxiter=8000, maxfev=16000)
     assert x == (0.4, 0.7)
     assert ok
+
+
+def test_importing_the_command_line_compiles_no_simplex():
+    import coarsebell
+
+    env = dict(os.environ, PYTHONPATH=str(Path(coarsebell.__file__).resolve().parents[1]))
+    code = "import coarsebell.cli, coarsebell.optimize as o; print(o._compiled_nelder_mead.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
 
 
 def test_importing_the_command_line_does_not_import_scipy():

@@ -362,6 +362,15 @@ def test_system_row_builds_the_model_correlator(system, fixed, value, want, mode
             assert corr(a, b) == model(a, b, want)
 
 
+@pytest.mark.parametrize("system,fixed,value", [case[:3] for case in TABLE_CASES])
+def test_system_closures_return_built_in_floats(system, fixed, value):
+    # numpy scalars would make every optimiser call do numpy arithmetic
+    sysdef = SYSTEMS[system]
+    fn = _correlator(sysdef, fixed, value).fn
+    for args in ([(0.3, 1.1), (2.0, 0.7)] if sysdef.kind == "chsh" else [(0.4,), (1.9,)]):
+        assert type(fn(*args)) is float
+
+
 def test_each_point_binds_its_correlator_and_homodyne_average_once(monkeypatch):
     factory_calls: dict[str, int] = {}
     for name, sysdef in list(SYSTEMS.items()):

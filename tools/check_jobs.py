@@ -10,7 +10,7 @@ whose digest differs or that is missing.  Each job's wall-clock seconds and
 their total go to stderr: the total is the first end-to-end number of
 ROADMAP.md (the ten jobs).
 
-    python tools/check_jobs.py            # all ten jobs (~40-55 s on a 2-vCPU Xeon)
+    python tools/check_jobs.py            # all ten jobs (~12-15 s on a 2-vCPU Xeon)
     python tools/check_jobs.py --write    # regenerate the digest file
 """
 
