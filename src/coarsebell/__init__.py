@@ -104,16 +104,30 @@ from .sweep import (  # noqa: E402
     parse_job,
     run_sweep,
 )
-from .oracles import (  # noqa: E402
-    FockDensityMatrix,
-    QuadratureRule,
-    build_psi_n,
-    corr_combined,
-    corr_photon,
-    corr_spin_parity_quad,
-    dichotomic_expectation,
-    gauss_hermite,
-    loss_channel,
-    parity_operator,
-    rotate_polarization,
-)
+# The oracles (and the numpy they need) load on first use of one of these
+# names, so that importing the package or its CLI stays light.
+_ORACLE_NAMES = frozenset({
+    "FockDensityMatrix",
+    "QuadratureRule",
+    "build_psi_n",
+    "corr_combined",
+    "corr_photon",
+    "corr_spin_parity_quad",
+    "dichotomic_expectation",
+    "gauss_hermite",
+    "loss_channel",
+    "parity_operator",
+    "rotate_polarization",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracles
+
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _ORACLE_NAMES)

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DiscreteGaussianWeights",
@@ -78,6 +80,8 @@ def discrete_gaussian(sigma: float, k_max: int) -> DiscreteGaussianWeights:
         raise ValueError(
             f"truncation too aggressive: k_max={k_max} < 3*sigma={3.0 * sigma:g}"
         )
+    import numpy as np
+
     offsets = np.arange(-k_max, k_max + 1)
     if sigma < _TINY_SIGMA:
         weights = np.zeros(2 * k_max + 1)

@@ -33,11 +33,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .kernels import require_finite
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SpinParams",
@@ -89,12 +90,16 @@ class SpinParams:
 
     def magnetic_numbers(self) -> np.ndarray:
         """The 2j+1 projection values m = -j .. j."""
+        import numpy as np
+
         return np.arange(-self.j, self.j + 0.5)
 
 
 @lru_cache(maxsize=64)
 def _spin_terms(params: SpinParams) -> tuple[np.ndarray, np.ndarray]:
     """Per-sector damping exp(-2 m^2 Delta^2) and angular factor 2 m omega."""
+    import numpy as np
+
     m = params.magnetic_numbers()
     damping, freq = np.exp(-2.0 * (m * params.Delta) ** 2), 2.0 * m * params.omega
     damping.flags.writeable = False
@@ -111,6 +116,8 @@ def spin_parity_correlator(params: SpinParams) -> Callable[[float], float]:
     ``exp(-Delta^2/2) cos(omega tau)`` while large spins lose their
     high-frequency content first.
     """
+    import numpy as np
+
     damping, freq = _spin_terms(params)
     norm = 2.0 * params.j + 1.0
     cos, add_up = np.cos, np.sum

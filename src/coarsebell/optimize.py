@@ -48,9 +48,10 @@ import linecache
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Correlator",
@@ -465,6 +466,7 @@ def _maxplus(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     y, so the rows are strided views and no n x n array is built; the sums
     are formed a block of rows at a time.
     """
+    import numpy as np
     from numpy.lib.stride_tricks import sliding_window_view
 
     n = len(x)
@@ -490,6 +492,8 @@ def _lg_samples(correlator, period: float) -> tuple[np.ndarray, bool]:
     highest harmonic whose Fourier coefficient exceeds ``_LG_FFT_TOL``
     relative to max(1, max|C|); it stops at ``_LG_GRID_MAX`` points.
     """
+    import numpy as np
+
     n = _LG_GRID_MIN
     c = np.array([float(correlator(k * period / n)) for k in range(n)])
     while True:
@@ -530,6 +534,8 @@ def maximize_lg(correlator, starts: int | None = None) -> OptimizationResult:
     below its size cap and the winning polish met its tolerances.  A
     non-finite sample or objective value raises ``NonFiniteObjectiveError``.
     """
+    import numpy as np
+
     period = getattr(correlator, "period", 2.0 * math.pi)
     _check_search(period, starts)
     corr = _bare(correlator)

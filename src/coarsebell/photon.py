@@ -25,8 +25,8 @@ an angle average that damps each party by exp(-2 Delta^2), the correlation is
     E = m^2 - (1 - m)^2 exp(-4 Delta^2) cos 2(theta_a + theta_b).
 
 ``photon_correlator`` binds it for any n and is what sweeps optimise.
-``oracles.corr_photon`` runs the truncated-Fock density-matrix pipeline at
-every quadrature node and is the independent check, limited to n <= 4.
+``oracles.corr_photon`` averages the truncated-Fock density-matrix pipeline
+over the quadrature nodes and is the independent check, limited to n <= 4.
 """
 
 from __future__ import annotations

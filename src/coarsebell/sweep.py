@@ -61,8 +61,6 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Mapping
 
-import numpy as np
-
 from . import ecs, generic, leggett_garg, photon
 from .optimize import Correlator, OptimizationResult, maximize_chsh, maximize_lg
 
@@ -131,10 +129,23 @@ class SweepSpec:
         for s in self.series:
             _validate_params(self.system, s.params)
 
-    def grid(self) -> np.ndarray:
+    def grid(self) -> list[float]:
+        """The sweep values, bit for bit those of ``np.linspace(vmin, vmax, steps)``.
+
+        Point i is ``i * step + vmin`` and the last is ``vmax``; when the step
+        underflows to 0, point i is ``i / div * width + vmin``, as numpy has it.
+        """
+        vmin, vmax = float(self.vmin), float(self.vmax)
         if self.steps == 1:
-            return np.array([self.vmin])
-        return np.linspace(self.vmin, self.vmax, self.steps)
+            return [vmin]
+        div = self.steps - 1
+        width = vmax - vmin
+        step = width / div
+        if step == 0.0:
+            values = [i / div * width + vmin for i in range(div)]
+        else:
+            values = [i * step + vmin for i in range(div)]
+        return values + [vmax]
 
 
 @dataclass(frozen=True)
@@ -283,20 +294,20 @@ def run_sweep(spec: SweepSpec, *, starts: int | None = None) -> SweepResult:
     sysdef = _system(spec.system)
     grid = spec.grid()
     for v in grid:
-        _sweep_domain_check(sysdef, float(v))
+        _sweep_domain_check(sysdef, v)
     rows: list[SweepRow] = []
     for series in spec.series:
         merged = _validate_params(spec.system, series.params)
         for v in grid:
             try:
-                corr = _correlator(sysdef, merged, float(v))
+                corr = _correlator(sysdef, merged, v)
             except ValueError as exc:
                 raise JobError(f"series {series.label!r} at {spec.variable}={v}: {exc}") from exc
             res = _optimize_correlator(corr, starts)
             rows.append(
                 SweepRow(
                     series=series.label,
-                    sweep_value=float(v),
+                    sweep_value=v,
                     value=res.value,
                     converged=res.converged,
                 )

@@ -1,0 +1,93 @@
+"""The import contract: the CLI loads neither numpy nor the oracles, and scipy is optional.
+
+Each check runs in a fresh interpreter, because this test process has
+imported numpy, scipy and the oracles already.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import coarsebell
+from coarsebell import oracles
+
+SRC = Path(coarsebell.__file__).resolve().parents[1]
+JOBS = SRC.parent / "jobs"
+
+# runs the CLI on argv, then prints its exit code and the heavy modules it loaded
+RUN_CLI = """\
+import sys
+{prelude}
+from coarsebell.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted({{"numpy", "scipy", "coarsebell.oracles"}} & set(sys.modules)))
+"""
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def run_sweep_job(tmp_path: Path, job: str, prelude: str = "") -> list[str]:
+    # one start per point: what a sweep imports does not depend on the start count
+    argv = ["sweep", str(JOBS / job), "--csv", str(tmp_path / "out.csv"), "--starts", "1"]
+    proc = run_python(RUN_CLI.format(prelude=prelude), *argv)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_importing_the_cli_loads_neither_numpy_nor_scipy_nor_the_oracles():
+    proc = run_python(
+        "import sys, coarsebell.cli\n"
+        "print(*sorted({'numpy', 'scipy', 'coarsebell.oracles'} & set(sys.modules)))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+@pytest.mark.parametrize("job", ["ecs_reference.job", "generic_reference.job", "photon_n1.job"])
+def test_closed_form_sweeps_never_load_numpy(tmp_path, job):
+    assert run_sweep_job(tmp_path, job) == ["0"]
+
+
+@pytest.mark.parametrize("job", ["photon_n2.job", "lg_spin.job"])
+def test_sweeps_run_without_scipy(tmp_path, job):
+    blocked = 'sys.modules["scipy"] = None  # any import of scipy now raises ImportError'
+    assert run_sweep_job(tmp_path, job, prelude=blocked)[0] == "0"
+
+
+def test_a_missing_scipy_is_one_import_error_naming_the_extra(monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.delitem(sys.modules, "scipy.special", raising=False)
+    with pytest.raises(ImportError, match=r"coarsebell\[oracles\]") as info:
+        oracles._hermite_rule.__wrapped__(3)  # bypasses the cache of built rules
+    assert info.value.__cause__ is None and info.value.__suppress_context__
+
+
+def test_the_oracle_names_load_the_oracles_on_first_use():
+    proc = run_python(
+        "import sys\n"
+        "import coarsebell\n"
+        "before = 'coarsebell.oracles' in sys.modules\n"
+        "from coarsebell import FockDensityMatrix, build_psi_n, loss_channel, rotate_polarization\n"
+        "from coarsebell import oracles\n"
+        "print(before, FockDensityMatrix is oracles.FockDensityMatrix,\n"
+        "      rotate_polarization(build_psi_n(1), 'a', 0.3, 1).n_max)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "1"]
+
+
+def test_every_exported_name_resolves_and_is_listed():
+    assert all(getattr(coarsebell, name) is not None for name in coarsebell.__all__)
+    assert set(coarsebell.__all__) <= set(dir(coarsebell))
+    assert coarsebell.corr_photon is oracles.corr_photon
+    with pytest.raises(AttributeError, match="no attribute 'corr_nothing'"):
+        coarsebell.corr_nothing  # noqa: B018

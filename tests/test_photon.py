@@ -229,7 +229,7 @@ def test_lossy_correlation_matches_binomial_closed_form(n, eta):
 
 
 @pytest.mark.parametrize("n,eta,Delta", [(1, 1.0, 0.0), (1, 0.8, 0.5), (2, 1.0, 0.5)])
-def test_fast_correlator_agrees_with_node_by_node_average(n, eta, Delta):
+def test_fast_correlator_agrees_with_the_density_matrix_average(n, eta, Delta):
     params = PhotonParams(n=n, eta=eta, Delta=Delta)
     rule = gauss_hermite(20)
     fast = photon_correlator(params)
@@ -238,6 +238,30 @@ def test_fast_correlator_agrees_with_node_by_node_average(n, eta, Delta):
             assert fast(pa, pb) == pytest.approx(
                 corr_photon(pa, pb, params, rule=rule), abs=1e-12
             )
+
+
+def test_per_party_average_is_the_node_by_node_average():
+    # corr_photon sums each party's rotated states before loss and readout;
+    # this literal loop runs the whole sharp pipeline at every node pair
+    params = PhotonParams(n=1, eta=0.8, Delta=0.5)
+    rule = gauss_hermite(5)
+    scale = math.sqrt(2.0) * params.Delta
+    for pa in ANGLES:
+        for pb in ANGLES:
+            loop = 0.0
+            for xa, wa in zip(rule.nodes, rule.weights):
+                for xb, wb in zip(rule.nodes, rule.weights):
+                    loop += wa * wb * _corr_sharp(pa + scale * xa, pb + scale * xb, 1, params.eta)
+            assert corr_photon(pa, pb, params, rule=rule) == pytest.approx(loop, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_smeared_lossy_pipeline_matches_closed_form(n):
+    # two angle pairs: each call rotates the (n + 1)^8-entry state 40 times
+    params = PhotonParams(n=n, eta=0.7, Delta=0.4)
+    fast = photon_correlator(params)
+    for pa, pb in ((0.55, 2.1), (2.1, 0.0)):
+        assert corr_photon(pa, pb, params) == pytest.approx(fast(pa, pb), abs=1e-12)
 
 
 def test_rotation_rejects_bad_party_and_block():

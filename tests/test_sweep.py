@@ -5,7 +5,9 @@ import math
 import warnings
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from coarsebell import ecs, oracles
 from coarsebell.ecs import (
@@ -237,6 +239,54 @@ def test_models_and_sweep_specs_reject_non_finite_numbers(build, name):
         warnings.simplefilter("error")  # no numpy warning before the error
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             build()
+
+
+def numpy_grid(vmin, vmax, steps):
+    """The sweep grid as numpy computed it: one point is ``vmin`` itself, as before."""
+    if steps == 1:
+        return np.array([vmin])
+    with np.errstate(all="ignore"):  # a width can overflow to inf, and 0 * inf is NaN
+        return np.linspace(vmin, vmax, steps)
+
+
+TINY = 5e-324  # the smallest subnormal
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# any sign and width, up to ranges whose width overflows
+WIDE = st.tuples(FINITE, FINITE).filter(lambda ends: ends[0] != ends[1]).map(sorted)
+# a few subnormals wide, so the step often underflows to 0
+SUBNORMAL = st.tuples(st.integers(-1000, 1000), st.integers(1, 3 * MAX_STEPS)).map(
+    lambda e: (e[0] * TINY, (e[0] + e[1]) * TINY)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    ends=st.one_of(WIDE, SUBNORMAL),
+    steps=st.one_of(st.sampled_from([2, MAX_STEPS]), st.integers(2, MAX_STEPS)),
+)
+@example(ends=(0.0, TINY), steps=3)  # width / 2 is 0: numpy's i / div * width branch
+@example(ends=(0.0, 2 * TINY), steps=6)
+@example(ends=(-3.0, -1.0), steps=5)
+@example(ends=(-0.5, 0.25), steps=MAX_STEPS)
+def test_grid_is_numpy_linspace_bit_for_bit(ends, steps):
+    vmin, vmax = ends
+    grid = _spec(vmin, vmax, steps).grid()
+    assert all(type(v) is float for v in grid)
+    assert np.array(grid).tobytes() == numpy_grid(vmin, vmax, steps).tobytes()
+
+
+@given(value=FINITE)
+@example(value=-0.0)  # np.linspace(-0.0, -0.0, 1) is [0.0]; the grid keeps vmin
+def test_single_point_grid_is_vmin_bit_for_bit(value):
+    grid = _spec(value, value, 1).grid()
+    assert type(grid[0]) is float
+    assert np.array(grid).tobytes() == numpy_grid(value, value, 1).tobytes()
+
+
+def test_a_step_that_underflows_to_zero_still_spreads_the_points():
+    # the step 2 TINY / 5 is 0, yet i / 5 * 2 TINY rounds to TINY from i = 2 on
+    assert 2 * TINY / 5 == 0.0
+    assert _spec(0.0, 2 * TINY, 6).grid() == [0.0, 0.0, TINY, TINY, 2 * TINY, 2 * TINY]
 
 
 def test_documented_limits_hold_at_both_ends():

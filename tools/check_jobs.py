@@ -6,9 +6,11 @@ temporary directory, with this checkout's ``src/`` first on ``PYTHONPATH``,
 and compares the sha256 digest of each output file with
 ``jobs/expected.sha256`` (``sha256sum`` format: digest, two spaces, file
 name).  Exits 0 when every file matches and 1 otherwise, naming each file
-whose digest differs or that is missing.  Each job's wall-clock seconds and
-their total go to stderr: the total is the first end-to-end number of
-ROADMAP.md (the ten jobs).
+whose digest differs or that is missing.  Each job's wall-clock and CPU
+seconds, and both totals, go to stderr: the wall-clock total is the first
+end-to-end number of ROADMAP.md (the ten jobs).  CPU seconds (user plus
+system, of the job's process) are the steadier reading on a host whose
+clock speed changes between runs.
 
     python tools/check_jobs.py            # all ten jobs (~12-15 s on a 2-vCPU Xeon)
     python tools/check_jobs.py --write    # regenerate the digest file
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -43,25 +46,31 @@ def _read_expected() -> dict[str, str]:
     return expected
 
 
+def _children_cpu_seconds() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def _run_jobs(names: list[str], out: Path) -> dict[str, str]:
     """Digest of every CSV and SVG file the jobs write, by file name."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     digests = {}
-    total = 0.0
+    total = total_cpu = 0.0
     for name in names:
         csv, svg = out / f"{name}.csv", out / f"{name}.svg"
         cmd = [sys.executable, "-m", "coarsebell", "sweep", str(JOBS / f"{name}.job"),
                "--csv", str(csv), "--svg", str(svg)]
-        start = time.perf_counter()
+        start, start_cpu = time.perf_counter(), _children_cpu_seconds()
         code = subprocess.run(cmd, env=env).returncode
-        seconds = time.perf_counter() - start
+        seconds, cpu = time.perf_counter() - start, _children_cpu_seconds() - start_cpu
         total += seconds
-        print(f"{name}: exit {code}, {seconds:.2f} s", file=sys.stderr)
+        total_cpu += cpu
+        print(f"{name}: exit {code}, {seconds:.2f} s, {cpu:.2f} s CPU", file=sys.stderr)
         for path in (csv, svg):
             if path.exists():
                 digests[path.name] = _digest(path)
-    print(f"all {len(names)} jobs: {total:.2f} s", file=sys.stderr)
+    print(f"all {len(names)} jobs: {total:.2f} s, {total_cpu:.2f} s CPU", file=sys.stderr)
     return digests
 
 
