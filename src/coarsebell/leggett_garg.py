@@ -120,7 +120,8 @@ def spin_parity_correlator(params: SpinParams) -> Callable[[float], float]:
 
     damping, freq = _spin_terms(params)
     norm = 2.0 * params.j + 1.0
-    cos, add_up = np.cos, np.sum
+    # np.sum's Python wrapper was ~40 % of a call; np.add.reduce is the same ufunc, same bits
+    cos, add_up = np.cos, np.add.reduce
 
     def corr(tau: float) -> float:
         return float(add_up(damping * cos(freq * tau))) / norm

@@ -126,6 +126,10 @@ class SweepSpec:
             raise JobError(
                 f"sweep grid needs sweep.min < sweep.max, got [{self.vmin}, {self.vmax}]"
             )
+        elif not math.isfinite(self.vmax - self.vmin):
+            raise JobError(
+                f"sweep.max - sweep.min overflows a float, got [{self.vmin}, {self.vmax}]"
+            )
         for s in self.series:
             _validate_params(self.system, s.params)
 

@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import dataclasses
+import hashlib
 import math
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,8 @@ import coarsebell.sweep
 from coarsebell.cli import EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_VALIDATION, main
 from coarsebell.ecs import ConvergenceError
 from coarsebell.optimize import OptimizationResult
+
+JOBS = Path(__file__).resolve().parents[1] / "jobs"
 
 GOOD_JOB = """\
 system = generic-ref
@@ -215,6 +219,13 @@ def _exit_code(argv):
             GOOD_JOB.replace("params.n = 1", "params.n = nan"),
             "must be finite",
         ),
+        (
+            ["sweep", "{job}", "--csv", "{csv}"],
+            GOOD_JOB.replace("sweep.min = 0.0", "sweep.min = -1e308").replace(
+                "sweep.max = 0.5", "sweep.max = 1e308"
+            ),
+            "overflows a float",
+        ),
     ],
 )
 def test_bad_numbers_exit_two_with_a_one_line_error(tmp_path, capsys, argv, job_text, needle):
@@ -268,3 +279,18 @@ def test_documented_limits_exit_two_and_name_the_limit(tmp_path, capsys, argv, j
     else:
         assert "error:" in err and needle in err.splitlines()[-1]
         assert not csv_path.exists()
+
+
+def _expected_digests():
+    lines = (JOBS / "expected.sha256").read_text().splitlines()
+    return {name: digest for digest, name in (line.split() for line in lines if line.strip())}
+
+
+@pytest.mark.parametrize("name", ["lg_spin", "lg_nonclassical"])
+def test_shipped_lg_jobs_write_their_committed_bytes(tmp_path, name):
+    csv_path, svg_path = tmp_path / f"{name}.csv", tmp_path / f"{name}.svg"
+    argv = ["sweep", str(JOBS / f"{name}.job"), "--csv", str(csv_path), "--svg", str(svg_path)]
+    assert main(argv) == EXIT_OK
+    expected = _expected_digests()
+    for path in (csv_path, svg_path):
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == expected[path.name], path.name

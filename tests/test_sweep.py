@@ -245,14 +245,27 @@ def numpy_grid(vmin, vmax, steps):
     """The sweep grid as numpy computed it: one point is ``vmin`` itself, as before."""
     if steps == 1:
         return np.array([vmin])
-    with np.errstate(all="ignore"):  # a width can overflow to inf, and 0 * inf is NaN
+    # near the float range numpy's last point, steps - 1 times the step, can
+    # overflow before linspace replaces it with vmax
+    with np.errstate(over="ignore"):
         return np.linspace(vmin, vmax, steps)
 
 
 TINY = 5e-324  # the smallest subnormal
+HUGE = 2.0**1022  # a quarter of the float range: two such ends of opposite sign may overflow
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-# any sign and width, up to ranges whose width overflows
-WIDE = st.tuples(FINITE, FINITE).filter(lambda ends: ends[0] != ends[1]).map(sorted)
+# any sign and width whose width is itself a float (wider ones are rejected)
+WIDE = (
+    st.tuples(FINITE, FINITE)
+    .filter(lambda ends: ends[0] != ends[1])
+    .map(sorted)
+    .filter(lambda ends: math.isfinite(ends[1] - ends[0]))
+)
+# ends whose width overflows to inf
+OVERFLOWING = st.tuples(
+    st.floats(max_value=-HUGE, allow_infinity=False),
+    st.floats(min_value=HUGE, allow_infinity=False),
+).filter(lambda ends: math.isinf(ends[1] - ends[0]))
 # a few subnormals wide, so the step often underflows to 0
 SUBNORMAL = st.tuples(st.integers(-1000, 1000), st.integers(1, 3 * MAX_STEPS)).map(
     lambda e: (e[0] * TINY, (e[0] + e[1]) * TINY)
@@ -268,11 +281,22 @@ SUBNORMAL = st.tuples(st.integers(-1000, 1000), st.integers(1, 3 * MAX_STEPS)).m
 @example(ends=(0.0, 2 * TINY), steps=6)
 @example(ends=(-3.0, -1.0), steps=5)
 @example(ends=(-0.5, 0.25), steps=MAX_STEPS)
+@example(ends=(-8e307, 8e307), steps=MAX_STEPS)  # the widest ranges still pass
 def test_grid_is_numpy_linspace_bit_for_bit(ends, steps):
     vmin, vmax = ends
     grid = _spec(vmin, vmax, steps).grid()
     assert all(type(v) is float for v in grid)
     assert np.array(grid).tobytes() == numpy_grid(vmin, vmax, steps).tobytes()
+
+
+@given(ends=OVERFLOWING, steps=st.integers(2, MAX_STEPS))
+@example(ends=(-1e308, 1e308), steps=3)
+@example(ends=(-1.7976931348623157e308, 1.7976931348623157e308), steps=MAX_STEPS)
+def test_a_sweep_width_that_overflows_is_rejected(ends, steps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any arithmetic can warn
+        with pytest.raises(JobError, match=r"^sweep\.max - sweep\.min overflows a float, got \["):
+            _spec(*ends, steps)
 
 
 @given(value=FINITE)
