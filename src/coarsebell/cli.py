@@ -7,7 +7,8 @@ Two subcommands::
 
 Exit codes: 0 on success, 2 for validation problems (bad job file, one that
 is not UTF-8, unknown system or parameter, NaN or infinite number, malformed
-grid, ``--starts`` below 1), 3 when a numerical routine failed: it did not
+grid, ``--starts`` below 1 or above ``optimize.MAX_STARTS``, a repeated
+``--param``), 3 when a numerical routine failed: it did not
 converge, or an objective value came out NaN or infinite.
 """
 
@@ -18,7 +19,7 @@ import sys
 from typing import Sequence
 
 from .ecs import ConvergenceError
-from .optimize import NonFiniteObjectiveError
+from .optimize import MAX_STARTS, NonFiniteObjectiveError
 from .sweep import JobError, SYSTEMS, emit_csv, emit_svg, optimized_point, parse_job, run_sweep
 from .sweep import _parse_number
 
@@ -28,13 +29,15 @@ EXIT_NO_CONVERGENCE = 3
 
 
 def _starts(text: str) -> int:
-    """argparse type of ``--starts``: an integer >= 1."""
+    """argparse type of ``--starts``: an integer from 1 to ``MAX_STARTS``."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value > MAX_STARTS:
+        raise argparse.ArgumentTypeError(f"must be <= MAX_STARTS = {MAX_STARTS}, got {value}")
     return value
 
 
@@ -71,6 +74,8 @@ def _parse_param_args(pairs: Sequence[str]) -> dict[str, float]:
         name = name.strip()
         if not sep or not name:
             raise JobError(f"--param expects NAME=VALUE, got {pair!r}")
+        if name in params:
+            raise JobError(f"--param {name} given more than once")
         params[name] = _parse_number(value.strip(), f"--param {name}", None)
     return params
 

@@ -61,8 +61,9 @@ DELTA_MAX = 1e4
 
 # Largest size n.  The same window is ceil(n + 8 delta) wide, so at this n it
 # holds at most ~3.6e5 entries, and one generic-delta point at n = 1e5,
-# V = 1e8 takes ~0.3 s on a 2-vCPU Xeon (`coarsebell point`, whole process);
-# n = 1e6 takes ~0.8 s, and n = 1e18 overflows numpy.
+# V = 1e8 takes ~0.45 s on a 2-vCPU Xeon at its fast clock level and ~0.7 s
+# at its slow one (`coarsebell point`, whole process, most of it the window's
+# sum); n = 1e18 would overflow numpy.
 N_MAX = 100_000
 
 
@@ -131,6 +132,12 @@ def fuzzy_detector_correlator(params: GenericParams) -> Callable[[float, float],
     reduces exactly to ``-cos 2(theta_a + theta_b)``.  Equal, bit for bit,
     to the composition of ``oracles.f_delta`` and ``oracles.g_delta`` in the
     module docstring.
+
+    The closure's ``chsh`` attribute maps ``(a, a', b, b')`` to the CHSH
+    combination ``E(a, b) + E(a', b) + E(a, b') - E(a', b')``, bit for bit
+    equal to those four calls, with each angle's single-party responses
+    computed once instead of twice; ``optimize.maximize_chsh`` uses it in
+    their place.
     """
     n, delta = params.n, params.delta
     k_max = _k_max(n, delta)
@@ -149,6 +156,30 @@ def fuzzy_detector_correlator(params: GenericParams) -> Callable[[float, float],
             + 2.0 * (sa * ca * odd) * (sb * cb * odd)
         )
 
+    # the factors of corr's three products, per angle, with corr's float
+    # expressions; written inline, as per-party helper calls cost ~20 % more
+    def chsh(x: tuple[float, ...]) -> float:
+        a, ap, b, bp = x
+        c, s = cos(a), sin(a)
+        cc, ss = c * c, s * s
+        a1, a2, ag = cc * up + ss * down, cc * down + ss * up, 2.0 * (s * c * odd)
+        c, s = cos(ap), sin(ap)
+        cc, ss = c * c, s * s
+        p1, p2, pg = cc * up + ss * down, cc * down + ss * up, 2.0 * (s * c * odd)
+        c, s = cos(b), sin(b)
+        cc, ss = c * c, s * s
+        b1, b2, bg = cc * down + ss * up, cc * up + ss * down, s * c * odd
+        c, s = cos(bp), sin(bp)
+        cc, ss = c * c, s * s
+        q1, q2, qg = cc * down + ss * up, cc * up + ss * down, s * c * odd
+        return (
+            0.5 * (a1 * b1 + a2 * b2 + ag * bg)
+            + 0.5 * (p1 * b1 + p2 * b2 + pg * bg)
+            + 0.5 * (a1 * q1 + a2 * q2 + ag * qg)
+            - 0.5 * (p1 * q1 + p2 * q2 + pg * qg)
+        )
+
+    corr.chsh = chsh
     return corr
 
 

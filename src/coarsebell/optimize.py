@@ -38,6 +38,15 @@ There is no randomness anywhere: identical inputs produce bit-identical
 results, and every reduction over starts is order-independent because ties
 are broken towards the lexicographically smallest argmax.  A non-finite
 objective value raises ``NonFiniteObjectiveError``, a ``ValueError``.
+
+A two-angle correlator may carry a ``chsh`` attribute: a function of the
+tuple (a, a', b, b') that returns, bit for bit, the four-call sum
+corr(a, b) + corr(a', b) + corr(a, b') - corr(a', b'), computed with less
+work.  ``maximize_chsh`` and ``chsh_value`` then call it in place of the
+four calls; the generic-delta correlator has one, since each of its angles'
+single-party responses can be shared by two terms.
+
+``starts`` is at most ``MAX_STARTS``; larger counts raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -57,6 +66,7 @@ __all__ = [
     "Correlator",
     "ChshSettings",
     "LgTimes",
+    "MAX_STARTS",
     "NonFiniteObjectiveError",
     "OptimizationResult",
     "chsh_value",
@@ -65,6 +75,13 @@ __all__ = [
     "maximize_chsh",
     "maximize_lg",
 ]
+
+# Largest multistart count.  A CHSH point makes ~300 objective calls per
+# start, so at this limit one point takes 6-8 s on a 2-vCPU Xeon (generic-ref
+# and generic-delta, `coarsebell point`, whole process); 1e12 starts would
+# run for years, and a count past ~1e308 overflows the lattice's float
+# arithmetic.
+MAX_STARTS = 10_000
 
 _XATOL = 1e-8
 _FATOL = 1e-10
@@ -146,7 +163,14 @@ class OptimizationResult:
 
 
 def _chsh_objective(corr: Callable[[float, float], float]) -> Callable[[tuple[float, ...]], float]:
-    """The CHSH combination of ``corr`` as a function of the four angles (a, a', b, b')."""
+    """The CHSH combination of ``corr`` as a function of the four angles (a, a', b, b').
+
+    ``corr.chsh`` when ``corr`` has one (see the module docstring), else the
+    four calls of ``corr``.
+    """
+    chsh = getattr(corr, "chsh", None)
+    if chsh is not None:
+        return chsh
 
     def objective(x: tuple[float, ...]) -> float:
         a, ap, b, bp = x
@@ -396,6 +420,8 @@ def _check_search(period: float, starts: int | None) -> None:
         raise ValueError(f"period must be finite and > 0, got {period}")
     if starts is not None and starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
+    if starts is not None and starts > MAX_STARTS:
+        raise ValueError(f"starts must be <= MAX_STARTS = {MAX_STARTS}, got {starts}")
 
 
 def maximize(
@@ -417,9 +443,9 @@ def maximize(
     period : float
         Periodicity per coordinate; also the edge length of the start lattice.
     starts : int, optional
-        Requested number of lattice starts.  Rounded to the nearest perfect
-        d-th power (default ``3**d``); cell-midpoint placement avoids the
-        degenerate all-zero corner.
+        Requested number of lattice starts, from 1 to ``MAX_STARTS``.
+        Rounded to the nearest perfect d-th power (default ``3**d``);
+        cell-midpoint placement avoids the degenerate all-zero corner.
 
     Returns
     -------
@@ -453,7 +479,12 @@ def maximize(
 
 
 def maximize_chsh(correlator, starts: int | None = None) -> OptimizationResult:
-    """Maximise the CHSH combination of a two-angle correlator."""
+    """Maximise the CHSH combination of a two-angle correlator.
+
+    When the bare correlator has a ``chsh`` attribute, a function of
+    (a, a', b, b') bit for bit equal to the four-call combination, the
+    simplex calls it in place of the four calls.
+    """
     period = getattr(correlator, "period", math.pi)
     return maximize(_chsh_objective(_bare(correlator)), d=4, period=period, starts=starts)
 

@@ -226,6 +226,13 @@ def _exit_code(argv):
             ),
             "overflows a float",
         ),
+        (["point", "generic-ref", "--starts", "1" + "0" * 400], None, "MAX_STARTS = 10000"),
+        (["point", "generic-ref", "--starts", "1000000000000"], None, "MAX_STARTS = 10000"),
+        (
+            ["point", "generic-ref", "--param", "V=0.1", "--param", "V=0.3"],
+            None,
+            "--param V given more than once",
+        ),
     ],
 )
 def test_bad_numbers_exit_two_with_a_one_line_error(tmp_path, capsys, argv, job_text, needle):

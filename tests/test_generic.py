@@ -9,9 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coarsebell.generic import (
     DELTA_MAX,
+    N_MAX,
     GenericParams,
     _k_max,
     _smeared_sign,
@@ -19,6 +21,7 @@ from coarsebell.generic import (
     corr_coarse_reference,
     corr_fuzzy_detector,
     discrimination_error,
+    fuzzy_detector_correlator,
 )
 from coarsebell.oracles import corr_combined, corr_coarse_reference_quad, f_delta, g_delta
 
@@ -235,3 +238,25 @@ def test_detector_width_has_a_documented_limit():
     ):
         with pytest.raises(ValueError, match="DELTA_MAX"):
             call()
+
+
+ANGLE = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, N_MAX),
+    delta=st.one_of(
+        st.just(0.0),
+        st.floats(5e-324, 2.2e-308),  # subnormal
+        st.floats(1e-300, 1e-6),
+        st.floats(0.0, 50.0),
+    ),
+    xs=st.lists(st.tuples(ANGLE, ANGLE, ANGLE, ANGLE), min_size=1, max_size=8),
+)
+def test_chsh_attribute_is_the_four_call_sum_bit_for_bit(n, delta, xs):
+    corr = fuzzy_detector_correlator(GenericParams(n=n, delta=delta))
+    for x in xs:
+        a, ap, b, bp = x
+        four = corr(a, b) + corr(ap, b) + corr(a, bp) - corr(ap, bp)
+        assert corr.chsh(x).hex() == four.hex()

@@ -12,18 +12,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coarsebell.generic import GenericParams, corr_fuzzy_detector
+from coarsebell.generic import GenericParams, corr_fuzzy_detector, fuzzy_detector_correlator
 from coarsebell import optimize
 from coarsebell.leggett_garg import SpinParams, corr_spin_parity
 from coarsebell.optimize import (
     ChshSettings,
     Correlator,
+    MAX_STARTS,
     OptimizationResult,
     chsh_value,
     maximize,
     maximize_chsh,
     maximize_lg,
 )
+from coarsebell.sweep import optimized_point
 
 
 def sharp_correlator(n: int = 1) -> Correlator:
@@ -255,6 +257,22 @@ def test_lg_reruns_are_bit_identical_and_ignore_starts():
     assert runs[0].value == corr(g1) + corr(g2) + corr(g3) - corr(g1 + g2 + g3)
 
 
+@pytest.mark.parametrize("starts", [MAX_STARTS + 1, 10**400])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda starts: maximize(lambda x: 0.0, d=4, starts=starts),
+        lambda starts: maximize_chsh(sharp_correlator(), starts=starts),
+        lambda starts: maximize_lg(lg_correlator(0.5, 0.0), starts=starts),
+    ],
+    ids=["maximize", "chsh", "lg"],
+)
+def test_start_counts_above_the_limit_are_rejected(call, starts):
+    # rejected before any start runs
+    with pytest.raises(ValueError, match=f"starts must be <= MAX_STARTS = {MAX_STARTS}"):
+        call(starts)
+
+
 @pytest.mark.parametrize("starts", [0, -2])
 def test_lg_rejects_fewer_than_one_start(starts):
     with pytest.raises(ValueError, match="starts must be >= 1"):
@@ -285,6 +303,53 @@ def test_lg_correlator_without_finite_bandwidth_stops_at_the_grid_cap():
 def test_non_finite_objective_values_raise_a_value_error(call):
     with pytest.raises(ValueError, match=r"not finite: (nan|inf|-inf)"):
         call()
+
+
+# ---------------------------------------------------------------------------
+# The ``chsh`` attribute of a correlator
+
+
+@pytest.mark.parametrize("n,V", [(1, 0.3), (3, 2.0), (5, 5.5)])
+@pytest.mark.parametrize("starts", [16, 81])
+def test_chsh_attribute_gives_the_four_call_maximum(n, V, starts):
+    corr = fuzzy_detector_correlator(GenericParams(n=n, delta=math.sqrt(V)))
+
+    def four_calls(x):
+        a, ap, b, bp = x
+        return corr(a, b) + corr(ap, b) + corr(a, bp) - corr(ap, bp)
+
+    fast = maximize_chsh(Correlator(fn=corr), starts=starts)
+    assert fast == maximize(four_calls, d=4, starts=starts)  # every field of the result
+
+
+def spy_on_objectives(monkeypatch):
+    """Record each (bare correlator, objective) pair that ``maximize_chsh`` builds."""
+    seen = []
+    real = optimize._chsh_objective
+
+    def spy(corr):
+        objective = real(corr)
+        seen.append((corr, objective))
+        return objective
+
+    monkeypatch.setattr(optimize, "_chsh_objective", spy)
+    return seen
+
+
+def test_a_generic_delta_sweep_point_calls_the_chsh_attribute(monkeypatch):
+    seen = spy_on_objectives(monkeypatch)
+    optimized_point("generic-delta", {"n": 2, "V": 0.7}, starts=1)
+    [(corr, objective)] = seen
+    assert objective is corr.chsh
+
+
+def test_a_correlator_without_the_attribute_gets_the_four_calls(monkeypatch):
+    seen = spy_on_objectives(monkeypatch)
+    optimized_point("generic-ref", {"n": 2, "V": 0.7}, starts=1)
+    [(corr, objective)] = seen
+    assert not hasattr(corr, "chsh")
+    x = (0.3, 1.1, 2.0, 2.9)
+    assert objective(x) == corr(0.3, 2.0) + corr(1.1, 2.0) + corr(0.3, 2.9) - corr(1.1, 2.9)
 
 
 # ---------------------------------------------------------------------------
