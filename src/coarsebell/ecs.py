@@ -254,8 +254,13 @@ def homodyne_angle_average(alpha: float, Delta: float) -> float:
     breakpoints alone exceed the piece limit (Delta above ~37.3; from ~36 up
     the pieces left for bisection no longer suffice), rather than
     silently returning a truncated result.  ``Delta == 0`` is the exact
-    point-mass branch ``erf(sqrt(2) alpha)``.
+    point-mass branch ``erf(sqrt(2) alpha)``.  A non-finite or non-positive
+    ``alpha``, or a non-finite or negative ``Delta``, raises ``ValueError``.
     """
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
+    if not (math.isfinite(Delta) and Delta >= 0.0):
+        raise ValueError(f"Delta must be finite and >= 0, got {Delta!r}")
     if Delta == 0.0:
         return erf(_SQRT_2 * alpha)
     window = 12.0 * Delta

@@ -19,7 +19,15 @@ Two distinct Gaussian coarsenings of this measurement are modelled:
       f(n, t) = sum_k w_k ( cos^2 t * chi_{n-k} + sin^2 t * chi_{-n-k} )
       g(n, t) = sin t cos t * sum_k w_k ( chi_{n-k} - chi_{-n-k} )
 
-  with w_k the renormalised discrete Gaussian weights.  As delta -> 0 this
+  with w_k the renormalised discrete Gaussian weights.  With the smeared
+  signs up = sum_k w_k chi_{n-k} and down = sum_k w_k chi_{-n-k}, and their
+  even and odd parts S = (up + down)/2 and A = (up - down)/2, this is the
+  closed form
+
+      E(ta, tb) = S^2 - A^2 cos 2(ta + tb):
+
+  the fuzziness lifts a constant floor S^2 and lowers the contrast A^2 of
+  the sharp correlation.  As delta -> 0, S -> 0 and A -> 1, and this
   reduces to E = -cos 2(ta + tb).
 
 * *reference fuzziness* (``Delta``): the rotation angle itself is smeared by
@@ -75,6 +83,8 @@ def _check_size(n: int) -> None:
 
 
 def _check_delta(delta: float) -> None:
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta!r}")
     if delta < 0.0:
         raise ValueError(f"delta must be >= 0, got {delta}")
     if delta > DELTA_MAX:
@@ -123,68 +133,41 @@ def _smeared_sign(m: int, delta: float, k_max: int) -> float:
     return total
 
 
+def _cosine_correlator(floor: float, scale: float) -> Callable[[float, float], float]:
+    """``(theta_a, theta_b) -> floor - scale * cos 2(theta_a + theta_b)``, constants bound once."""
+    cos = math.cos
+
+    def corr(theta_a: float, theta_b: float) -> float:
+        return floor - scale * cos(2.0 * (theta_a + theta_b))
+
+    return corr
+
+
 def fuzzy_detector_correlator(params: GenericParams) -> Callable[[float, float], float]:
     """Two-party correlation with smearing applied at the final detection.
 
-    Returns ``(theta_a, theta_b) -> E`` with the two smeared signs of
-    ``params`` computed once.  Any ``Delta`` in ``params`` is ignored here;
-    this is the pure detector-fuzziness branch.  For ``delta == 0`` it
-    reduces exactly to ``-cos 2(theta_a + theta_b)``.  Equal, bit for bit,
-    to the composition of ``oracles.f_delta`` and ``oracles.g_delta`` in the
-    module docstring.
-
-    The closure's ``chsh`` attribute maps ``(a, a', b, b')`` to the CHSH
-    combination ``E(a, b) + E(a', b) + E(a, b') - E(a', b')``, bit for bit
-    equal to those four calls, with each angle's single-party responses
-    computed once instead of twice; ``optimize.maximize_chsh`` uses it in
-    their place.
+    Returns ``(theta_a, theta_b) -> S^2 - A^2 cos 2(theta_a + theta_b)``,
+    with ``S`` and ``A`` the even and odd parts ``(up +- down) / 2`` of the
+    smeared signs ``up`` of +n and ``down`` of -n, computed once.  Any
+    ``Delta`` in ``params`` is ignored here; this is the pure
+    detector-fuzziness branch.  For ``delta == 0``, S = 0 and A = 1, so it
+    reduces exactly to ``-cos 2(theta_a + theta_b)``.  Agrees with the
+    composition of ``oracles.f_delta`` and ``oracles.g_delta`` in the module
+    docstring within 1e-14.
     """
     n, delta = params.n, params.delta
     k_max = _k_max(n, delta)
     up = _smeared_sign(n, delta, k_max)
     down = _smeared_sign(-n, delta, k_max)
-    odd = up - down
-    cos, sin = math.cos, math.sin
-
-    def corr(theta_a: float, theta_b: float) -> float:
-        ca, sa = cos(theta_a), sin(theta_a)
-        cb, sb = cos(theta_b), sin(theta_b)
-        caa, saa, cbb, sbb = ca * ca, sa * sa, cb * cb, sb * sb
-        return 0.5 * (
-            (caa * up + saa * down) * (cbb * down + sbb * up)
-            + (caa * down + saa * up) * (cbb * up + sbb * down)
-            + 2.0 * (sa * ca * odd) * (sb * cb * odd)
-        )
-
-    # the factors of corr's three products, per angle, with corr's float
-    # expressions; written inline, as per-party helper calls cost ~20 % more
-    def chsh(x: tuple[float, ...]) -> float:
-        a, ap, b, bp = x
-        c, s = cos(a), sin(a)
-        cc, ss = c * c, s * s
-        a1, a2, ag = cc * up + ss * down, cc * down + ss * up, 2.0 * (s * c * odd)
-        c, s = cos(ap), sin(ap)
-        cc, ss = c * c, s * s
-        p1, p2, pg = cc * up + ss * down, cc * down + ss * up, 2.0 * (s * c * odd)
-        c, s = cos(b), sin(b)
-        cc, ss = c * c, s * s
-        b1, b2, bg = cc * down + ss * up, cc * up + ss * down, s * c * odd
-        c, s = cos(bp), sin(bp)
-        cc, ss = c * c, s * s
-        q1, q2, qg = cc * down + ss * up, cc * up + ss * down, s * c * odd
-        return (
-            0.5 * (a1 * b1 + a2 * b2 + ag * bg)
-            + 0.5 * (p1 * b1 + p2 * b2 + pg * bg)
-            + 0.5 * (a1 * q1 + a2 * q2 + ag * qg)
-            - 0.5 * (p1 * q1 + p2 * q2 + pg * qg)
-        )
-
-    corr.chsh = chsh
-    return corr
+    even, odd = 0.5 * (up + down), 0.5 * (up - down)
+    return _cosine_correlator(even * even, odd * odd)
 
 
 def corr_fuzzy_detector(theta_a: float, theta_b: float, params: GenericParams) -> float:
-    """:func:`fuzzy_detector_correlator` of ``params`` at one pair of angles."""
+    """:func:`fuzzy_detector_correlator` of ``params`` at one pair of angles.
+
+    Agrees with the f/g composition of the module docstring within 1e-14.
+    """
     return fuzzy_detector_correlator(params)(theta_a, theta_b)
 
 
@@ -194,13 +177,7 @@ def coarse_reference_correlator(params: GenericParams) -> Callable[[float, float
     Returns ``(theta_a, theta_b) -> -exp(-4 Delta^2) cos 2(theta_a + theta_b)``
     with the damping computed once; note it does not depend on the size ``n``.
     """
-    scale = -math.exp(-4.0 * params.Delta * params.Delta)
-    cos = math.cos
-
-    def corr(theta_a: float, theta_b: float) -> float:
-        return scale * cos(2.0 * (theta_a + theta_b))
-
-    return corr
+    return _cosine_correlator(0.0, math.exp(-4.0 * params.Delta * params.Delta))
 
 
 def corr_coarse_reference(theta_a: float, theta_b: float, params: GenericParams) -> float:

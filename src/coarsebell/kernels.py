@@ -1,4 +1,4 @@
-"""The discrete Gaussian smearing kernel, and the finiteness check of model params.
+"""The discrete Gaussian smearing kernel, and the finiteness check of value types.
 
 Every coarsening mechanism in this package is a Gaussian average of a sharp
 quantity.  Two kernel flavours appear:
@@ -31,7 +31,7 @@ _TINY_SIGMA = 1e-8
 
 
 def require_finite(params) -> None:
-    """Raise ``ValueError`` naming the first field of a params dataclass that is NaN or infinite."""
+    """Raise ``ValueError`` naming the first NaN or infinite field of a dataclass of numbers."""
     for f in fields(params):
         value = getattr(params, f.name)
         if not math.isfinite(value):
@@ -60,8 +60,9 @@ def discrete_gaussian(sigma: float, k_max: int) -> DiscreteGaussianWeights:
     Parameters
     ----------
     sigma : float
-        Standard deviation of the underlying Gaussian, >= 0.  Values below
-        the machine-meaningful threshold degenerate to a point mass at 0.
+        Standard deviation of the underlying Gaussian, finite and >= 0.
+        Values below the machine-meaningful threshold degenerate to a point
+        mass at 0.
     k_max : int
         Half-width of the truncation window.  Must satisfy ``k_max >= 3 sigma``
         so that the discarded tail is negligible before renormalisation.
@@ -74,6 +75,8 @@ def discrete_gaussian(sigma: float, k_max: int) -> DiscreteGaussianWeights:
     """
     if k_max < 1:
         raise ValueError(f"k_max must be a positive integer, got {k_max}")
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma!r}")
     if sigma < 0.0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if k_max < 3.0 * sigma:

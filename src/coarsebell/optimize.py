@@ -39,13 +39,6 @@ results, and every reduction over starts is order-independent because ties
 are broken towards the lexicographically smallest argmax.  A non-finite
 objective value raises ``NonFiniteObjectiveError``, a ``ValueError``.
 
-A two-angle correlator may carry a ``chsh`` attribute: a function of the
-tuple (a, a', b, b') that returns, bit for bit, the four-call sum
-corr(a, b) + corr(a', b) + corr(a, b') - corr(a', b'), computed with less
-work.  ``maximize_chsh`` and ``chsh_value`` then call it in place of the
-four calls; the generic-delta correlator has one, since each of its angles'
-single-party responses can be shared by two terms.
-
 ``starts`` is at most ``MAX_STARTS``; larger counts raise ``ValueError``.
 """
 
@@ -58,6 +51,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
+
+from .kernels import require_finite
 
 if TYPE_CHECKING:
     import numpy as np
@@ -117,7 +112,7 @@ class Correlator:
 
 @dataclass(frozen=True)
 class ChshSettings:
-    """Four analyser angles, each stored reduced modulo pi."""
+    """Four finite analyser angles, each stored reduced modulo pi."""
 
     theta_a: float
     theta_a_prime: float
@@ -125,6 +120,7 @@ class ChshSettings:
     theta_b_prime: float
 
     def __post_init__(self) -> None:
+        require_finite(self)
         for name in ("theta_a", "theta_a_prime", "theta_b", "theta_b_prime"):
             object.__setattr__(self, name, float(getattr(self, name)) % math.pi)
 
@@ -134,11 +130,13 @@ class ChshSettings:
 
 @dataclass(frozen=True)
 class LgTimes:
-    """Three non-negative gaps between the four measurement times."""
+    """Three finite, non-negative gaps between the four measurement times."""
 
     gaps: tuple[float, float, float]
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(g) for g in self.gaps):
+            raise ValueError(f"gaps must be finite, got {self.gaps!r}")
         if len(self.gaps) != 3 or any(g < 0.0 for g in self.gaps):
             raise ValueError(f"need three non-negative gaps, got {self.gaps!r}")
 
@@ -163,14 +161,7 @@ class OptimizationResult:
 
 
 def _chsh_objective(corr: Callable[[float, float], float]) -> Callable[[tuple[float, ...]], float]:
-    """The CHSH combination of ``corr`` as a function of the four angles (a, a', b, b').
-
-    ``corr.chsh`` when ``corr`` has one (see the module docstring), else the
-    four calls of ``corr``.
-    """
-    chsh = getattr(corr, "chsh", None)
-    if chsh is not None:
-        return chsh
+    """The CHSH combination of ``corr`` as a function of the four angles (a, a', b, b')."""
 
     def objective(x: tuple[float, ...]) -> float:
         a, ap, b, bp = x
@@ -439,7 +430,7 @@ def maximize(
         ``period`` in every coordinate (the argmax is reported reduced into
         ``[0, period)``).  A non-finite value raises ``NonFiniteObjectiveError``.
     d : int
-        Dimension of the search space.
+        Dimension of the search space, an integer >= 1.
     period : float
         Periodicity per coordinate; also the edge length of the start lattice.
     starts : int, optional
@@ -453,8 +444,8 @@ def maximize(
         Best value found, its (reduced) argmax, the total number of
         objective evaluations, and a convergence flag.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    if not isinstance(d, int) or d < 1:
+        raise ValueError(f"d must be an integer >= 1, got {d!r}")
     _check_search(period, starts)
     if starts is None:
         starts = 3 ** d
@@ -479,12 +470,7 @@ def maximize(
 
 
 def maximize_chsh(correlator, starts: int | None = None) -> OptimizationResult:
-    """Maximise the CHSH combination of a two-angle correlator.
-
-    When the bare correlator has a ``chsh`` attribute, a function of
-    (a, a', b, b') bit for bit equal to the four-call combination, the
-    simplex calls it in place of the four calls.
-    """
+    """Maximise the CHSH combination of a two-angle correlator."""
     period = getattr(correlator, "period", math.pi)
     return maximize(_chsh_objective(_bare(correlator)), d=4, period=period, starts=starts)
 

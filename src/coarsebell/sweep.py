@@ -115,6 +115,8 @@ class SweepSpec:
         for key, value in (("sweep.min", self.vmin), ("sweep.max", self.vmax)):
             if not math.isfinite(value):
                 raise JobError(f"{key} must be finite, got {value!r}")
+        if not isinstance(self.steps, int):
+            raise JobError(f"sweep.steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise JobError(f"sweep.steps must be >= 1, got {self.steps}")
         if self.steps > MAX_STEPS:

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coarsebell.generic import GenericParams, corr_fuzzy_detector, fuzzy_detector_correlator
-from coarsebell import optimize
+from coarsebell.generic import GenericParams, corr_fuzzy_detector
+from coarsebell import optimize, sweep
 from coarsebell.leggett_garg import SpinParams, corr_spin_parity
 from coarsebell.optimize import (
     ChshSettings,
@@ -306,20 +306,7 @@ def test_non_finite_objective_values_raise_a_value_error(call):
 
 
 # ---------------------------------------------------------------------------
-# The ``chsh`` attribute of a correlator
-
-
-@pytest.mark.parametrize("n,V", [(1, 0.3), (3, 2.0), (5, 5.5)])
-@pytest.mark.parametrize("starts", [16, 81])
-def test_chsh_attribute_gives_the_four_call_maximum(n, V, starts):
-    corr = fuzzy_detector_correlator(GenericParams(n=n, delta=math.sqrt(V)))
-
-    def four_calls(x):
-        a, ap, b, bp = x
-        return corr(a, b) + corr(ap, b) + corr(a, bp) - corr(ap, bp)
-
-    fast = maximize_chsh(Correlator(fn=corr), starts=starts)
-    assert fast == maximize(four_calls, d=4, starts=starts)  # every field of the result
+# The CHSH objective of every sweep row
 
 
 def spy_on_objectives(monkeypatch):
@@ -336,20 +323,16 @@ def spy_on_objectives(monkeypatch):
     return seen
 
 
-def test_a_generic_delta_sweep_point_calls_the_chsh_attribute(monkeypatch):
+def test_every_chsh_row_gets_the_four_call_objective(monkeypatch):
     seen = spy_on_objectives(monkeypatch)
-    optimized_point("generic-delta", {"n": 2, "V": 0.7}, starts=1)
-    [(corr, objective)] = seen
-    assert objective is corr.chsh
-
-
-def test_a_correlator_without_the_attribute_gets_the_four_calls(monkeypatch):
-    seen = spy_on_objectives(monkeypatch)
-    optimized_point("generic-ref", {"n": 2, "V": 0.7}, starts=1)
-    [(corr, objective)] = seen
-    assert not hasattr(corr, "chsh")
-    x = (0.3, 1.1, 2.0, 2.9)
-    assert objective(x) == corr(0.3, 2.0) + corr(1.1, 2.0) + corr(0.3, 2.9) - corr(1.1, 2.9)
+    rows = [name for name, sysdef in sweep.SYSTEMS.items() if sysdef.kind == "chsh"]
+    for system in rows:
+        optimized_point(system, {sweep.SYSTEMS[system].variable: 0.7}, starts=1)
+    assert len(seen) == len(rows)
+    for corr, objective in seen:
+        for a, ap, b, bp in [(0.3, 1.1, 2.0, 2.9), (-1.7, 0.0, 0.4, 5.2)]:
+            four = corr(a, b) + corr(ap, b) + corr(a, bp) - corr(ap, bp)
+            assert objective((a, ap, b, bp)) == four
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +392,6 @@ def assert_same_run(f, x0, monkeypatch, maxiter, maxfev):
 
 
 def negated_chsh(system: str, params: dict):
-    from coarsebell import sweep
-
     sysdef = sweep.SYSTEMS[system]
     merged = sweep._validate_params(system, {k: v for k, v in params.items() if k != sysdef.variable})
     corr = sweep._correlator(sysdef, merged, params.get(sysdef.variable, sysdef.variable_default))
@@ -443,11 +424,12 @@ def test_simplex_replays_scipy_in_one_dimension(x0, monkeypatch):
     assert_same_run(lambda x: -math.sin(2.0 * x[0]), x0, monkeypatch, maxiter=4000, maxfev=8000)
 
 
-@pytest.mark.parametrize("maxfev", [3, 5, 6, 7, 11, 16, 19])
+@pytest.mark.parametrize("maxfev", [3, 5, 6, 7, 11, 16, 19, 23])
 def test_simplex_stops_where_scipy_does_on_the_evaluation_cap(maxfev, monkeypatch):
     # from these starts the next call after the cap is: a vertex of the
     # initial simplex (3), a reflection (5 on), an expansion after its
-    # reflection (6 on), an inside contraction (16), an outside one (19)
+    # reflection (6 on), an inside contraction (16, 23), a reflection after
+    # one (19, 23), an outside contraction (23)
     f = negated_chsh("generic-delta", CHSH_CASES["generic-delta"])
     axis = [(i + 0.5) * math.pi / 3 for i in range(3)]
     for x0 in itertools.islice(itertools.product(axis, repeat=4), 0, 81, 8):
@@ -471,8 +453,6 @@ def test_simplex_stops_where_scipy_does_on_the_iteration_cap(maxiter, monkeypatc
 
 def lg_polish_starts(system: str, params: dict):
     """The negated four-time objective of a sweep point and ``maximize_lg``'s grid triples."""
-    from coarsebell import sweep
-
     sysdef = sweep.SYSTEMS[system]
     merged = sweep._validate_params(system, {k: v for k, v in params.items() if k != sysdef.variable})
     corr = sweep._correlator(sysdef, merged, params[sysdef.variable])

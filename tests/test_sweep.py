@@ -16,7 +16,14 @@ from coarsebell.ecs import (
     corr_ecs_homodyne_angle,
     corr_ecs_reference,
 )
-from coarsebell.generic import N_MAX, GenericParams, corr_coarse_reference, corr_fuzzy_detector
+from coarsebell.generic import (
+    N_MAX,
+    GenericParams,
+    corr_coarse_reference,
+    corr_fuzzy_detector,
+    discrimination_error,
+)
+from coarsebell.kernels import discrete_gaussian
 from coarsebell.leggett_garg import (
     OMEGA_MAX,
     OMEGA_MIN,
@@ -24,6 +31,7 @@ from coarsebell.leggett_garg import (
     corr_nonclassical,
     corr_spin_parity,
 )
+from coarsebell.optimize import ChshSettings, LgTimes, maximize
 from coarsebell.photon import PhotonParams, corr_photon_closed
 from coarsebell.sweep import (
     MAX_STEPS,
@@ -239,6 +247,34 @@ def test_models_and_sweep_specs_reject_non_finite_numbers(build, name):
         warnings.simplefilter("error")  # no numpy warning before the error
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             build()
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda: ChshSettings(math.nan, 0.0, 0.0, 0.0), "theta_a"),
+        (lambda: ChshSettings(0.0, math.inf, 0.0, 0.0), "theta_a_prime"),
+        (lambda: LgTimes((math.nan, 0.0, 0.0)), "gaps"),
+        (lambda: LgTimes((0.0, 0.0, math.inf)), "gaps"),
+        (lambda: discrete_gaussian(math.nan, 5), "sigma"),
+        (lambda: discrete_gaussian(math.inf, 5), "sigma"),
+        (lambda: discrimination_error(1, math.nan), "delta"),
+        (lambda: ecs.homodyne_angle_average(math.nan, 0.3), "alpha"),
+        (lambda: ecs.homodyne_angle_average(5.0, math.nan), "Delta"),
+        (lambda: ecs.homodyne_angle_average(5.0, -0.3), "Delta"),
+        (lambda: _spec(steps=2.5), "sweep.steps"),
+        (lambda: maximize(lambda x: 0.0, d=2.5), "d"),
+    ],
+    ids=[
+        "chsh-settings-nan", "chsh-settings-inf", "lg-times-nan", "lg-times-inf",
+        "kernel-nan", "kernel-inf", "discrimination-nan", "homodyne-alpha-nan",
+        "homodyne-Delta-nan", "homodyne-Delta-negative", "sweep-steps-2.5", "maximize-d-2.5",
+    ],
+)
+def test_value_types_and_functions_reject_bad_numbers_by_name(call, name):
+    # a ValueError naming the field, not a silent NaN, a TypeError or exit 3
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call()
 
 
 def numpy_grid(vmin, vmax, steps):
