@@ -133,16 +133,6 @@ def _smeared_sign(m: int, delta: float, k_max: int) -> float:
     return total
 
 
-def _cosine_correlator(floor: float, scale: float) -> Callable[[float, float], float]:
-    """``(theta_a, theta_b) -> floor - scale * cos 2(theta_a + theta_b)``, constants bound once."""
-    cos = math.cos
-
-    def corr(theta_a: float, theta_b: float) -> float:
-        return floor - scale * cos(2.0 * (theta_a + theta_b))
-
-    return corr
-
-
 def fuzzy_detector_correlator(params: GenericParams) -> Callable[[float, float], float]:
     """Two-party correlation with smearing applied at the final detection.
 
@@ -160,7 +150,7 @@ def fuzzy_detector_correlator(params: GenericParams) -> Callable[[float, float],
     up = _smeared_sign(n, delta, k_max)
     down = _smeared_sign(-n, delta, k_max)
     even, odd = 0.5 * (up + down), 0.5 * (up - down)
-    return _cosine_correlator(even * even, odd * odd)
+    return kernels.cosine_correlator(even * even, odd * odd)
 
 
 def corr_fuzzy_detector(theta_a: float, theta_b: float, params: GenericParams) -> float:
@@ -177,7 +167,7 @@ def coarse_reference_correlator(params: GenericParams) -> Callable[[float, float
     Returns ``(theta_a, theta_b) -> -exp(-4 Delta^2) cos 2(theta_a + theta_b)``
     with the damping computed once; note it does not depend on the size ``n``.
     """
-    return _cosine_correlator(0.0, math.exp(-4.0 * params.Delta * params.Delta))
+    return kernels.cosine_correlator(0.0, math.exp(-4.0 * params.Delta * params.Delta))
 
 
 def corr_coarse_reference(theta_a: float, theta_b: float, params: GenericParams) -> float:

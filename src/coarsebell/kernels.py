@@ -1,4 +1,5 @@
-"""The discrete Gaussian smearing kernel, and the finiteness check of value types.
+"""The discrete Gaussian smearing kernel, the finiteness check of value types,
+and the closure of the correlation shape floor - scale cos 2(theta_a + theta_b).
 
 Every coarsening mechanism in this package is a Gaussian average of a sharp
 quantity.  Two kernel flavours appear:
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     import numpy as np
@@ -36,6 +37,16 @@ def require_finite(params) -> None:
         value = getattr(params, f.name)
         if not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
+def cosine_correlator(floor: float, scale: float) -> Callable[[float, float], float]:
+    """``(theta_a, theta_b) -> floor - scale * cos 2(theta_a + theta_b)``, constants bound once."""
+    cos = math.cos
+
+    def corr(theta_a: float, theta_b: float) -> float:
+        return floor - scale * cos(2.0 * (theta_a + theta_b))
+
+    return corr
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ CHSH maximisation runs Nelder-Mead simplex refinement from a fixed lattice
 of starting points spread over one period per coordinate (3 per axis by
 default).
 
-The simplex is an in-house ``_nelder_mead`` over tuples of floats that
+The simplex is an in-house ``_nelder_mead`` over floats that
 replays ``scipy.optimize.minimize(method="Nelder-Mead")`` step for step: the
 same coefficients, initial simplex, stopping test and evaluation caps, and
 the same float expressions, so it evaluates the same points.  The one
@@ -18,9 +18,17 @@ deliberate difference is the tie rule: the simplex is ordered by a stable
 sort, so vertices with equal values keep their order, where scipy's
 ``numpy.argsort`` is unstable and its tie order depends on the numpy build.
 The run is written once, as a source template, and compiled per dimension d
-on first use (as ``collections.namedtuple`` builds its classes): centroid,
-trial points and stopping test become straight-line code over float locals,
-with scipy's operation order, instead of loops over coordinates.
+and form of the objective's value on first use, never at import (as
+``collections.namedtuple`` builds its classes).  The sorted simplex stays in
+float locals from one iteration to the next, and centroid, trial points,
+stopping test and the insertion of an accepted vertex are straight-line
+code with scipy's operation order; only the initial simplex and the rare
+shrink step go through lists.  The run maximises by minimising the negated
+value, which it computes inline: ``maximize`` and ``maximize_lg`` call the
+objective on the point's tuple, and ``maximize_chsh`` sums the four calls of
+the bare correlator in the order of the CHSH objective, so no wrapper frame
+sits between the simplex and the correlator.  Every value the run computes,
+and the re-evaluation at each run's best vertex, counts as one evaluation.
 
 LG maximisation is global.  C has period T, so K depends on the gaps only
 through their residues mod T, and for each total s = g1 + g2 + g3 (mod T)
@@ -39,7 +47,8 @@ results, and every reduction over starts is order-independent because ties
 are broken towards the lexicographically smallest argmax.  A non-finite
 objective value raises ``NonFiniteObjectiveError``, a ``ValueError``.
 
-``starts`` is at most ``MAX_STARTS``; larger counts raise ``ValueError``.
+``starts`` is an integer (not a bool) from 1 to ``MAX_STARTS``; anything
+else raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -48,7 +57,6 @@ import functools
 import itertools
 import linecache
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -72,10 +80,10 @@ __all__ = [
 ]
 
 # Largest multistart count.  A CHSH point makes ~300 objective calls per
-# start, so at this limit one point takes 6-8 s on a 2-vCPU Xeon (generic-ref
-# and generic-delta, `coarsebell point`, whole process); 1e12 starts would
-# run for years, and a count past ~1e308 overflows the lattice's float
-# arithmetic.
+# start, so at this limit one point takes 3.5-5 s on a 2-vCPU Xeon, by its
+# clock level (generic-ref and generic-delta, `coarsebell point`, whole
+# process); 1e12 starts would run for years, and a count past ~1e308
+# overflows the lattice's float arithmetic.
 MAX_STARTS = 10_000
 
 _XATOL = 1e-8
@@ -194,8 +202,9 @@ class NonFiniteObjectiveError(ValueError):
     """An objective or correlator value met during a maximisation is NaN or infinite."""
 
 
-class _OutOfCalls(Exception):
-    """The evaluation budget of one simplex run is spent."""
+def _not_finite(value: float, point: tuple[float, ...]) -> None:
+    """Raise ``NonFiniteObjectiveError`` for the objective's ``value`` at ``point``."""
+    raise NonFiniteObjectiveError(f"objective value is not finite: {value!r} at {point!r}")
 
 
 def _reorder(sim: list, fsim: list) -> None:
@@ -205,195 +214,240 @@ def _reorder(sim: list, fsim: list) -> None:
     fsim[:] = [fsim[i] for i in rank]
 
 
-# One Nelder-Mead run in d dimensions.  ``_compiled_nelder_mead`` fills the
-# fields for one d and compiles the result, so the run's arithmetic is
-# straight-line code over float locals: vertex j of the sorted simplex is
-# s{j}_0 .. s{j}_{d-1} (the worst is j = d), the centroid c0 .. c{d-1}.
-# The evaluation budget is counted inline at each call of f.
+# One Nelder-Mead run in d dimensions, which maximises the objective by
+# minimising its negation as scipy would.  ``_compiled_nelder_mead`` fills the
+# fields for one d and one form of the objective's value and compiles the
+# result.  The sorted simplex lives in float locals from one iteration to the
+# next: vertex j is s{j}_0 .. s{j}_{d-1} with negated value f{j} (the worst
+# is j = d); the centroid is c0 .. c{d-1}, and the trial points xr (reflect),
+# xe (expand), xc (contract) and p (initial or shrunk vertex).  An accepted
+# point y replaces the worst vertex and moves up past every vertex whose
+# value is strictly greater, so ties keep the earlier vertex.  The initial
+# simplex and the rare shrink step are lists, sorted by ``_reorder``; a cap
+# that cuts a shrink leaves the vertex it just moved with its old value, as
+# scipy's run does.  Each call is counted and capped inline, its value made
+# a float, checked and negated.
 _NELDER_MEAD_TEMPLATE = """\
 def nelder_mead(f, x0, maxiter, maxfev):
+    isfinite = math.isfinite
     {x0}, = x0
     sim = [{initial}]
     fsim = [math.inf] * ({d} + 1)
     calls = 0
-    for k, x in enumerate(sim):
+    for j, ({p},) in enumerate(sim):
         if calls >= maxfev:
             break
         calls += 1
-        fsim[k] = f(x)
+        fsim[j] = fp = -float({value_p})
+        if not isfinite(fp):
+            _not_finite(-fp, ({p},))
     _reorder(sim, fsim)
+    {vertices}, = sim
+    {values}, = fsim
     xatol, fatol = _XATOL, _FATOL
 
     iterations = 1
     while calls < maxfev and iterations < maxiter:
-        {vertices}, = sim
-        if fsim[-1] - fsim[0] <= fatol and {close}:
+        if f{d} - f0 <= fatol and {close}:
             break
         {centroid}
-        try:
-            xr = ({reflect},)
+        {reflect}
+        if calls >= maxfev:
+            break
+        calls += 1
+        fxr = -float({value_xr})
+        if not isfinite(fxr):
+            _not_finite(-fxr, ({xr},))
+        if fxr < f0:
+            {expand}
             if calls >= maxfev:
-                raise _OutOfCalls
+                break
             calls += 1
-            fxr = f(xr)
-            if fxr < fsim[0]:
-                xe = ({expand},)
-                if calls >= maxfev:
-                    raise _OutOfCalls
-                calls += 1
-                fxe = f(xe)
-                if fxe < fxr:
-                    x, fx = xe, fxe
-                else:
-                    x, fx = xr, fxr
-            elif fxr < fsim[-2]:
-                x, fx = xr, fxr
-            elif fxr < fsim[-1]:
-                xc = ({contract_out},)
-                if calls >= maxfev:
-                    raise _OutOfCalls
-                calls += 1
-                fxc = f(xc)
-                if fxc <= fxr:
-                    x, fx = xc, fxc
-                else:
-                    x = None
+            fxe = -float({value_xe})
+            if not isfinite(fxe):
+                _not_finite(-fxe, ({xe},))
+            if fxe < fxr:
+                {y_xe}; fy = fxe
             else:
-                xc = ({contract_in},)
-                if calls >= maxfev:
-                    raise _OutOfCalls
-                calls += 1
-                fxc = f(xc)
-                if fxc < fsim[-1]:
-                    x, fx = xc, fxc
-                else:
-                    x = None
-            if x is None:  # shrink towards the best vertex
+                {y_xr}; fy = fxr
+        elif fxr < f{second}:
+            {y_xr}; fy = fxr
+        else:
+            if fxr < f{d}:
+                {contract_out}
+            else:
+                {contract_in}
+            if calls >= maxfev:
+                break
+            calls += 1
+            fxc = -float({value_xc})
+            if not isfinite(fxc):
+                _not_finite(-fxc, ({xc},))
+            if fxc <= fxr if fxr < f{d} else fxc < f{d}:
+                {y_xc}; fy = fxc
+            else:  # shrink towards the best vertex
+                sim = [{vertices}]
+                fsim = [{values}]
                 for j, ({v},) in enumerate(sim[1:], 1):
-                    x = ({shrink},)
-                    sim[j] = x
+                    {shrink}
+                    sim[j] = ({p},)
                     if calls >= maxfev:
-                        raise _OutOfCalls
+                        break
                     calls += 1
-                    fsim[j] = f(x)
+                    fsim[j] = fp = -float({value_p})
+                    if not isfinite(fp):
+                        _not_finite(-fp, ({p},))
                 _reorder(sim, fsim)
-            else:
-                # the stable sort of a sorted simplex whose last vertex changed
-                del sim[-1], fsim[-1]
-                k = bisect_right(fsim, fx)
-                sim.insert(k, x)
-                fsim.insert(k, fx)
-            iterations += 1
-        except _OutOfCalls:
-            _reorder(sim, fsim)
-    return sim[0], calls < maxfev and iterations < maxiter
+                {vertices}, = sim
+                {values}, = fsim
+                iterations += 1
+                continue
+        {insert}
+        iterations += 1
+    return ({s0},), calls < maxfev and iterations < maxiter, calls
 """
 
 
 @functools.cache
-def _compiled_nelder_mead(d: int) -> Callable:
+def _compiled_nelder_mead(d: int, chsh: bool) -> Callable:
     """The Nelder-Mead run of ``_NELDER_MEAD_TEMPLATE`` for dimension ``d``, compiled once.
 
-    Only ``d`` enters the source; each field spells one per-coordinate
-    expression out for k = 0 .. d-1, in the operation order of scipy's
-    array expression.  Built on first use, not at import.  The code's file
-    name is ``<nelder-mead d=...>``, and its source is put in ``linecache``
-    so that tracebacks through it show their lines.
+    Each field spells one per-coordinate expression out for k = 0 .. d-1,
+    in the operation order of scipy's array expression, so the sorted
+    simplex stays in float locals between iterations.  The two forms differ
+    only in the value of a point p.  The point form calls the objective on
+    the point's tuple, ``f((p0, ..., p{d-1},))``.  The CHSH form (``chsh``,
+    d = 4) sums the bare correlator ``f`` as ``_chsh_objective`` does,
+    ``f(p0, p2) + f(p1, p2) + f(p0, p3) - f(p1, p3)``.  One such value is
+    one evaluation, and the run returns their count.  Each (d, form) pair is
+    built on first use; nothing is compiled at import.  The code's file name
+    is ``<nelder-mead d=...>`` (``<nelder-mead d=4 chsh>``), and its source
+    is put in ``linecache`` so that tracebacks through it show their lines.
     """
 
-    def each(pattern: str) -> str:
-        return ", ".join(pattern.format(k=k, d=d) for k in range(d))
+    def each(pattern: str, sep: str = ", ", j: int = 0) -> str:  # j: a vertex, i = j + 1
+        return sep.join(pattern.format(k=k, d=d, j=j, i=j + 1) for k in range(d))
 
-    def vertex(j: int) -> str:
-        return "(" + each(f"s{j}_{{k}}") + ",)"
+    def value(x: str) -> str:
+        if chsh:
+            return "f({x}0, {x}2) + f({x}1, {x}2) + f({x}0, {x}3) - f({x}1, {x}3)".format(x=x)
+        return "f((" + each(x + "{k}") + ",))"
 
     def start(j: int) -> str:  # x0, with coordinate j scaled when j < d
-        return "(" + ", ".join(
-            f"(1 + 0.05) * x0_{k} if x0_{k} != 0 else 0.00025" if k == j else f"x0_{k}"
-            for k in range(d)
-        ) + ",)"
+        scaled = "(1 + 0.05) * x0_{k} if x0_{k} != 0 else 0.00025"
+        return "(" + ", ".join((scaled if k == j else "x0_{k}").format(k=k) for k in range(d)) + ",)"
 
     def vertex_sum(k: int) -> str:  # summed vertex by vertex, as numpy reduces axis 0
-        total = f"s0_{k}"
+        total = "s0_{k}"
         for j in range(1, d):
-            total = f"({total} + s{j}_{k})"
-        return total
+            total = "(" + total + " + s{}_{{k}})".format(j)
+        return total.format(k=k)
+
+    # the accepted point y moves up past vertex j = d-1 .. 0 while fy < f{j}
+    insert = ["    " * d + each("s0_{k} = y{k}", "; ") + "; f0 = fy"]
+    for j in range(d):  # from the innermost branch out
+        pad = "    " * (d - 1 - j)
+        shift = each("s{i}_{k} = s{j}_{k}", "; ", j) + "; f{} = f{}".format(j + 1, j)
+        put = each("s{i}_{k} = y{k}", "; ", j) + "; f{} = fy".format(j + 1)
+        insert = [pad + "if fy < f{}:".format(j), pad + "    " + shift, *insert]
+        insert += [pad + "else:", pad + "    " + put]
 
     source = _NELDER_MEAD_TEMPLATE.format(
         d=d,
+        second=d - 1,
         x0=each("x0_{k}"),
-        initial=", ".join(start(j) for j in [d, *range(d)]),
-        vertices=", ".join(vertex(j) for j in range(d + 1)),
-        close=" and ".join(
-            f"abs(s{j}_{k} - s0_{k}) <= xatol" for j in range(1, d + 1) for k in range(d)
-        ),
-        centroid="; ".join(f"c{k} = {vertex_sum(k)} / {d}" for k in range(d)),
-        reflect=each("2 * c{k} - s{d}_{k}"),
-        expand=each("3 * c{k} - 2 * s{d}_{k}"),
-        contract_out=each("1.5 * c{k} - 0.5 * s{d}_{k}"),
-        contract_in=each("0.5 * c{k} + 0.5 * s{d}_{k}"),
+        s0=each("s0_{k}"),
+        p=each("p{k}"),
         v=each("v{k}"),
-        shrink=each("s0_{k} + 0.5 * (v{k} - s0_{k})"),
+        xr=each("xr{k}"),
+        xe=each("xe{k}"),
+        xc=each("xc{k}"),
+        initial=", ".join(start(j) for j in [d, *range(d)]),
+        vertices=", ".join("(" + each("s{j}_{k}", j=j) + ",)" for j in range(d + 1)),
+        values=", ".join("f" + str(j) for j in range(d + 1)),
+        close=" and ".join(each("abs(s{i}_{k} - s0_{k}) <= xatol", " and ", j) for j in range(d)),
+        centroid="; ".join("c{} = {} / {}".format(k, vertex_sum(k), d) for k in range(d)),
+        reflect=each("xr{k} = 2 * c{k} - s{d}_{k}", "; "),
+        expand=each("xe{k} = 3 * c{k} - 2 * s{d}_{k}", "; "),
+        contract_out=each("xc{k} = 1.5 * c{k} - 0.5 * s{d}_{k}", "; "),
+        contract_in=each("xc{k} = 0.5 * c{k} + 0.5 * s{d}_{k}", "; "),
+        shrink=each("p{k} = s0_{k} + 0.5 * (v{k} - s0_{k})", "; "),
+        y_xr=each("y{k} = xr{k}", "; "),
+        y_xe=each("y{k} = xe{k}", "; "),
+        y_xc=each("y{k} = xc{k}", "; "),
+        value_p=value("p"),
+        value_xr=value("xr"),
+        value_xe=value("xe"),
+        value_xc=value("xc"),
+        insert=("\n" + " " * 8).join(insert),
     )
-    filename = f"<nelder-mead d={d}>"
+    filename = "<nelder-mead d={}{}>".format(d, " chsh" if chsh else "")
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace: dict = {}
     exec(compile(source, filename, "exec"), globals(), namespace)
     return namespace["nelder_mead"]
 
 
-def _nelder_mead(f, x0, maxiter: int, maxfev: int) -> tuple[tuple[float, ...], bool]:
-    """Minimise ``f`` from ``x0`` as scipy's Nelder-Mead does, on tuples of floats.
+def _nelder_mead(
+    f, x0, maxiter: int, maxfev: int, chsh: bool = False
+) -> tuple[tuple[float, ...], bool, int]:
+    """Maximise an objective from ``x0`` by scipy's Nelder-Mead on its negation.
 
     Reflection 1, expansion 2, contraction 1/2, shrink 1/2; the initial
     simplex scales coordinate k of ``x0`` by 1.05 (sets it to 0.00025 when it
     is zero); the run stops once every vertex lies within ``_XATOL`` of the
     best and every value within ``_FATOL`` of the best value, after
     ``maxiter`` iterations, or when ``maxfev`` calls are spent, which may cut
-    a step short.  Ties in the ordering keep the earlier vertex.  ``f`` gets
-    each point as a tuple.  Returns the best vertex and whether neither cap
-    was reached.
+    a step short.  Ties in the ordering keep the earlier vertex.  ``f`` is
+    the objective, which gets each point as a tuple of floats, or with
+    ``chsh`` the two-angle correlator whose CHSH sum is the objective.  Each
+    value is made a float; a non-finite one raises
+    ``NonFiniteObjectiveError``.  Returns the best vertex, whether neither
+    cap was reached, and the number of evaluations (calls of the objective,
+    or of the CHSH sum).
 
-    The run is ``_compiled_nelder_mead(len(x0))``: one template compiled per
-    dimension into straight-line code, with the same float expressions,
-    operation order and calls as scipy's run.
+    The run is ``_compiled_nelder_mead(len(x0), chsh)``: one template
+    compiled per dimension and form into straight-line code, with the same
+    float expressions, operation order and calls as scipy's run.
     """
-    return _compiled_nelder_mead(len(x0))(f, x0, maxiter, maxfev)
+    return _compiled_nelder_mead(len(x0), chsh)(f, x0, maxiter, maxfev)
 
 
 class _Polish:
-    """Counts objective calls, rejects non-finite values, refines with Nelder-Mead."""
+    """Nelder-Mead refinement of one objective over a box of edge ``period``.
 
-    def __init__(self, objective: Callable[[tuple[float, ...]], float], d: int, period: float):
+    The runs evaluate ``objective``, or with ``corr`` its CHSH form (see
+    ``_compiled_nelder_mead``); the refined point is re-evaluated through
+    ``objective``, and that call counts as an evaluation too.
+    """
+
+    def __init__(
+        self, objective: Callable[[tuple[float, ...]], float], d: int, period: float, corr=None
+    ):
         self.objective = objective
         self.d = d
         self.period = period
-        self.count = 0
+        self.f, self.chsh = (objective, False) if corr is None else (corr, True)
 
-    def refine(self, x0: tuple[float, ...]) -> tuple[float, tuple[float, ...], bool]:
-        objective, isfinite = self.objective, math.isfinite
-
-        # one frame per simplex call (~6k calls per CHSH start)
-        def negated(x: tuple[float, ...]) -> float:
-            self.count += 1
-            value = float(objective(x))
-            if not isfinite(value):
-                raise NonFiniteObjectiveError(f"objective value is not finite: {value!r} at {x!r}")
-            return -value
-
+    def refine(self, x0: tuple[float, ...]) -> tuple[float, tuple[float, ...], bool, int]:
+        """Value, reduced point, convergence flag and evaluations of one run from ``x0``."""
         d = self.d
-        x, ok = _nelder_mead(negated, x0, maxiter=4000 * d, maxfev=8000 * d)
+        x, ok, calls = _nelder_mead(self.f, x0, 4000 * d, 8000 * d, self.chsh)
         point = tuple(v % self.period for v in x)
-        return -negated(point), point, ok
+        value = float(self.objective(point))
+        if not math.isfinite(value):
+            _not_finite(value, point)
+        return value, point, ok, calls + 1
 
-    def best(self, starts) -> tuple[float, tuple[float, ...], bool]:
+    def best(self, starts) -> tuple[float, tuple[float, ...], bool, int]:
         """Refine from every start and keep the best result (see ``_better``)."""
-        best_value, best_point, best_ok = -math.inf, None, False
+        best_value, best_point, best_ok, evaluations = -math.inf, None, False, 0
         for x0 in starts:
-            value, point, ok = self.refine(x0)
+            value, point, ok, calls = self.refine(x0)
+            evaluations += calls
             if _better(value, point, best_value, best_point):
                 best_value, best_point, best_ok = value, point, ok
-        return best_value, best_point, best_ok
+        return best_value, best_point, best_ok, evaluations
 
 
 def _better(value: float, point: tuple[float, ...], best_value: float, best_point) -> bool:
@@ -409,6 +463,8 @@ def _bare(correlator) -> Callable[..., float]:
 def _check_search(period: float, starts: int | None) -> None:
     if not (math.isfinite(period) and period > 0.0):
         raise ValueError(f"period must be finite and > 0, got {period}")
+    if starts is not None and (isinstance(starts, bool) or not isinstance(starts, int)):
+        raise ValueError(f"starts must be an integer, got {starts!r}")
     if starts is not None and starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
     if starts is not None and starts > MAX_STARTS:
@@ -434,7 +490,7 @@ def maximize(
     period : float
         Periodicity per coordinate; also the edge length of the start lattice.
     starts : int, optional
-        Requested number of lattice starts, from 1 to ``MAX_STARTS``.
+        Requested number of lattice starts, an integer from 1 to ``MAX_STARTS``.
         Rounded to the nearest perfect d-th power (default ``3**d``);
         cell-midpoint placement avoids the degenerate all-zero corner.
 
@@ -447,32 +503,44 @@ def maximize(
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"d must be an integer >= 1, got {d!r}")
     _check_search(period, starts)
+    return _lattice_maximum(_Polish(objective, d, period), starts)
+
+
+def maximize_chsh(correlator, starts: int | None = None) -> OptimizationResult:
+    """Maximise the CHSH combination of a two-angle correlator (see ``maximize``).
+
+    The simplex runs evaluate the CHSH sum of the bare correlator inline
+    (the CHSH form of ``_compiled_nelder_mead``), with the operation order
+    of ``_chsh_objective``, through which ``value`` is re-evaluated.
+    """
+    period = getattr(correlator, "period", math.pi)
+    _check_search(period, starts)
+    corr = _bare(correlator)
+    return _lattice_maximum(_Polish(_chsh_objective(corr), 4, period, corr), starts)
+
+
+def _lattice_maximum(polish: _Polish, starts: int | None) -> OptimizationResult:
+    """Refine from every cell midpoint of the start lattice, then once more from the winner."""
+    d, period = polish.d, polish.period
     if starts is None:
         starts = 3 ** d
     per_axis = max(1, round(starts ** (1.0 / d)))
 
-    polish = _Polish(objective, d, period)
     axis = [(i + 0.5) * period / per_axis for i in range(per_axis)]
-    best_value, best_point, best_ok = polish.best(itertools.product(axis, repeat=d))
+    best_value, best_point, best_ok, evaluations = polish.best(itertools.product(axis, repeat=d))
 
     # one polishing pass from the winner tightens the last digits
-    value, point, ok = polish.refine(best_point)
+    value, point, ok, calls = polish.refine(best_point)
     if _better(value, point, best_value, best_point):
         best_value, best_point, best_ok = value, point, ok and best_ok
 
     return OptimizationResult(
         value=best_value,
         argmax=best_point,
-        evaluations=polish.count,
+        evaluations=evaluations + calls,
         converged=best_ok,
         starts_used=per_axis ** d,
     )
-
-
-def maximize_chsh(correlator, starts: int | None = None) -> OptimizationResult:
-    """Maximise the CHSH combination of a two-angle correlator."""
-    period = getattr(correlator, "period", math.pi)
-    return maximize(_chsh_objective(_bare(correlator)), d=4, period=period, starts=starts)
 
 
 def _maxplus(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -576,11 +644,11 @@ def maximize_lg(correlator, starts: int | None = None) -> OptimizationResult:
         return tuple(g * period / n for g in (g1, (k - g1) % n, (s - k) % n))
 
     polish = _Polish(_lg_objective(corr), 3, period)
-    value, point, ok = polish.best(grid_gaps(int(s)) for s in peaks)
+    value, point, ok, calls = polish.best(grid_gaps(int(s)) for s in peaks)
     return OptimizationResult(
         value=value,
         argmax=point,
-        evaluations=n + 4 * polish.count,
+        evaluations=n + 4 * calls,
         converged=resolved and ok,
         starts_used=len(peaks),
     )

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .kernels import require_finite
+from .kernels import cosine_correlator, require_finite
 
 __all__ = [
     "PhotonParams",
@@ -70,13 +70,7 @@ def photon_correlator(params: PhotonParams) -> Callable[[float, float], float]:
     """
     miss = (1.0 - params.eta) ** params.n
     damping = math.exp(-4.0 * params.Delta * params.Delta)
-    floor, scale = miss * miss, (1.0 - miss) ** 2 * damping
-    cos = math.cos
-
-    def corr(theta_a: float, theta_b: float) -> float:
-        return floor - scale * cos(2.0 * (theta_a + theta_b))
-
-    return corr
+    return cosine_correlator(miss * miss, (1.0 - miss) ** 2 * damping)
 
 
 def corr_photon_closed(theta_a: float, theta_b: float, params: PhotonParams) -> float:

@@ -19,6 +19,7 @@ from coarsebell.optimize import (
     ChshSettings,
     Correlator,
     MAX_STARTS,
+    NonFiniteObjectiveError,
     OptimizationResult,
     chsh_value,
     maximize,
@@ -273,6 +274,21 @@ def test_start_counts_above_the_limit_are_rejected(call, starts):
         call(starts)
 
 
+@pytest.mark.parametrize("starts", [2.5, 16.0, math.nan, True, False, "16", np.int64(16)])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda starts: maximize(lambda x: 0.0, d=1, starts=starts),
+        lambda starts: maximize_chsh(sharp_correlator(), starts=starts),
+        lambda starts: maximize_lg(lg_correlator(0.5, 0.0), starts=starts),
+    ],
+    ids=["maximize", "chsh", "lg"],
+)
+def test_start_counts_that_are_not_integers_are_rejected(call, starts):
+    with pytest.raises(ValueError, match="starts must be an integer, got "):
+        call(starts)
+
+
 @pytest.mark.parametrize("starts", [0, -2])
 def test_lg_rejects_fewer_than_one_start(starts):
     with pytest.raises(ValueError, match="starts must be >= 1"):
@@ -303,6 +319,41 @@ def test_lg_correlator_without_finite_bandwidth_stops_at_the_grid_cap():
 def test_non_finite_objective_values_raise_a_value_error(call):
     with pytest.raises(ValueError, match=r"not finite: (nan|inf|-inf)"):
         call()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_an_objective_that_turns_non_finite_mid_run_is_named_unnegated(bad):
+    # the first 40 values are finite (5 make the first initial simplex); the
+    # simplex minimises the negation, but the error names the objective's
+    # own value at the point
+    objective = chsh_sum(sharp_correlator().fn)
+    points = []
+
+    def turning(x):
+        points.append(x)
+        return bad if len(points) == 41 else objective(x)
+
+    with pytest.raises(NonFiniteObjectiveError) as excinfo:
+        maximize(turning, d=4)
+    assert len(points) == 41
+    assert str(excinfo.value) == f"objective value is not finite: {bad!r} at {points[-1]!r}"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_correlator_that_turns_non_finite_mid_run_is_named_unnegated(bad):
+    # the same in the CHSH form: call 161 is E(a, b) of the 41st point
+    corr = sharp_correlator().fn
+    calls = []
+
+    def turning(a, b):
+        calls.append((a, b))
+        return bad if len(calls) == 161 else corr(a, b)
+
+    with pytest.raises(NonFiniteObjectiveError) as excinfo:
+        maximize_chsh(turning)
+    assert len(calls) == 164
+    (a, b), (ap, _), (_, bp), _ = calls[160:]
+    assert str(excinfo.value) == f"objective value is not finite: {bad!r} at {(a, ap, b, bp)!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +390,18 @@ def test_every_chsh_row_gets_the_four_call_objective(monkeypatch):
 # The in-house simplex against scipy's Nelder-Mead, the oracle
 
 
-def scipy_nelder_mead(f, x0, maxiter, maxfev, monkeypatch):
-    """Points scipy's Nelder-Mead evaluates, its x and its success flag.
+def chsh_sum(corr):
+    """The CHSH objective of a two-angle correlator, written out here."""
+
+    def objective(x):
+        a, ap, b, bp = x
+        return corr(a, b) + corr(ap, b) + corr(a, bp) - corr(ap, bp)
+
+    return objective
+
+
+def scipy_nelder_mead(objective, x0, maxiter, maxfev, monkeypatch):
+    """Points scipy's Nelder-Mead evaluates minimising -objective, its x and its success flag.
 
     ``numpy.argsort`` is made stable for the run: scipy's default sort is
     unstable, and its order of tied values depends on the numpy build.
@@ -353,7 +414,7 @@ def scipy_nelder_mead(f, x0, maxiter, maxfev, monkeypatch):
     def recorded(x):
         point = tuple(x.tolist())
         calls.append(point)
-        return f(point)
+        return -objective(point)
 
     with monkeypatch.context() as patch:
         patch.setattr(np, "argsort", lambda a: argsort(a, kind="stable"))
@@ -366,16 +427,28 @@ def scipy_nelder_mead(f, x0, maxiter, maxfev, monkeypatch):
     return calls, tuple(res.x.tolist()), bool(res.success)
 
 
-def own_nelder_mead(f, x0, maxiter, maxfev):
+def own_nelder_mead(f, x0, maxiter, maxfev, chsh=False):
+    """Points the in-house run evaluates, its x and its success flag.
+
+    ``f`` is the objective, or with ``chsh`` the correlator of the CHSH
+    form, whose four calls per point give the point back.  The run's
+    evaluation count must match the points recorded.
+    """
     calls = []
 
-    def recorded(point):
-        assert type(point) is tuple and all(type(v) is float for v in point)
-        calls.append(point)
-        return f(point)
+    def recorded(*args):
+        calls.append(args)
+        return f(*args)
 
-    x, ok = optimize._nelder_mead(recorded, x0, maxiter=maxiter, maxfev=maxfev)
-    return calls, x, ok
+    x, ok, evaluations = optimize._nelder_mead(recorded, x0, maxiter, maxfev, chsh)
+    if chsh:  # the calls are E(a, b), E(a', b), E(a, b'), E(a', b')
+        points = [(a, ap, b, bp) for (a, b), (ap, _), (_, bp), _ in zip(*[iter(calls)] * 4)]
+        assert calls == [pair for a, ap, b, bp in points for pair in ((a, b), (ap, b), (a, bp), (ap, bp))]
+    else:
+        points = [point for point, in calls]
+    assert all(type(p) is tuple and all(type(v) is float for v in p) for p in points)
+    assert evaluations == len(points)
+    return points, x, ok
 
 
 def bits(points):
@@ -383,45 +456,48 @@ def bits(points):
     return [tuple(v.hex() for v in p) for p in points]
 
 
-def assert_same_run(f, x0, monkeypatch, maxiter, maxfev):
-    want_calls, want_x, want_ok = scipy_nelder_mead(f, x0, maxiter, maxfev, monkeypatch)
-    got_calls, got_x, got_ok = own_nelder_mead(f, x0, maxiter, maxfev)
+def assert_same_run(f, x0, monkeypatch, maxiter, maxfev, chsh=False):
+    objective = chsh_sum(f) if chsh else f
+    want_calls, want_x, want_ok = scipy_nelder_mead(objective, x0, maxiter, maxfev, monkeypatch)
+    got_calls, got_x, got_ok = own_nelder_mead(f, x0, maxiter, maxfev, chsh)
     assert bits(got_calls) == bits(want_calls)
     assert bits([got_x]) == bits([want_x])
     assert got_ok == want_ok
 
 
-def negated_chsh(system: str, params: dict):
+def chsh_correlator(system: str, params: dict):
+    """The bare correlator of a CHSH sweep point."""
     sysdef = sweep.SYSTEMS[system]
     merged = sweep._validate_params(system, {k: v for k, v in params.items() if k != sysdef.variable})
-    corr = sweep._correlator(sysdef, merged, params.get(sysdef.variable, sysdef.variable_default))
-
-    def f(x):
-        a, ap, b, bp = x
-        return -(corr(a, b) + corr(ap, b) + corr(a, bp) - corr(ap, bp))
-
-    return f
+    return sweep._correlator(sysdef, merged, params.get(sysdef.variable, sysdef.variable_default)).fn
 
 
 CHSH_CASES = {
     "generic-ref": {"n": 2, "V": 0.3},
     "generic-delta": {"n": 2, "V": 0.7},
     "ecs-eta": {"alpha": 3.0, "eta": 0.8},
+    "ecs-ref": {"alpha": 5.0, "V": 0.2},
+    "ecs-homodyne": {"alpha": 5.0, "V": 0.3},
     "photon": {"n": 2, "eta": 0.9, "V": 0.2},
 }
+LATTICE = list(itertools.product([(i + 0.5) * math.pi / 3 for i in range(3)], repeat=4))
+CHSH_ROWS = sorted(name for name, sysdef in sweep.SYSTEMS.items() if sysdef.kind == "chsh")
 
 
-@pytest.mark.parametrize("system", sorted(CHSH_CASES))
+@pytest.mark.parametrize("system", CHSH_ROWS)
 def test_simplex_replays_scipy_from_every_chsh_lattice_start(system, monkeypatch):
-    f = negated_chsh(system, CHSH_CASES[system])
-    axis = [(i + 0.5) * math.pi / 3 for i in range(3)]
-    for x0 in itertools.product(axis, repeat=4):
-        assert_same_run(f, x0, monkeypatch, maxiter=4000 * 4, maxfev=8000 * 4)
+    corr = chsh_correlator(system, CHSH_CASES[system])
+    for x0 in LATTICE:
+        assert_same_run(corr, x0, monkeypatch, maxiter=4000 * 4, maxfev=8000 * 4, chsh=True)
 
 
 @pytest.mark.parametrize("x0", [(0.3,), (0.0,), (-2.0,)])
 def test_simplex_replays_scipy_in_one_dimension(x0, monkeypatch):
-    assert_same_run(lambda x: -math.sin(2.0 * x[0]), x0, monkeypatch, maxiter=4000, maxfev=8000)
+    assert_same_run(lambda x: math.sin(2.0 * x[0]), x0, monkeypatch, maxiter=4000, maxfev=8000)
+
+
+# The cap tests run both forms: f gets the point's tuple, or the CHSH form
+# calls the correlator.
 
 
 @pytest.mark.parametrize("maxfev", [3, 5, 6, 7, 11, 16, 19, 23])
@@ -430,38 +506,40 @@ def test_simplex_stops_where_scipy_does_on_the_evaluation_cap(maxfev, monkeypatc
     # initial simplex (3), a reflection (5 on), an expansion after its
     # reflection (6 on), an inside contraction (16, 23), a reflection after
     # one (19, 23), an outside contraction (23)
-    f = negated_chsh("generic-delta", CHSH_CASES["generic-delta"])
-    axis = [(i + 0.5) * math.pi / 3 for i in range(3)]
-    for x0 in itertools.islice(itertools.product(axis, repeat=4), 0, 81, 8):
-        assert_same_run(f, x0, monkeypatch, maxiter=16000, maxfev=maxfev)
-    assert not own_nelder_mead(f, (0.5, 0.5, 0.5, 0.5), 16000, maxfev)[2]
+    corr = chsh_correlator("generic-delta", CHSH_CASES["generic-delta"])
+    for f, chsh in [(chsh_sum(corr), False), (corr, True)]:
+        for x0 in LATTICE[::8]:
+            assert_same_run(f, x0, monkeypatch, maxiter=16000, maxfev=maxfev, chsh=chsh)
+        assert not own_nelder_mead(f, (0.5, 0.5, 0.5, 0.5), 16000, maxfev, chsh)[2]
 
 
 def test_simplex_stops_where_scipy_does_inside_a_shrink(monkeypatch):
     # from the first lattice start, the 18th ecs-eta call is the first
     # vertex of a shrink, so a cap of 18 stops the shrink after one vertex
-    f = negated_chsh("ecs-eta", CHSH_CASES["ecs-eta"])
-    assert_same_run(f, (math.pi / 6,) * 4, monkeypatch, maxiter=16000, maxfev=18)
+    corr = chsh_correlator("ecs-eta", CHSH_CASES["ecs-eta"])
+    for f, chsh in [(chsh_sum(corr), False), (corr, True)]:
+        assert_same_run(f, LATTICE[0], monkeypatch, maxiter=16000, maxfev=18, chsh=chsh)
 
 
 @pytest.mark.parametrize("maxiter", [1, 2, 9])
 def test_simplex_stops_where_scipy_does_on_the_iteration_cap(maxiter, monkeypatch):
-    f = negated_chsh("generic-ref", CHSH_CASES["generic-ref"])
-    assert_same_run(f, (0.5, 1.5, 2.5, 0.5), monkeypatch, maxiter=maxiter, maxfev=32000)
-    assert not own_nelder_mead(f, (0.5, 1.5, 2.5, 0.5), maxiter, 32000)[2]
+    corr = chsh_correlator("generic-ref", CHSH_CASES["generic-ref"])
+    for f, chsh in [(chsh_sum(corr), False), (corr, True)]:
+        assert_same_run(f, (0.5, 1.5, 2.5, 0.5), monkeypatch, maxiter=maxiter, maxfev=32000, chsh=chsh)
+        assert not own_nelder_mead(f, (0.5, 1.5, 2.5, 0.5), maxiter, 32000, chsh)[2]
 
 
 def lg_polish_starts(system: str, params: dict):
-    """The negated four-time objective of a sweep point and ``maximize_lg``'s grid triples."""
+    """The four-time objective of a sweep point and ``maximize_lg``'s grid triples."""
     sysdef = sweep.SYSTEMS[system]
     merged = sweep._validate_params(system, {k: v for k, v in params.items() if k != sysdef.variable})
     corr = sweep._correlator(sysdef, merged, params[sysdef.variable])
     starts = []
     run = optimize._nelder_mead
 
-    def recorded(f, x0, maxiter, maxfev):
+    def recorded(f, x0, *caps_and_form):
         starts.append(x0)
-        return run(f, x0, maxiter, maxfev)
+        return run(f, x0, *caps_and_form)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(optimize, "_nelder_mead", recorded)
@@ -469,7 +547,7 @@ def lg_polish_starts(system: str, params: dict):
 
     def f(x):
         g1, g2, g3 = x
-        return -float(corr(g1) + corr(g2) + corr(g3) - corr(g1 + g2 + g3))
+        return float(corr(g1) + corr(g2) + corr(g3) - corr(g1 + g2 + g3))
 
     return f, starts
 
@@ -486,7 +564,7 @@ def test_simplex_replays_scipy_from_the_lg_polish_starts(params, maxfev, monkeyp
 @pytest.mark.parametrize("x0", [(0.3, 1.2), (0.0, 2.0), (-1.0, 0.0)])
 def test_simplex_replays_scipy_in_two_dimensions(x0, monkeypatch):
     def f(x):
-        return -math.sin(x[0]) * math.cos(2.0 * x[1]) + 0.3 * math.cos(x[0] - x[1])
+        return math.sin(x[0]) * math.cos(2.0 * x[1]) - 0.3 * math.cos(x[0] - x[1])
 
     assert_same_run(f, x0, monkeypatch, maxiter=4000 * 2, maxfev=8000 * 2)
 
@@ -529,7 +607,7 @@ def test_one_compiled_run_serves_each_dimension():
         optimize._nelder_mead(f, x0, maxiter=50, maxfev=100)
     codes = list(dict.fromkeys(frames))
     assert [code.co_filename for code in codes] == ["<nelder-mead d=3>", "<nelder-mead d=2>"]
-    assert codes[0] is optimize._compiled_nelder_mead(3).__code__
+    assert codes[0] is optimize._compiled_nelder_mead(3, False).__code__
 
 
 def test_an_objective_error_names_the_compiled_frame():
@@ -540,13 +618,13 @@ def test_an_objective_error_names_the_compiled_frame():
         optimize._nelder_mead(f, (0.5, 1.0), maxiter=50, maxfev=100)
     text = "".join(traceback.format_exception(excinfo.value))
     assert 'File "<nelder-mead d=2>", line ' in text
-    assert "fsim[k] = f(x)" in text  # the source line, from linecache
+    assert "fsim[j] = fp = -float(f((p0, p1,)))" in text  # the source line, from linecache
 
 
 def test_simplex_ties_keep_the_earlier_vertex():
     # a constant objective ties every vertex: the stable order keeps x0 best,
     # and the run converges once shrinks bring every vertex within xatol
-    x, ok = optimize._nelder_mead(lambda p: 1.0, (0.4, 0.7), maxiter=8000, maxfev=16000)
+    x, ok, _ = optimize._nelder_mead(lambda p: 1.0, (0.4, 0.7), maxiter=8000, maxfev=16000)
     assert x == (0.4, 0.7)
     assert ok
 
