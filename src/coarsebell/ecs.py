@@ -24,8 +24,10 @@ adaptive Gauss-Kronrod (7/15) quadrature with breakpoints at the erf steps,
 so this module needs no scipy.
 
 Each ``ecs_*_correlator(params)`` computes its amplitude, the quadrature
-included, once and returns ``(theta_a, theta_b) -> E``; sweeps bind one per
-point, and the ``corr_ecs_*`` functions are one-call conveniences.
+included, once and returns ``(theta_a, theta_b) -> E`` as a
+``kernels.CosineDifference``, whose CHSH maximum 2 sqrt(2) A
+``optimize.maximize_chsh`` takes in closed form, with no search; sweeps bind
+one per point, and the ``corr_ecs_*`` functions are one-call conveniences.
 
 ``oracles.oracle_ecs_quadrature`` rebuilds the efficiency-free correlation
 from first principles - coherent-state position wavefunctions,
@@ -43,7 +45,7 @@ from functools import lru_cache
 from math import erf
 from typing import Callable
 
-from .kernels import require_finite
+from .kernels import CosineDifference, require_finite
 
 __all__ = [
     "EcsParams",
@@ -88,17 +90,7 @@ def _overlap_denominator(alpha: float) -> float:
     return 1.0 + math.exp(-4.0 * alpha * alpha)
 
 
-def _separable(amp: float) -> Callable[[float, float], float]:
-    """``(theta_a, theta_b) -> amp * cos 2(theta_a - theta_b)``, shared by all three variants."""
-    cos = math.cos
-
-    def corr(theta_a: float, theta_b: float) -> float:
-        return amp * cos(2.0 * (theta_a - theta_b))
-
-    return corr
-
-
-def ecs_efficiency_correlator(params: EcsParams) -> Callable[[float, float], float]:
+def ecs_efficiency_correlator(params: EcsParams) -> CosineDifference:
     """Correlation with detector efficiency ``eta`` (sharp references).
 
     Amplitude ``erf(sqrt(2 eta) alpha)^2 / (1 + e^{-4 alpha^2})``; increasing
@@ -106,10 +98,10 @@ def ecs_efficiency_correlator(params: EcsParams) -> Callable[[float, float], flo
     compensated by amplitude.
     """
     e = erf(math.sqrt(2.0 * params.eta) * params.alpha)
-    return _separable(e * e / _overlap_denominator(params.alpha))
+    return CosineDifference(e * e / _overlap_denominator(params.alpha))
 
 
-def ecs_reference_correlator(params: EcsParams) -> Callable[[float, float], float]:
+def ecs_reference_correlator(params: EcsParams) -> CosineDifference:
     """Correlation with Gaussian-smeared rotation references (unit efficiency).
 
     The smearing multiplies the sharp amplitude by ``e^{-4 Delta^2}``,
@@ -117,10 +109,10 @@ def ecs_reference_correlator(params: EcsParams) -> Callable[[float, float], floa
     """
     e = erf(_SQRT_2 * params.alpha)
     damping = math.exp(-4.0 * params.Delta * params.Delta)
-    return _separable(damping * e * e / _overlap_denominator(params.alpha))
+    return CosineDifference(damping * e * e / _overlap_denominator(params.alpha))
 
 
-def ecs_homodyne_correlator(params: EcsParams) -> Callable[[float, float], float]:
+def ecs_homodyne_correlator(params: EcsParams) -> CosineDifference:
     """Correlation with a Gaussian-smeared homodyne measurement angle.
 
     Amplitude ``I(alpha, Delta)^2 / (1 + e^{-4 alpha^2})``, with the average
@@ -128,7 +120,7 @@ def ecs_homodyne_correlator(params: EcsParams) -> Callable[[float, float], float
     cannot be compensated by increasing ``alpha``.
     """
     i_val = homodyne_angle_average(params.alpha, params.Delta)
-    return _separable(i_val * i_val / _overlap_denominator(params.alpha))
+    return CosineDifference(i_val * i_val / _overlap_denominator(params.alpha))
 
 
 def corr_ecs_efficiency(theta_a: float, theta_b: float, params: EcsParams) -> float:

@@ -6,9 +6,13 @@ or time gaps:
     CHSH:  B = E(a, b) + E(a', b) + E(a, b') - E(a', b')      (4 angles)
     LG:    K = C(g1) + C(g2) + C(g3) - C(g1 + g2 + g3)        (3 gaps)
 
-CHSH maximisation runs Nelder-Mead simplex refinement from a fixed lattice
-of starting points spread over one period per coordinate (3 per axis by
-default).
+CHSH maximisation of a ``kernels.CosineDifference``, E = A cos 2(a - b)
+with A >= 0 (the three ECS systems), is exact and needs no search: the signed
+sum of four cosines is at most 2 sqrt(2) (Tsirelson's bound), attained at
+(a, a', b, b') = (0, pi/4, pi/8, 7 pi/8), one point of a continuum of
+maximisers.  Every other correlator runs Nelder-Mead simplex refinement from
+a fixed lattice of starting points spread over one period per coordinate (3
+per axis by default).
 
 The simplex is an in-house ``_nelder_mead`` over floats that
 replays ``scipy.optimize.minimize(method="Nelder-Mead")`` step for step: the
@@ -60,7 +64,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from .kernels import require_finite
+from .kernels import CosineDifference, require_finite
 
 if TYPE_CHECKING:
     import numpy as np
@@ -98,6 +102,9 @@ _LG_POINTS_PER_PERIOD = 16
 _LG_FFT_TOL = 1e-14
 _LG_BLOCK_BYTES = 1 << 20
 _LG_POLISHED = 3
+
+# The CHSH argmax of A cos 2(a - b), A >= 0: each of the four terms is +-A / sqrt(2).
+_COSINE_DIFFERENCE_ARGMAX = (0.0, math.pi / 4, math.pi / 8, 7 * math.pi / 8)
 
 
 @dataclass(frozen=True)
@@ -156,9 +163,10 @@ class OptimizationResult:
     ``value`` is the objective re-evaluated exactly at ``argmax``;
     ``converged`` reports whether the simplex runs that produced the result
     met their tolerances, and for LG points also whether the grid resolved
-    the correlator's bandwidth (a best-so-far point is returned either way).
+    the correlator's bandwidth (a best-so-far point is returned either way);
+    a closed-form CHSH result is exact and always converged.
     ``evaluations`` counts objective calls, or correlator calls for LG
-    points; ``starts_used`` counts the simplex starts.
+    points; ``starts_used`` counts the simplex starts (0 for a closed form).
     """
 
     value: float
@@ -486,7 +494,7 @@ def maximize(
         ``period`` in every coordinate (the argmax is reported reduced into
         ``[0, period)``).  A non-finite value raises ``NonFiniteObjectiveError``.
     d : int
-        Dimension of the search space, an integer >= 1.
+        Dimension of the search space, an integer >= 1 (not a bool).
     period : float
         Periodicity per coordinate; also the edge length of the start lattice.
     starts : int, optional
@@ -500,7 +508,7 @@ def maximize(
         Best value found, its (reduced) argmax, the total number of
         objective evaluations, and a convergence flag.
     """
-    if not isinstance(d, int) or d < 1:
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise ValueError(f"d must be an integer >= 1, got {d!r}")
     _check_search(period, starts)
     return _lattice_maximum(_Polish(objective, d, period), starts)
@@ -509,13 +517,22 @@ def maximize(
 def maximize_chsh(correlator, starts: int | None = None) -> OptimizationResult:
     """Maximise the CHSH combination of a two-angle correlator (see ``maximize``).
 
-    The simplex runs evaluate the CHSH sum of the bare correlator inline
-    (the CHSH form of ``_compiled_nelder_mead``), with the operation order
-    of ``_chsh_objective``, through which ``value`` is re-evaluated.
+    A ``kernels.CosineDifference``, bare or inside a ``Correlator``, takes
+    its closed-form maximum (see the module docstring): ``argmax`` is the
+    fixed ``_COSINE_DIFFERENCE_ARGMAX``, ``value`` the CHSH sum there, one
+    evaluation and no start; ``starts`` is validated but unused.  The check
+    is by exact type, so any other correlator, a subclass or a function of
+    the same shape too, runs the lattice.  Its simplex runs evaluate the CHSH sum of
+    the bare correlator inline (the CHSH form of ``_compiled_nelder_mead``),
+    with the operation order of ``_chsh_objective``, through which ``value``
+    is re-evaluated.
     """
     period = getattr(correlator, "period", math.pi)
     _check_search(period, starts)
     corr = _bare(correlator)
+    if type(corr) is CosineDifference:
+        argmax = _COSINE_DIFFERENCE_ARGMAX
+        return OptimizationResult(_chsh_objective(corr)(argmax), argmax, 1, True, 0)
     return _lattice_maximum(_Polish(_chsh_objective(corr), 4, period, corr), starts)
 
 

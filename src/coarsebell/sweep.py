@@ -44,12 +44,14 @@ lg-nonclassical   V           reference variance      j, omega
 
 Every grid point binds the system's correlator once, through the factory in
 its ``SYSTEMS`` row, and maximises the CHSH (or four-time LG) combination of
-the returned closure.  The factory computes the point's constants (smeared
-signs, dampings, the in-house homodyne quadrature); the optimiser's ~1e5
-calls then run only the closure.  No sweep point imports scipy or runs
-anything of ``oracles``.  Rows are emitted in lexicographic (series,
-sweep_value) order with 12 significant digits.  Both the CSV and the SVG
-renderings are byte-deterministic.
+the returned function.  The factory computes the point's constants (smeared
+signs, dampings, the in-house homodyne quadrature).  The three ECS rows
+return a ``kernels.CosineDifference``, whose CHSH maximum the optimiser
+takes in closed form from four calls; for every other row the optimiser's
+calls (~1e5 for a CHSH point) run only the returned closure.  No sweep point
+imports scipy or runs anything of ``oracles``.  Rows are emitted in
+lexicographic (series, sweep_value) order with 12 significant digits.  Both
+the CSV and the SVG renderings are byte-deterministic.
 """
 
 from __future__ import annotations
@@ -83,8 +85,10 @@ class JobError(ValueError):
     """A job file or parameter set failed validation."""
 
 
-# Largest sweep grid; one point takes tens of milliseconds or more, so this
-# is already hours of work, and the grid itself stays small.
+# Largest sweep grid, per series.  A point on the CHSH lattice or the LG grid
+# takes ~5-50 ms, so this is minutes of work per series; a closed-form ECS
+# point takes ~20 us (ecs-homodyne ~0.5 ms, for its quadrature), so 10000 of
+# them take 0.3-6 s on a 2-vCPU Xeon.  The grid itself stays small.
 MAX_STEPS = 10_000
 
 
@@ -228,7 +232,9 @@ def _correlator(sysdef: _System, fixed: Mapping, value: float) -> Correlator:
 
     The factory runs once per point: it computes the configuration's
     constants (smeared signs, damping, the homodyne quadrature) and returns
-    a fixed-arity closure, which the optimiser calls ~1e5 times.
+    a fixed-arity function: a closure, which the optimiser calls ~1e5 times
+    for a CHSH point, or for the ECS rows a ``kernels.CosineDifference``,
+    which it calls four times.
     """
     mp = sysdef.model_params(fixed, value)
     fn = sysdef.correlator(mp)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from coarsebell.kernels import DiscreteGaussianWeights, discrete_gaussian
+from coarsebell.kernels import CosineDifference, DiscreteGaussianWeights, discrete_gaussian
 from coarsebell.oracles import QuadratureRule, _hermite_rule, gauss_hermite
 
 
@@ -65,6 +65,25 @@ def test_discrete_gaussian_weights_are_read_only():
     w = discrete_gaussian(1.0, 6)
     with pytest.raises(ValueError):
         w.weights[0] = 2.0
+
+
+# ---------------------------------------------------------------------------
+# the form amp cos 2(theta_a - theta_b)
+
+
+def test_cosine_difference_evaluates_its_expression_bit_for_bit():
+    for amp in (0.0, 0.37, 1.0):
+        form = CosineDifference(amp)
+        for a, b in [(0.0, 0.0), (0.3, 2.9), (-1.7, 5.2), (1e6, -3.0)]:
+            assert form(a, b) == amp * math.cos(2.0 * (a - b))
+    with pytest.raises(AttributeError, match="frozen"):
+        form.amp = 0.5
+
+
+@pytest.mark.parametrize("amp", [-1.0, -5e-324, math.nan, math.inf])
+def test_cosine_difference_rejects_a_negative_or_non_finite_amplitude(amp):
+    with pytest.raises(ValueError, match=r"^amp must be finite and >= 0"):
+        CosineDifference(amp)
 
 
 # ---------------------------------------------------------------------------

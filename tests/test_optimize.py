@@ -10,10 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coarsebell.generic import GenericParams, corr_fuzzy_detector
-from coarsebell import optimize, sweep
+from coarsebell import ecs, optimize, sweep
+from coarsebell.kernels import CosineDifference, cosine_correlator
 from coarsebell.leggett_garg import SpinParams, corr_spin_parity
 from coarsebell.optimize import (
     ChshSettings,
@@ -141,6 +142,9 @@ def test_validation_errors():
         maximize(lambda x: 0.0, d=1, period=0.0)
     with pytest.raises(ValueError):
         maximize(lambda x: 0.0, d=1, starts=0)
+    for d in (True, False):
+        with pytest.raises(ValueError, match=rf"^d must be an integer >= 1, got {d}$"):
+            maximize(lambda x: 0.0, d=d)
 
 
 def test_lg_maximum_for_the_two_level_case():
@@ -384,6 +388,56 @@ def test_every_chsh_row_gets_the_four_call_objective(monkeypatch):
         for a, ap, b, bp in [(0.3, 1.1, 2.0, 2.9), (-1.7, 0.0, 0.4, 5.2)]:
             four = corr(a, b) + corr(ap, b) + corr(a, bp) - corr(ap, bp)
             assert objective((a, ap, b, bp)) == four
+
+
+ECS_ROWS = [name for name, sysdef in sweep.SYSTEMS.items() if sysdef.model is ecs.EcsParams]
+
+
+class LookAlike(CosineDifference):
+    """The form's shape and call under another type."""
+
+
+@pytest.mark.parametrize(
+    "corr",
+    [
+        lambda a, b: 0.8 * math.cos(2.0 * (a - b)),
+        cosine_correlator(0.1, 0.8),
+        LookAlike(0.8),
+    ],
+    ids=["lambda", "cosine-correlator", "subclass"],
+)
+def test_the_closed_path_goes_by_type_and_other_callables_run_the_lattice(corr):
+    res = maximize_chsh(corr)
+    assert res.starts_used == 81
+    assert res.evaluations > 1000
+
+
+@settings(max_examples=3, deadline=None)
+@given(
+    alpha=st.one_of(st.sampled_from([1e-300, 1e300]), st.floats(0.05, 20.0)),
+    eta=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    Delta=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+)
+@example(alpha=1e-300, eta=0.0, Delta=0.0)
+@example(alpha=1e300, eta=0.0, Delta=0.0)
+@example(alpha=4.655787503742636, eta=1.8018382886e-314, Delta=0.0)  # subnormal amp
+def test_every_ecs_row_takes_the_closed_chsh_maximum(alpha, eta, Delta):
+    assert len(ECS_ROWS) == 3
+    params = ecs.EcsParams(alpha=alpha, eta=eta, Delta=Delta)
+    for system in ECS_ROWS:
+        sysdef = sweep.SYSTEMS[system]
+        corr = sysdef.correlator(params)
+        assert type(corr) is CosineDifference
+        res = maximize_chsh(Correlator(fn=corr))
+        assert (res.evaluations, res.converged, res.starts_used) == (1, True, 0)
+        lattice = maximize(optimize._chsh_objective(corr), 4)
+        assert res.value == pytest.approx(lattice.value, abs=1e-12)
+        # below the normal floats rounding is absolute, up to a few subnormal steps
+        tsirelson = 2.0 * math.sqrt(2.0) * corr.amp
+        assert res.value <= tsirelson * (1.0 + 1e-15) + 4.0 * math.ulp(0.0)
+        if corr.amp == 0.0:
+            assert sweep._fmt(res.value) == "0"
+        assert repr(maximize_chsh(sysdef.correlator(params))) == repr(res)
 
 
 # ---------------------------------------------------------------------------
