@@ -25,7 +25,6 @@ __all__ = [
     "loss_channel",
     "dichotomic_expectation",
     "corr_photon",
-    "corr_photon_closed",
     "photon_correlator",
     "EcsParams",
     "ConvergenceError",
@@ -70,7 +69,7 @@ from .generic import (  # noqa: E402
     corr_fuzzy_detector,
     discrimination_error,
 )
-from .photon import PhotonParams, corr_photon_closed, photon_correlator  # noqa: E402
+from .photon import PhotonParams, photon_correlator  # noqa: E402
 from .ecs import (  # noqa: E402
     ConvergenceError,
     EcsParams,

@@ -233,6 +233,10 @@ def _adaptive(f: Callable[[float], float], edges: list[float]) -> tuple[float, f
     return math.fsum(piece[3] for piece in heap), -math.fsum(piece[0] for piece in heap)
 
 
+# The cache serves ``corr_ecs_homodyne_angle``, which rebuilds the correlator
+# on every call: a CHSH lattice over it makes ~1e5 lookups.  Sweep points never
+# hit it: each point's width makes its key unique (0 hits in the 27 calls of
+# the shipped jobs).
 @lru_cache(maxsize=1024)
 def homodyne_angle_average(alpha: float, Delta: float) -> float:
     """Gaussian average I(alpha, Delta) of the sharp homodyne sign response.

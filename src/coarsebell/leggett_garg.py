@@ -95,13 +95,19 @@ class SpinParams:
         return np.arange(-self.j, self.j + 0.5)
 
 
+# The cache serves ``corr_spin_parity``, which rebuilds the closure on every
+# call (~2.5k per LG maximisation in the acceptance tests).  Sweep points never
+# hit it: each point's width makes its key unique (0 hits in the 33 calls of
+# the shipped jobs).
 @lru_cache(maxsize=64)
 def _spin_terms(params: SpinParams) -> tuple[np.ndarray, np.ndarray]:
     """Per-sector damping exp(-2 m^2 Delta^2) and angular factor 2 m omega."""
     import numpy as np
 
     m = params.magnetic_numbers()
-    damping, freq = np.exp(-2.0 * (m * params.Delta) ** 2), 2.0 * m * params.omega
+    with np.errstate(over="ignore"):  # a huge width's damping underflows to 0 through inf
+        damping = np.exp(-2.0 * (m * params.Delta) ** 2)
+    freq = 2.0 * m * params.omega
     damping.flags.writeable = False
     freq.flags.writeable = False
     return damping, freq

@@ -21,18 +21,11 @@ the same float expressions, so it evaluates the same points.  The one
 deliberate difference is the tie rule: the simplex is ordered by a stable
 sort, so vertices with equal values keep their order, where scipy's
 ``numpy.argsort`` is unstable and its tie order depends on the numpy build.
-The run is written once, as a source template, and compiled per dimension d
-and form of the objective's value on first use, never at import (as
-``collections.namedtuple`` builds its classes).  The sorted simplex stays in
-float locals from one iteration to the next, and centroid, trial points,
-stopping test and the insertion of an accepted vertex are straight-line
-code with scipy's operation order; only the initial simplex and the rare
-shrink step go through lists.  The run maximises by minimising the negated
-value, which it computes inline: ``maximize`` and ``maximize_lg`` call the
-objective on the point's tuple, and ``maximize_chsh`` sums the four calls of
-the bare correlator in the order of the CHSH objective, so no wrapper frame
-sits between the simplex and the correlator.  Every value the run computes,
-and the re-evaluation at each run's best vertex, counts as one evaluation.
+Each run is straight-line code compiled per dimension from one template
+(``_compiled_nelder_mead``); ``maximize_chsh`` has the CHSH sum of the bare
+correlator compiled in, so no wrapper frame sits between the simplex and
+the correlator.  Every value the run computes, and the re-evaluation at
+each run's best vertex, counts as one evaluation.
 
 LG maximisation is global.  C has period T, so K depends on the gaps only
 through their residues mod T, and for each total s = g1 + g2 + g3 (mod T)
@@ -233,8 +226,8 @@ def _reorder(sim: list, fsim: list) -> None:
 # value is strictly greater, so ties keep the earlier vertex.  The initial
 # simplex and the rare shrink step are lists, sorted by ``_reorder``; a cap
 # that cuts a shrink leaves the vertex it just moved with its old value, as
-# scipy's run does.  Each call is counted and capped inline, its value made
-# a float, checked and negated.
+# scipy's run does.  Each ``evaluate`` field caps and counts one call inline,
+# makes its value a float, negates it and checks that it is finite.
 _NELDER_MEAD_TEMPLATE = """\
 def nelder_mead(f, x0, maxiter, maxfev):
     isfinite = math.isfinite
@@ -243,12 +236,7 @@ def nelder_mead(f, x0, maxiter, maxfev):
     fsim = [math.inf] * ({d} + 1)
     calls = 0
     for j, ({p},) in enumerate(sim):
-        if calls >= maxfev:
-            break
-        calls += 1
-        fsim[j] = fp = -float({value_p})
-        if not isfinite(fp):
-            _not_finite(-fp, ({p},))
+        {evaluate_p}
     _reorder(sim, fsim)
     {vertices}, = sim
     {values}, = fsim
@@ -260,20 +248,10 @@ def nelder_mead(f, x0, maxiter, maxfev):
             break
         {centroid}
         {reflect}
-        if calls >= maxfev:
-            break
-        calls += 1
-        fxr = -float({value_xr})
-        if not isfinite(fxr):
-            _not_finite(-fxr, ({xr},))
+        {evaluate_xr}
         if fxr < f0:
             {expand}
-            if calls >= maxfev:
-                break
-            calls += 1
-            fxe = -float({value_xe})
-            if not isfinite(fxe):
-                _not_finite(-fxe, ({xe},))
+            {evaluate_xe}
             if fxe < fxr:
                 {y_xe}; fy = fxe
             else:
@@ -285,12 +263,7 @@ def nelder_mead(f, x0, maxiter, maxfev):
                 {contract_out}
             else:
                 {contract_in}
-            if calls >= maxfev:
-                break
-            calls += 1
-            fxc = -float({value_xc})
-            if not isfinite(fxc):
-                _not_finite(-fxc, ({xc},))
+            {evaluate_xc}
             if fxc <= fxr if fxr < f{d} else fxc < f{d}:
                 {y_xc}; fy = fxc
             else:  # shrink towards the best vertex
@@ -299,12 +272,7 @@ def nelder_mead(f, x0, maxiter, maxfev):
                 for j, ({v},) in enumerate(sim[1:], 1):
                     {shrink}
                     sim[j] = ({p},)
-                    if calls >= maxfev:
-                        break
-                    calls += 1
-                    fsim[j] = fp = -float({value_p})
-                    if not isfinite(fp):
-                        _not_finite(-fp, ({p},))
+                    {evaluate_shrunk}
                 _reorder(sim, fsim)
                 {vertices}, = sim
                 {values}, = fsim
@@ -321,25 +289,35 @@ def _compiled_nelder_mead(d: int, chsh: bool) -> Callable:
     """The Nelder-Mead run of ``_NELDER_MEAD_TEMPLATE`` for dimension ``d``, compiled once.
 
     Each field spells one per-coordinate expression out for k = 0 .. d-1,
-    in the operation order of scipy's array expression, so the sorted
-    simplex stays in float locals between iterations.  The two forms differ
-    only in the value of a point p.  The point form calls the objective on
-    the point's tuple, ``f((p0, ..., p{d-1},))``.  The CHSH form (``chsh``,
-    d = 4) sums the bare correlator ``f`` as ``_chsh_objective`` does,
-    ``f(p0, p2) + f(p1, p2) + f(p0, p3) - f(p1, p3)``.  One such value is
-    one evaluation, and the run returns their count.  Each (d, form) pair is
-    built on first use; nothing is compiled at import.  The code's file name
-    is ``<nelder-mead d=...>`` (``<nelder-mead d=4 chsh>``), and its source
-    is put in ``linecache`` so that tracebacks through it show their lines.
+    in the operation order of scipy's array expression.  The two forms
+    differ only in ``evaluate``'s value of a point p.  The point form calls
+    the objective on the point's tuple, ``f((p0, ..., p{d-1},))``.  The CHSH
+    form (``chsh``, d = 4) sums the bare correlator ``f`` as
+    ``_chsh_objective`` does, ``f(p0, p2) + f(p1, p2) + f(p0, p3) - f(p1, p3)``.
+    Each (d, form) pair is built on first use, never at import (as
+    ``collections.namedtuple`` builds its classes).  The code's file name is
+    ``<nelder-mead d=...>`` (``<nelder-mead d=4 chsh>``), and its source is
+    put in ``linecache`` so that tracebacks through it show their lines.
     """
 
     def each(pattern: str, sep: str = ", ", j: int = 0) -> str:  # j: a vertex, i = j + 1
         return sep.join(pattern.format(k=k, d=d, j=j, i=j + 1) for k in range(d))
 
-    def value(x: str) -> str:
+    def evaluate(x: str, indent: int, store: str = "") -> str:  # of point x{k}, into f{x}
+        point = each(x + "{k}")
         if chsh:
-            return "f({x}0, {x}2) + f({x}1, {x}2) + f({x}0, {x}3) - f({x}1, {x}3)".format(x=x)
-        return "f((" + each(x + "{k}") + ",))"
+            value = "f({x}0, {x}2) + f({x}1, {x}2) + f({x}0, {x}3) - f({x}1, {x}3)".format(x=x)
+        else:
+            value = "f((" + point + ",))"
+        lines = (
+            "if calls >= maxfev:",
+            "    break",
+            "calls += 1",
+            "{}f{} = -float({})".format(store, x, value),
+            "if not isfinite(f{}):".format(x),
+            "    _not_finite(-f{}, ({},))".format(x, point),
+        )
+        return ("\n" + " " * indent).join(lines)
 
     def start(j: int) -> str:  # x0, with coordinate j scaled when j < d
         scaled = "(1 + 0.05) * x0_{k} if x0_{k} != 0 else 0.00025"
@@ -367,9 +345,6 @@ def _compiled_nelder_mead(d: int, chsh: bool) -> Callable:
         s0=each("s0_{k}"),
         p=each("p{k}"),
         v=each("v{k}"),
-        xr=each("xr{k}"),
-        xe=each("xe{k}"),
-        xc=each("xc{k}"),
         initial=", ".join(start(j) for j in [d, *range(d)]),
         vertices=", ".join("(" + each("s{j}_{k}", j=j) + ",)" for j in range(d + 1)),
         values=", ".join("f" + str(j) for j in range(d + 1)),
@@ -383,10 +358,11 @@ def _compiled_nelder_mead(d: int, chsh: bool) -> Callable:
         y_xr=each("y{k} = xr{k}", "; "),
         y_xe=each("y{k} = xe{k}", "; "),
         y_xc=each("y{k} = xc{k}", "; "),
-        value_p=value("p"),
-        value_xr=value("xr"),
-        value_xe=value("xe"),
-        value_xc=value("xc"),
+        evaluate_p=evaluate("p", 8, "fsim[j] = "),
+        evaluate_xr=evaluate("xr", 8),
+        evaluate_xe=evaluate("xe", 12),
+        evaluate_xc=evaluate("xc", 12),
+        evaluate_shrunk=evaluate("p", 20, "fsim[j] = "),
         insert=("\n" + " " * 8).join(insert),
     )
     filename = "<nelder-mead d={}{}>".format(d, " chsh" if chsh else "")
@@ -413,10 +389,6 @@ def _nelder_mead(
     ``NonFiniteObjectiveError``.  Returns the best vertex, whether neither
     cap was reached, and the number of evaluations (calls of the objective,
     or of the CHSH sum).
-
-    The run is ``_compiled_nelder_mead(len(x0), chsh)``: one template
-    compiled per dimension and form into straight-line code, with the same
-    float expressions, operation order and calls as scipy's run.
     """
     return _compiled_nelder_mead(len(x0), chsh)(f, x0, maxiter, maxfev)
 

@@ -39,7 +39,6 @@ from .kernels import cosine_correlator, require_finite
 
 __all__ = [
     "PhotonParams",
-    "corr_photon_closed",
     "photon_correlator",
 ]
 
@@ -71,8 +70,3 @@ def photon_correlator(params: PhotonParams) -> Callable[[float, float], float]:
     miss = (1.0 - params.eta) ** params.n
     damping = math.exp(-4.0 * params.Delta * params.Delta)
     return cosine_correlator(miss * miss, (1.0 - miss) ** 2 * damping)
-
-
-def corr_photon_closed(theta_a: float, theta_b: float, params: PhotonParams) -> float:
-    """:func:`photon_correlator` of ``params`` at one pair of angles."""
-    return photon_correlator(params)(theta_a, theta_b)

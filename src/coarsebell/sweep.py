@@ -119,7 +119,7 @@ class SweepSpec:
         for key, value in (("sweep.min", self.vmin), ("sweep.max", self.vmax)):
             if not math.isfinite(value):
                 raise JobError(f"{key} must be finite, got {value!r}")
-        if not isinstance(self.steps, int):
+        if isinstance(self.steps, bool) or not isinstance(self.steps, int):
             raise JobError(f"sweep.steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise JobError(f"sweep.steps must be >= 1, got {self.steps}")
@@ -290,7 +290,19 @@ def _sweep_domain_check(sysdef: _System, value: float) -> None:
 # execution
 
 
-def _optimize_correlator(corr: Correlator, starts: int | None) -> OptimizationResult:
+def _optimum(
+    sysdef: _System, fixed: Mapping, value: float, starts: int | None, where: str
+) -> OptimizationResult:
+    """Build one configuration's correlator and maximise its figure of merit.
+
+    Only the build is guarded: its ``ValueError`` becomes a ``JobError``
+    (exit 2) that begins with ``where``, while a ``NonFiniteObjectiveError``
+    from the maximiser, a ``ValueError`` too, propagates (exit 3).
+    """
+    try:
+        corr = _correlator(sysdef, fixed, value)
+    except ValueError as exc:
+        raise JobError(f"{where}{exc}") from exc
     if corr.kind == "lg":
         return maximize_lg(corr, starts=starts)
     return maximize_chsh(corr, starts=starts)
@@ -311,11 +323,8 @@ def run_sweep(spec: SweepSpec, *, starts: int | None = None) -> SweepResult:
     for series in spec.series:
         merged = _validate_params(spec.system, series.params)
         for v in grid:
-            try:
-                corr = _correlator(sysdef, merged, v)
-            except ValueError as exc:
-                raise JobError(f"series {series.label!r} at {spec.variable}={v}: {exc}") from exc
-            res = _optimize_correlator(corr, starts)
+            where = f"series {series.label!r} at {spec.variable}={v}: "
+            res = _optimum(sysdef, merged, v, starts, where)
             rows.append(
                 SweepRow(
                     series=series.label,
@@ -342,12 +351,7 @@ def optimized_point(
     supplied = dict(params)
     value = float(supplied.pop(sysdef.variable, sysdef.variable_default))
     _sweep_domain_check(sysdef, value)
-    merged = _validate_params(system, supplied)
-    try:
-        corr = _correlator(sysdef, merged, value)
-    except ValueError as exc:
-        raise JobError(str(exc)) from exc
-    return _optimize_correlator(corr, starts)
+    return _optimum(sysdef, _validate_params(system, supplied), value, starts, "")
 
 
 # ---------------------------------------------------------------------------
@@ -459,37 +463,46 @@ def emit_csv(result: SweepResult, path: str) -> None:
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _VIEW_W, _VIEW_H = 800, 600
 _PLOT = (70.0, 40.0, 560.0, 540.0)  # left, top, right, bottom
+_BOUND = 2.0  # the classical CHSH and LG bound, drawn as a dashed rule
+_TICK_STYLE = 'stroke="black" stroke-width="1"'
 
 
-def emit_svg(
-    result: SweepResult,
-    path: str,
-    *,
-    title: str | None = None,
-    bound: float = 2.0,
-) -> None:
+def _svg_line(x1: float, y1: float, x2: float, y2: float, style: str = _TICK_STYLE) -> str:
+    return f'<line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}" {style}/>'
+
+
+def _svg_text(
+    x: float | str, y: float | str, size: int, body: str, attrs: str = ' text-anchor="middle"'
+) -> str:
+    """A ``<text>`` element; a coordinate given as a string is written as it is."""
+    x, y = (v if isinstance(v, str) else f"{v:.3f}" for v in (x, y))
+    return (
+        f'<text x="{x}" y="{y}" font-family="sans-serif" font-size="{size}"{attrs}>'
+        f"{_xml_escape(body)}</text>"
+    )
+
+
+def emit_svg(result: SweepResult, path: str, *, title: str | None = None) -> None:
     """Render the sweep as a small self-contained SVG line plot.
 
     One polyline per series, axis ticks, a dashed horizontal rule at the
-    classical bound, and a legend.  All coordinates are emitted with fixed
+    classical bound 2, and a legend.  All coordinates are emitted with fixed
     decimal formatting, so identical results yield identical bytes.
     """
     rows = result.sorted_rows()
     labels = sorted({r.series for r in rows})
     xs = [r.sweep_value for r in rows]
     ys = [r.value for r in rows]
-    if xs:
-        x_lo, x_hi = min(xs), max(xs)
-    else:
-        x_lo, x_hi = 0.0, 1.0
+    x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
     if x_lo == x_hi:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    y_lo = min(ys + [bound]) if ys else min(0.0, bound)
-    y_hi = max(ys + [bound]) if ys else max(1.0, bound)
+    span = ys + [_BOUND] if ys else [0.0, _BOUND]
+    y_lo, y_hi = min(span), max(span)
     pad = 0.05 * (y_hi - y_lo) or 0.5
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
     left, top, right, bottom = _PLOT
+    mid_x, mid_y = (left + right) / 2, (top + bottom) / 2
 
     def px(v: float) -> float:
         return left + (v - x_lo) / (x_hi - x_lo) * (right - left)
@@ -497,18 +510,14 @@ def emit_svg(
     def py(v: float) -> float:
         return bottom - (v - y_lo) / (y_hi - y_lo) * (bottom - top)
 
-    out = []
-    out.append('<?xml version="1.0" encoding="UTF-8"?>')
-    out.append(
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_VIEW_W} {_VIEW_H}" '
-        f'width="{_VIEW_W}" height="{_VIEW_H}">'
-    )
-    out.append(f'<rect x="0" y="0" width="{_VIEW_W}" height="{_VIEW_H}" fill="white"/>')
+        f'width="{_VIEW_W}" height="{_VIEW_H}">',
+        f'<rect x="0" y="0" width="{_VIEW_W}" height="{_VIEW_H}" fill="white"/>',
+    ]
     if title:
-        out.append(
-            f'<text x="{(left + right) / 2:.3f}" y="24" font-family="sans-serif" '
-            f'font-size="16" text-anchor="middle">{_xml_escape(title)}</text>'
-        )
+        out.append(_svg_text(mid_x, "24", 16, title))
     out.append(
         f'<rect x="{left:.3f}" y="{top:.3f}" width="{right - left:.3f}" '
         f'height="{bottom - top:.3f}" fill="none" stroke="black" stroke-width="1"/>'
@@ -518,54 +527,26 @@ def emit_svg(
         frac = i / (n_ticks - 1)
         xv = x_lo + frac * (x_hi - x_lo)
         xp = px(xv)
-        out.append(
-            f'<line x1="{xp:.3f}" y1="{bottom:.3f}" x2="{xp:.3f}" y2="{bottom + 6:.3f}" '
-            'stroke="black" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{xp:.3f}" y="{bottom + 22:.3f}" font-family="sans-serif" '
-            f'font-size="12" text-anchor="middle">{xv:.4g}</text>'
-        )
+        out.append(_svg_line(xp, bottom, xp, bottom + 6))
+        out.append(_svg_text(xp, bottom + 22, 12, f"{xv:.4g}"))
         yv = y_lo + frac * (y_hi - y_lo)
         yp = py(yv)
-        out.append(
-            f'<line x1="{left - 6:.3f}" y1="{yp:.3f}" x2="{left:.3f}" y2="{yp:.3f}" '
-            'stroke="black" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{left - 10:.3f}" y="{yp + 4:.3f}" font-family="sans-serif" '
-            f'font-size="12" text-anchor="end">{yv:.4g}</text>'
-        )
-    out.append(
-        f'<text x="{(left + right) / 2:.3f}" y="{bottom + 45:.3f}" font-family="sans-serif" '
-        f'font-size="14" text-anchor="middle">{_xml_escape(result.spec.variable)}</text>'
-    )
-    out.append(
-        f'<text x="22" y="{(top + bottom) / 2:.3f}" font-family="sans-serif" font-size="14" '
-        f'text-anchor="middle" transform="rotate(-90 22 {(top + bottom) / 2:.3f})">'
-        "optimized value</text>"
-    )
-    bound_y = py(bound)
-    out.append(
-        f'<line x1="{left:.3f}" y1="{bound_y:.3f}" x2="{right:.3f}" y2="{bound_y:.3f}" '
-        'stroke="#555555" stroke-width="1" stroke-dasharray="6,4"/>'
-    )
+        out.append(_svg_line(left - 6, yp, left, yp))
+        out.append(_svg_text(left - 10, yp + 4, 12, f"{yv:.4g}", ' text-anchor="end"'))
+    out.append(_svg_text(mid_x, bottom + 45, 14, result.spec.variable))
+    rotate = f' text-anchor="middle" transform="rotate(-90 22 {mid_y:.3f})"'
+    out.append(_svg_text("22", mid_y, 14, "optimized value", rotate))
+    bound_y = py(_BOUND)
+    dashed = 'stroke="#555555" stroke-width="1" stroke-dasharray="6,4"'
+    out.append(_svg_line(left, bound_y, right, bound_y, dashed))
     for k, label in enumerate(labels):
-        color = _SVG_PALETTE[k % len(_SVG_PALETTE)]
+        stroke = f'stroke="{_SVG_PALETTE[k % len(_SVG_PALETTE)]}" stroke-width="1.5"'
         pts = [(r.sweep_value, r.value) for r in rows if r.series == label]
         coords = " ".join(f"{px(x):.3f},{py(y):.3f}" for x, y in pts)
-        out.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
+        out.append(f'<polyline points="{coords}" fill="none" {stroke}/>')
         ly = top + 16 + 20 * k
-        out.append(
-            f'<line x1="{right + 15:.3f}" y1="{ly:.3f}" x2="{right + 45:.3f}" y2="{ly:.3f}" '
-            f'stroke="{color}" stroke-width="1.5"/>'
-        )
-        out.append(
-            f'<text x="{right + 52:.3f}" y="{ly + 4:.3f}" font-family="sans-serif" '
-            f'font-size="12">{_xml_escape(label)}</text>'
-        )
+        out.append(_svg_line(right + 15, ly, right + 45, ly, stroke))
+        out.append(_svg_text(right + 52, ly + 4, 12, label, ""))
     out.append("</svg>")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(out) + "\n")

@@ -273,6 +273,10 @@ def test_bad_numbers_exit_two_with_a_one_line_error(tmp_path, capsys, argv, job_
         (["point", "generic-delta", "--param", "n=100001"], None, EXIT_VALIDATION, "N_MAX = 100000"),
         (["point", "generic-delta", "--param", "n=1e8"], None, EXIT_VALIDATION, "N_MAX = 100000"),
         (["point", "generic-delta", "--param", "n=100000", "--param", "V=1", "--starts", "1"], None, EXIT_OK, None),
+        pytest.param(  # exp(-2 m^2 V) underflows to 0 through an overflowing square, silently
+            ["point", "lg-spin", "--param", "j=3", "--param", "V=1e308"], None, EXIT_OK, None,
+            marks=pytest.mark.filterwarnings("error::RuntimeWarning"),
+        ),
     ],
 )
 def test_documented_limits_exit_two_and_name_the_limit(tmp_path, capsys, argv, job_text, code, needle):
@@ -293,7 +297,10 @@ def _expected_digests():
     return {name: digest for digest, name in (line.split() for line in lines if line.strip())}
 
 
-@pytest.mark.parametrize("name", ["lg_spin", "lg_nonclassical"])
+# every job fast enough for Tier-1: the two LG jobs and the three closed-form ECS jobs
+@pytest.mark.parametrize(
+    "name", ["lg_spin", "lg_nonclassical", "ecs_efficiency", "ecs_reference", "ecs_homodyne_angle"]
+)
 def test_shipped_lg_jobs_write_their_committed_bytes(tmp_path, name):
     csv_path, svg_path = tmp_path / f"{name}.csv", tmp_path / f"{name}.svg"
     argv = ["sweep", str(JOBS / f"{name}.job"), "--csv", str(csv_path), "--svg", str(svg_path)]

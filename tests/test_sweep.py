@@ -32,7 +32,7 @@ from coarsebell.leggett_garg import (
     corr_spin_parity,
 )
 from coarsebell.optimize import ChshSettings, LgTimes, maximize
-from coarsebell.photon import PhotonParams, corr_photon_closed
+from coarsebell.photon import PhotonParams, photon_correlator
 from coarsebell.sweep import (
     MAX_STEPS,
     SYSTEMS,
@@ -263,12 +263,14 @@ def test_models_and_sweep_specs_reject_non_finite_numbers(build, name):
         (lambda: ecs.homodyne_angle_average(5.0, math.nan), "Delta"),
         (lambda: ecs.homodyne_angle_average(5.0, -0.3), "Delta"),
         (lambda: _spec(steps=2.5), "sweep.steps"),
+        (lambda: _spec(steps=True), "sweep.steps"),
         (lambda: maximize(lambda x: 0.0, d=2.5), "d"),
     ],
     ids=[
         "chsh-settings-nan", "chsh-settings-inf", "lg-times-nan", "lg-times-inf",
         "kernel-nan", "kernel-inf", "discrimination-nan", "homodyne-alpha-nan",
-        "homodyne-Delta-nan", "homodyne-Delta-negative", "sweep-steps-2.5", "maximize-d-2.5",
+        "homodyne-Delta-nan", "homodyne-Delta-negative", "sweep-steps-2.5", "sweep-steps-bool",
+        "maximize-d-2.5",
     ],
 )
 def test_value_types_and_functions_reject_bad_numbers_by_name(call, name):
@@ -446,7 +448,7 @@ TABLE_CASES = [
         {"n": 2, "eta": 0.9},
         0.25,
         PhotonParams(n=2, eta=0.9, Delta=0.5),
-        corr_photon_closed,
+        lambda a, b, p: photon_correlator(p)(a, b),
     ),
 ]
 ANGLE_PAIRS = [(0.0, 0.0), (0.3, 1.1), (2.0, 0.7), (-0.4, 2.9)]
