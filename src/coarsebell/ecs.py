@@ -37,15 +37,14 @@ check on the closed form.
 
 from __future__ import annotations
 
-import heapq
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import erf
 from typing import Callable
 
-from .kernels import CosineDifference, require_finite
+from .kernels import CosineDifference, Validated, require_finite
 
 __all__ = [
     "EcsParams",
@@ -66,22 +65,20 @@ class ConvergenceError(RuntimeError):
     """Raised when the adaptive quadrature cannot certify the target accuracy."""
 
 
-@dataclass(frozen=True)
-class EcsParams:
+class EcsParams(Validated, namedtuple("EcsParams", "alpha eta Delta", defaults=(1.0, 0.0))):
     """Coherent amplitude ``alpha`` plus the coarsening knobs ``eta``/``Delta``."""
 
-    alpha: float
-    eta: float = 1.0
-    Delta: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        require_finite(self)
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if self.Delta < 0.0:
-            raise ValueError(f"Delta must be >= 0, got {self.Delta}")
+    def __new__(cls, alpha: float, eta: float = 1.0, Delta: float = 0.0):
+        require_finite(cls, alpha, eta, Delta)
+        if alpha <= 0.0:
+            raise ValueError(f"alpha must be > 0, got {alpha}")
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"eta must lie in [0, 1], got {eta}")
+        if Delta < 0.0:
+            raise ValueError(f"Delta must be >= 0, got {Delta}")
+        return tuple.__new__(cls, (alpha, eta, Delta))
 
 
 def _overlap_denominator(alpha: float) -> float:
@@ -210,6 +207,8 @@ def _adaptive(f: Callable[[float], float], edges: list[float]) -> tuple[float, f
     max(``_EPSABS``, ``_EPSREL`` |value|) and fewer than ``_QUAD_LIMIT``
     pieces exist, the piece with the largest estimate is halved.
     """
+    import heapq
+
     heap = []
     for a, b in zip(edges, edges[1:]):
         value, err = _kronrod(f, a, b)

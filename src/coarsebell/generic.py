@@ -44,12 +44,12 @@ still tell +n from -n at the single-party level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Callable
 
 from . import kernels
-from .kernels import require_finite
+from .kernels import Validated, as_int, require_finite
 
 __all__ = [
     "GenericParams",
@@ -75,11 +75,14 @@ DELTA_MAX = 1e4
 N_MAX = 100_000
 
 
-def _check_size(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
+def _check_size(n: int) -> int:
+    """``n`` as a built-in int, if it is an integer (not a bool) from 1 to ``N_MAX``."""
+    size = as_int(n)
+    if size is None or size < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if n > N_MAX:
-        raise ValueError(f"n must be <= N_MAX = {N_MAX}, got {n}")
+    if size > N_MAX:
+        raise ValueError(f"n must be <= N_MAX = {N_MAX}, got {size}")
+    return size
 
 
 def _check_delta(delta: float) -> None:
@@ -91,20 +94,18 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must be <= DELTA_MAX = {DELTA_MAX:g}, got {delta}")
 
 
-@dataclass(frozen=True)
-class GenericParams:
+class GenericParams(Validated, namedtuple("GenericParams", "n delta Delta", defaults=(0.0, 0.0))):
     """Model parameters: size ``n``, detector width ``delta``, reference width ``Delta``."""
 
-    n: int
-    delta: float = 0.0
-    Delta: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        require_finite(self)
-        _check_size(self.n)
-        _check_delta(self.delta)
-        if self.Delta < 0.0:
-            raise ValueError(f"Delta must be >= 0, got {self.Delta}")
+    def __new__(cls, n: int, delta: float = 0.0, Delta: float = 0.0):
+        require_finite(cls, n, delta, Delta)
+        n = _check_size(n)
+        _check_delta(delta)
+        if Delta < 0.0:
+            raise ValueError(f"Delta must be >= 0, got {Delta}")
+        return tuple.__new__(cls, (n, delta, Delta))
 
 
 def chi(j: int) -> int:

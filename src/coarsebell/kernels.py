@@ -1,6 +1,11 @@
-"""The discrete Gaussian smearing kernel, the finiteness check of value types,
+"""The discrete Gaussian smearing kernel, the checks shared by the record
+types (finite fields, integer arguments, a ``_replace`` that re-validates),
 the closure of the correlation shape floor - scale cos 2(theta_a + theta_b),
 and the form ``CosineDifference`` of the shape amp cos 2(theta_a - theta_b).
+
+Every record of the package is a named tuple with ``__slots__ = ()``: its
+fields cannot be set, and it is indexable, iterable and equal to the plain
+tuple of its fields.
 
 Every coarsening mechanism in this package is a Gaussian average of a sharp
 quantity.  Two kernel flavours appear:
@@ -16,11 +21,9 @@ quantity.  Two kernel flavours appear:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Callable
-
-if TYPE_CHECKING:
-    import numpy as np
+import operator
+from collections import namedtuple
+from typing import Callable
 
 __all__ = [
     "CosineDifference",
@@ -33,12 +36,39 @@ __all__ = [
 _TINY_SIGMA = 1e-8
 
 
-def require_finite(params) -> None:
-    """Raise ``ValueError`` naming the first NaN or infinite field of a dataclass of numbers."""
-    for f in fields(params):
-        value = getattr(params, f.name)
+def require_finite(cls: type, *values: float) -> None:
+    """Raise ``ValueError`` naming the first NaN or infinite one of ``values``,
+    the fields of the named-tuple class ``cls`` in the order of its ``_fields``."""
+    for name, value in zip(cls._fields, values):
         if not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def as_int(value) -> int | None:
+    """``value`` as a built-in ``int`` if ``operator.index`` takes it and it is no bool, else None.
+
+    So numpy integers count as integers, and floats, bools and strings do not.
+    """
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+class Validated:
+    """Base of a named-tuple record whose ``__new__`` validates its fields.
+
+    ``_make``, and so ``_replace``, build through the constructor, so that a
+    replaced field is checked and normalised as a new one is.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def cosine_correlator(floor: float, scale: float) -> Callable[[float, float], float]:
@@ -56,8 +86,8 @@ class CosineDifference:
 
     A frozen type of its own, so that ``optimize.maximize_chsh`` can
     recognise the shape and take its exact CHSH maximum, 2 sqrt(2) amp.  A
-    plain class: making a dataclass would add ~0.7 ms (2-vCPU Xeon) to every
-    import of the package.
+    plain class rather than a record: a named tuple would be a sequence and
+    equal to the tuple ``(amp,)``, which a correlator has no reason to be.
     """
 
     __slots__ = ("amp",)
@@ -74,13 +104,13 @@ class CosineDifference:
         return self.amp * math.cos(2.0 * (theta_a - theta_b))
 
 
-@dataclass(frozen=True)
-class DiscreteGaussianWeights:
-    """Renormalised Gaussian weights on integer offsets ``-k_max .. k_max``."""
+class DiscreteGaussianWeights(namedtuple("DiscreteGaussianWeights", "offsets weights sigma")):
+    """Renormalised Gaussian weights on integer offsets ``-k_max .. k_max``.
 
-    offsets: np.ndarray
-    weights: np.ndarray
-    sigma: float
+    ``offsets`` and ``weights`` are read-only numpy arrays, ``sigma`` a float.
+    """
+
+    __slots__ = ()
 
     def weight(self, k: int) -> float:
         """Weight of offset ``k`` (zero outside the truncation window)."""

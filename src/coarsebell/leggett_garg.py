@@ -31,11 +31,11 @@ over three non-negative time gaps g1, g2, g3 (``optimize.lg_function``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
 
-from .kernels import require_finite
+from .kernels import Validated, require_finite
 
 if TYPE_CHECKING:
     import numpy as np
@@ -68,25 +68,21 @@ def _check_spin(j: float) -> float:
     return round(two_j) / 2.0
 
 
-@dataclass(frozen=True)
-class SpinParams:
+class SpinParams(Validated, namedtuple("SpinParams", "j omega Delta", defaults=(1.0, 0.0))):
     """Spin size ``j`` (half-integer), precession rate ``omega``, smearing ``Delta``."""
 
-    j: float
-    omega: float = 1.0
-    Delta: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        require_finite(self)
-        object.__setattr__(self, "j", _check_spin(self.j))
-        if self.j > J_MAX:
-            raise ValueError(f"j must be <= J_MAX = {J_MAX}, got {self.j}")
-        if not OMEGA_MIN <= self.omega <= OMEGA_MAX:
-            raise ValueError(
-                f"omega must lie in [{OMEGA_MIN:g}, {OMEGA_MAX:g}], got {self.omega}"
-            )
-        if self.Delta < 0.0:
-            raise ValueError(f"Delta must be >= 0, got {self.Delta}")
+    def __new__(cls, j: float, omega: float = 1.0, Delta: float = 0.0):
+        require_finite(cls, j, omega, Delta)
+        j = _check_spin(j)
+        if j > J_MAX:
+            raise ValueError(f"j must be <= J_MAX = {J_MAX}, got {j}")
+        if not OMEGA_MIN <= omega <= OMEGA_MAX:
+            raise ValueError(f"omega must lie in [{OMEGA_MIN:g}, {OMEGA_MAX:g}], got {omega}")
+        if Delta < 0.0:
+            raise ValueError(f"Delta must be >= 0, got {Delta}")
+        return tuple.__new__(cls, (j, omega, Delta))
 
     def magnetic_numbers(self) -> np.ndarray:
         """The 2j+1 projection values m = -j .. j."""

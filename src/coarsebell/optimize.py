@@ -52,12 +52,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import linecache
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING, Callable
 
-from .kernels import CosineDifference, require_finite
+from .kernels import CosineDifference, Validated, as_int, require_finite
 
 if TYPE_CHECKING:
     import numpy as np
@@ -100,8 +99,7 @@ _LG_POLISHED = 3
 _COSINE_DIFFERENCE_ARGMAX = (0.0, math.pi / 4, math.pi / 8, 7 * math.pi / 8)
 
 
-@dataclass(frozen=True)
-class Correlator:
+class Correlator(namedtuple("Correlator", "fn period kind", defaults=(math.pi, "chsh"))):
     """An evaluable correlation function bundled with its search metadata.
 
     ``kind`` is "chsh" for two-angle spatial correlations E(theta_a, theta_b)
@@ -110,47 +108,44 @@ class Correlator:
     multistart search box.
     """
 
-    fn: Callable[..., float]
-    period: float = math.pi
-    kind: str = "chsh"
+    __slots__ = ()
 
     def __call__(self, *args: float) -> float:
         return self.fn(*args)
 
 
-@dataclass(frozen=True)
-class ChshSettings:
+class ChshSettings(
+    Validated, namedtuple("ChshSettings", "theta_a theta_a_prime theta_b theta_b_prime")
+):
     """Four finite analyser angles, each stored reduced modulo pi."""
 
-    theta_a: float
-    theta_a_prime: float
-    theta_b: float
-    theta_b_prime: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        require_finite(self)
-        for name in ("theta_a", "theta_a_prime", "theta_b", "theta_b_prime"):
-            object.__setattr__(self, name, float(getattr(self, name)) % math.pi)
+    def __new__(cls, theta_a: float, theta_a_prime: float, theta_b: float, theta_b_prime: float):
+        angles = (theta_a, theta_a_prime, theta_b, theta_b_prime)
+        require_finite(cls, *angles)
+        return tuple.__new__(cls, [float(theta) % math.pi for theta in angles])
 
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.theta_a, self.theta_a_prime, self.theta_b, self.theta_b_prime)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class LgTimes:
+class LgTimes(Validated, namedtuple("LgTimes", "gaps")):
     """Three finite, non-negative gaps between the four measurement times."""
 
-    gaps: tuple[float, float, float]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(g) for g in self.gaps):
-            raise ValueError(f"gaps must be finite, got {self.gaps!r}")
-        if len(self.gaps) != 3 or any(g < 0.0 for g in self.gaps):
-            raise ValueError(f"need three non-negative gaps, got {self.gaps!r}")
+    def __new__(cls, gaps: tuple[float, float, float]):
+        if not all(math.isfinite(g) for g in gaps):
+            raise ValueError(f"gaps must be finite, got {gaps!r}")
+        if len(gaps) != 3 or any(g < 0.0 for g in gaps):
+            raise ValueError(f"need three non-negative gaps, got {gaps!r}")
+        return tuple.__new__(cls, (gaps,))
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(
+    namedtuple("OptimizationResult", "value argmax evaluations converged starts_used")
+):
     """Outcome of a maximisation.
 
     ``value`` is the objective re-evaluated exactly at ``argmax``;
@@ -162,11 +157,7 @@ class OptimizationResult:
     points; ``starts_used`` counts the simplex starts (0 for a closed form).
     """
 
-    value: float
-    argmax: tuple[float, ...]
-    evaluations: int
-    converged: bool
-    starts_used: int
+    __slots__ = ()
 
 
 def _chsh_objective(corr: Callable[[float, float], float]) -> Callable[[tuple[float, ...]], float]:
@@ -365,6 +356,8 @@ def _compiled_nelder_mead(d: int, chsh: bool) -> Callable:
         evaluate_shrunk=evaluate("p", 20, "fsim[j] = "),
         insert=("\n" + " " * 8).join(insert),
     )
+    import linecache
+
     filename = "<nelder-mead d={}{}>".format(d, " chsh" if chsh else "")
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace: dict = {}
@@ -440,15 +433,20 @@ def _bare(correlator) -> Callable[..., float]:
     return correlator.fn if isinstance(correlator, Correlator) else correlator
 
 
-def _check_search(period: float, starts: int | None) -> None:
+def _check_search(period: float, starts: int | None) -> int | None:
+    """``starts`` as a built-in int (or None), once it and ``period`` are valid."""
     if not (math.isfinite(period) and period > 0.0):
         raise ValueError(f"period must be finite and > 0, got {period}")
-    if starts is not None and (isinstance(starts, bool) or not isinstance(starts, int)):
+    if starts is None:
+        return None
+    count = as_int(starts)
+    if count is None:
         raise ValueError(f"starts must be an integer, got {starts!r}")
-    if starts is not None and starts < 1:
-        raise ValueError(f"starts must be >= 1, got {starts}")
-    if starts is not None and starts > MAX_STARTS:
-        raise ValueError(f"starts must be <= MAX_STARTS = {MAX_STARTS}, got {starts}")
+    if count < 1:
+        raise ValueError(f"starts must be >= 1, got {count}")
+    if count > MAX_STARTS:
+        raise ValueError(f"starts must be <= MAX_STARTS = {MAX_STARTS}, got {count}")
+    return count
 
 
 def maximize(
@@ -480,10 +478,11 @@ def maximize(
         Best value found, its (reduced) argmax, the total number of
         objective evaluations, and a convergence flag.
     """
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+    dim = as_int(d)
+    if dim is None or dim < 1:
         raise ValueError(f"d must be an integer >= 1, got {d!r}")
-    _check_search(period, starts)
-    return _lattice_maximum(_Polish(objective, d, period), starts)
+    starts = _check_search(period, starts)
+    return _lattice_maximum(_Polish(objective, dim, period), starts)
 
 
 def maximize_chsh(correlator, starts: int | None = None) -> OptimizationResult:
@@ -500,7 +499,7 @@ def maximize_chsh(correlator, starts: int | None = None) -> OptimizationResult:
     is re-evaluated.
     """
     period = getattr(correlator, "period", math.pi)
-    _check_search(period, starts)
+    starts = _check_search(period, starts)
     corr = _bare(correlator)
     if type(corr) is CosineDifference:
         argmax = _COSINE_DIFFERENCE_ARGMAX

@@ -32,10 +32,10 @@ over the quadrature nodes and is the independent check, limited to n <= 4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable
 
-from .kernels import cosine_correlator, require_finite
+from .kernels import Validated, as_int, cosine_correlator, require_finite
 
 __all__ = [
     "PhotonParams",
@@ -43,22 +43,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhotonParams:
+class PhotonParams(Validated, namedtuple("PhotonParams", "n eta Delta", defaults=(1.0, 0.0))):
     """Pair size ``n``, detector transmissivity ``eta``, reference width ``Delta``."""
 
-    n: int
-    eta: float = 1.0
-    Delta: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        require_finite(self)
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if self.Delta < 0.0:
-            raise ValueError(f"Delta must be >= 0, got {self.Delta}")
+    def __new__(cls, n: int, eta: float = 1.0, Delta: float = 0.0):
+        require_finite(cls, n, eta, Delta)
+        size = as_int(n)
+        if size is None or size < 1:
+            raise ValueError(f"n must be an integer >= 1, got {n!r}")
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"eta must lie in [0, 1], got {eta}")
+        if Delta < 0.0:
+            raise ValueError(f"Delta must be >= 0, got {Delta}")
+        return tuple.__new__(cls, (size, eta, Delta))
 
 
 def photon_correlator(params: PhotonParams) -> Callable[[float, float], float]:

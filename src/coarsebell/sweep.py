@@ -56,14 +56,14 @@ the CSV and the SVG renderings are byte-deterministic.
 
 from __future__ import annotations
 
-import csv
 import math
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import attrgetter
-from typing import Callable, Mapping
+from typing import Mapping
 
 from . import ecs, generic, leggett_garg, photon
+from .kernels import Validated, as_int
 from .optimize import Correlator, OptimizationResult, maximize_chsh, maximize_lg
 
 __all__ = [
@@ -92,52 +92,57 @@ class JobError(ValueError):
 MAX_STEPS = 10_000
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
-    label: str
-    params: Mapping[str, float] = field(default_factory=dict)
+class SeriesSpec(namedtuple("SeriesSpec", "label params")):
+    """One curve of a sweep: its ``label`` and fixed ``params`` (a new empty dict by default)."""
+
+    __slots__ = ()
+
+    def __new__(cls, label: str, params: Mapping[str, float] | None = None):
+        return tuple.__new__(cls, (label, {} if params is None else params))
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(
+    Validated, namedtuple("SweepSpec", "system variable vmin vmax steps series", defaults=((),))
+):
     """A validated sweep description (see module docstring for the format)."""
 
-    system: str
-    variable: str
-    vmin: float
-    vmax: float
-    steps: int
-    series: tuple[SeriesSpec, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        sysdef = _system(self.system)
-        if self.variable != sysdef.variable:
+    def __new__(
+        cls,
+        system: str,
+        variable: str,
+        vmin: float,
+        vmax: float,
+        steps: int,
+        series: tuple[SeriesSpec, ...] = (),
+    ):
+        sysdef = _system(system)
+        if variable != sysdef.variable:
             raise JobError(
-                f"system {self.system!r} sweeps {sysdef.variable!r}, "
-                f"got sweep.variable = {self.variable!r}"
+                f"system {system!r} sweeps {sysdef.variable!r}, "
+                f"got sweep.variable = {variable!r}"
             )
-        for key, value in (("sweep.min", self.vmin), ("sweep.max", self.vmax)):
+        for key, value in (("sweep.min", vmin), ("sweep.max", vmax)):
             if not math.isfinite(value):
                 raise JobError(f"{key} must be finite, got {value!r}")
-        if isinstance(self.steps, bool) or not isinstance(self.steps, int):
-            raise JobError(f"sweep.steps must be an integer, got {self.steps!r}")
-        if self.steps < 1:
-            raise JobError(f"sweep.steps must be >= 1, got {self.steps}")
-        if self.steps > MAX_STEPS:
-            raise JobError(f"sweep.steps must be <= {MAX_STEPS}, got {self.steps}")
-        if self.steps == 1:
-            if self.vmin != self.vmax:
+        count = as_int(steps)
+        if count is None:
+            raise JobError(f"sweep.steps must be an integer, got {steps!r}")
+        if count < 1:
+            raise JobError(f"sweep.steps must be >= 1, got {count}")
+        if count > MAX_STEPS:
+            raise JobError(f"sweep.steps must be <= {MAX_STEPS}, got {count}")
+        if count == 1:
+            if vmin != vmax:
                 raise JobError("a single-point sweep requires sweep.min == sweep.max")
-        elif not self.vmin < self.vmax:
-            raise JobError(
-                f"sweep grid needs sweep.min < sweep.max, got [{self.vmin}, {self.vmax}]"
-            )
-        elif not math.isfinite(self.vmax - self.vmin):
-            raise JobError(
-                f"sweep.max - sweep.min overflows a float, got [{self.vmin}, {self.vmax}]"
-            )
-        for s in self.series:
-            _validate_params(self.system, s.params)
+        elif not vmin < vmax:
+            raise JobError(f"sweep grid needs sweep.min < sweep.max, got [{vmin}, {vmax}]")
+        elif not math.isfinite(vmax - vmin):
+            raise JobError(f"sweep.max - sweep.min overflows a float, got [{vmin}, {vmax}]")
+        for s in series:
+            _validate_params(system, s.params)
+        return tuple.__new__(cls, (system, variable, vmin, vmax, count, series))
 
     def grid(self) -> list[float]:
         """The sweep values, bit for bit those of ``np.linspace(vmin, vmax, steps)``.
@@ -158,18 +163,16 @@ class SweepSpec:
         return values + [vmax]
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    series: str
-    sweep_value: float
-    value: float
-    converged: bool
+class SweepRow(namedtuple("SweepRow", "series sweep_value value converged")):
+    """One optimised point: series label, sweep value, optimum and its convergence flag."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    spec: SweepSpec
-    rows: tuple[SweepRow, ...]
+class SweepResult(namedtuple("SweepResult", "spec rows")):
+    """A ``SweepSpec`` and its tuple of ``SweepRow`` in evaluation order."""
+
+    __slots__ = ()
 
     def sorted_rows(self) -> list[SweepRow]:
         return sorted(self.rows, key=attrgetter("series", "sweep_value"))
@@ -179,23 +182,19 @@ class SweepResult:
 # system registry
 
 
-@dataclass(frozen=True)
-class _System:
+class _System(
+    namedtuple("_System", "kind variable variable_default params model swept correlator")
+):
     """One row of the system table; an ``int`` default marks an integer parameter.
 
-    The sweep value, or its square root (a width) when it is the variance
-    ``V``, sets the ``swept`` field of the model's params object ``mp``;
-    ``correlator(mp)`` binds that configuration once and returns the bare
-    function the optimiser calls (``(ta, tb) -> E`` or ``tau -> C``).
+    ``kind`` is "chsh" or "lg".  The sweep value, or its square root (a
+    width) when it is the variance ``V``, sets the ``swept`` field of the
+    model's params class ``model``; ``correlator(mp)`` binds that
+    configuration ``mp`` once and returns the bare function the optimiser
+    calls (``(ta, tb) -> E`` or ``tau -> C``).
     """
 
-    kind: str  # "chsh" | "lg"
-    variable: str
-    variable_default: float
-    params: Mapping[str, float]
-    model: type
-    swept: str
-    correlator: Callable[[object], Callable[..., float]]
+    __slots__ = ()
 
     def model_params(self, fixed: Mapping[str, float], value: float) -> object:
         x = math.sqrt(value) if self.variable == "V" else value
@@ -446,6 +445,8 @@ def _fmt(x: float) -> str:
 
 def emit_csv(result: SweepResult, path: str) -> None:
     """Write rows as CSV (12 significant digits, LF endings, sorted order)."""
+    import csv
+
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["series", "sweep_value", "value", "converged"])

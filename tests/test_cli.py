@@ -1,6 +1,5 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
-import dataclasses
 import hashlib
 import math
 from pathlib import Path
@@ -144,7 +143,7 @@ def nan_system(monkeypatch, name):
     sysdef = coarsebell.sweep.SYSTEMS[name]
     nan = (lambda a, b: math.nan) if sysdef.kind == "chsh" else (lambda tau: math.nan)
     monkeypatch.setitem(
-        coarsebell.sweep.SYSTEMS, name, dataclasses.replace(sysdef, correlator=lambda mp: nan)
+        coarsebell.sweep.SYSTEMS, name, sysdef._replace(correlator=lambda mp: nan)
     )
 
 

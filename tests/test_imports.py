@@ -46,7 +46,8 @@ def run_sweep_job(tmp_path: Path, job: str, prelude: str = "") -> list[str]:
 def test_importing_the_cli_loads_neither_numpy_nor_scipy_nor_the_oracles():
     proc = run_python(
         "import sys, coarsebell.cli\n"
-        "print(*sorted({'numpy', 'scipy', 'coarsebell.oracles'} & set(sys.modules)))"
+        "print(*sorted({'numpy', 'scipy', 'coarsebell.oracles', 'dataclasses', 'inspect'}"
+        " & set(sys.modules)))"
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []

@@ -278,7 +278,7 @@ def test_start_counts_above_the_limit_are_rejected(call, starts):
         call(starts)
 
 
-@pytest.mark.parametrize("starts", [2.5, 16.0, math.nan, True, False, "16", np.int64(16)])
+@pytest.mark.parametrize("starts", [2.5, 16.0, math.nan, True, False, "16", np.float64(16.0)])
 @pytest.mark.parametrize(
     "call",
     [

@@ -1,6 +1,5 @@
 """Tests for job parsing, sweep execution, and the CSV/SVG emitters."""
 
-import dataclasses
 import math
 import warnings
 import xml.etree.ElementTree as ET
@@ -490,7 +489,7 @@ def test_each_point_binds_its_correlator_and_homodyne_average_once(monkeypatch):
             factory_calls[name] = factory_calls.get(name, 0) + 1
             return factory(mp)
 
-        monkeypatch.setitem(SYSTEMS, name, dataclasses.replace(sysdef, correlator=counted))
+        monkeypatch.setitem(SYSTEMS, name, sysdef._replace(correlator=counted))
     averages = []
     average = ecs.homodyne_angle_average
 
