@@ -278,7 +278,10 @@ def test_start_counts_above_the_limit_are_rejected(call, starts):
         call(starts)
 
 
-@pytest.mark.parametrize("starts", [2.5, 16.0, math.nan, True, False, "16", np.float64(16.0)])
+@pytest.mark.parametrize(
+    "starts",
+    [2.5, 16.0, math.nan, True, False, "16", pytest.param(np.float64(16.0), id="numpy-float64")],
+)
 @pytest.mark.parametrize(
     "call",
     [
