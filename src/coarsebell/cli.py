@@ -10,6 +10,10 @@ is not UTF-8, unknown system or parameter, NaN or infinite number, malformed
 grid, ``--starts`` below 1 or above ``optimize.MAX_STARTS``, a repeated
 ``--param``), 3 when a numerical routine failed: it did not
 converge, or an objective value came out NaN or infinite.
+
+Here ``--starts`` is only parsed as an ``int``: ``run_sweep`` and
+``optimized_point`` check it by ``optimize``'s own rule before any point,
+and ``sweep`` and the model records check every other value.
 """
 
 from __future__ import annotations
@@ -19,26 +23,13 @@ import sys
 from typing import Sequence
 
 from .ecs import ConvergenceError
-from .optimize import MAX_STARTS, NonFiniteObjectiveError
+from .optimize import NonFiniteObjectiveError
 from .sweep import JobError, SYSTEMS, emit_csv, emit_svg, optimized_point, parse_job, run_sweep
 from .sweep import _parse_number
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
-
-
-def _starts(text: str) -> int:
-    """argparse type of ``--starts``: an integer from 1 to ``MAX_STARTS``."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    if value > MAX_STARTS:
-        raise argparse.ArgumentTypeError(f"must be <= MAX_STARTS = {MAX_STARTS}, got {value}")
-    return value
 
 
 def _arg_parser() -> argparse.ArgumentParser:
@@ -63,7 +54,7 @@ def _arg_parser() -> argparse.ArgumentParser:
         help="system parameter (repeatable), e.g. --param n=2 --param V=0.25",
     )
     for command in (sweep, point):
-        command.add_argument("--starts", type=_starts, default=None, help="multistart count")
+        command.add_argument("--starts", type=int, default=None, help="multistart count")
     return parser
 
 

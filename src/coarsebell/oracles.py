@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .generic import GenericParams, _k_max, _smeared_sign, fuzzy_detector_correlator
+from .kernels import as_int
 from .leggett_garg import SpinParams, _check_spin
 from .photon import PhotonParams
 
@@ -92,9 +93,10 @@ def gauss_hermite(order: int) -> QuadratureRule:
     Orders outside ``1..128`` are rejected; the oracles default to 40
     (20 per axis for the photon pipeline).
     """
-    if not isinstance(order, (int, np.integer)) or not 1 <= order <= 128:
+    count = as_int(order)
+    if count is None or not 1 <= count <= 128:
         raise ValueError(f"order must be an integer in 1..128, got {order!r}")
-    return _hermite_rule(int(order))
+    return _hermite_rule(count)
 
 
 def angle_average(
@@ -240,16 +242,17 @@ def mode_observable(n_max: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def build_psi_n(n: int) -> FockDensityMatrix:
     """Pure entangled pair state |psi_n> as a density matrix, cutoff ``n``."""
-    if not isinstance(n, int) or n < 1:
+    size = as_int(n)
+    if size is None or size < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    d = n + 1
+    d = size + 1
     party = d * d
     v_h = np.zeros(party)
-    v_h[n * d] = 1.0  # |n, 0>
+    v_h[size * d] = 1.0  # |n, 0>
     v_v = np.zeros(party)
-    v_v[n] = 1.0  # |0, n>
+    v_v[size] = 1.0  # |0, n>
     psi = (np.kron(v_h, v_v) + np.kron(v_v, v_h)) / _SQRT_2
-    return FockDensityMatrix(entries=np.outer(psi, psi).astype(complex), n_max=n)
+    return FockDensityMatrix(entries=np.outer(psi, psi).astype(complex), n_max=size)
 
 
 @lru_cache(maxsize=64)
@@ -275,11 +278,12 @@ def rotate_polarization(rho: FockDensityMatrix, party: str, theta: float, n: int
     """
     if party not in ("a", "b"):
         raise ValueError(f"party must be 'a' or 'b', got {party!r}")
-    if not 1 <= n <= rho.n_max:
-        raise ValueError(f"rotation block n={n} incompatible with cutoff {rho.n_max}")
+    block = as_int(n)
+    if block is None or not 1 <= block <= rho.n_max:
+        raise ValueError(f"block n must be an integer in 1..{rho.n_max} (the cutoff), got {n!r}")
     d = rho.mode_dim
     p = d * d
-    u = _party_rotation(rho.n_max, n, theta)
+    u = _party_rotation(rho.n_max, block, theta)
     r4 = rho.entries.reshape(p, p, p, p)  # [a_row, b_row, a_col, b_col]
     if party == "a":
         out = np.einsum("ij,jklm,nl->iknm", u, r4, u.conj(), optimize=True)
@@ -310,18 +314,19 @@ def loss_channel(rho: FockDensityMatrix, mode: int, eta: float) -> FockDensityMa
     ``mode`` indexes the order (aH, aV, bH, bV).  The channel is trace
     preserving and maps |m><m| to a binomial mixture over lower occupations.
     """
-    if mode not in (0, 1, 2, 3):
-        raise ValueError(f"mode must be in 0..3, got {mode!r}")
+    axis = as_int(mode)
+    if axis not in (0, 1, 2, 3):
+        raise ValueError(f"mode must be an integer in 0..3, got {mode!r}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     d = rho.mode_dim
     r8 = rho.entries.reshape([d] * 8)  # row modes 0..3, column modes 4..7
     out = np.zeros_like(r8)
     for k in _kraus_ops(rho.n_max, eta):
-        t = np.tensordot(k, r8, axes=([1], [mode]))
-        t = np.moveaxis(t, 0, mode)
-        t = np.tensordot(t, k.conj(), axes=([4 + mode], [1]))
-        t = np.moveaxis(t, -1, 4 + mode)
+        t = np.tensordot(k, r8, axes=([1], [axis]))
+        t = np.moveaxis(t, 0, axis)
+        t = np.tensordot(t, k.conj(), axes=([4 + axis], [1]))
+        t = np.moveaxis(t, -1, 4 + axis)
         out += t
     dim = d ** 4
     return FockDensityMatrix(entries=out.reshape(dim, dim), n_max=rho.n_max)

@@ -25,7 +25,10 @@ sharp correlator the LG grid resolves; and the detector width of
 ``generic-delta`` is at most 1e4 (``generic.DELTA_MAX``, V <= 1e8) and its
 ``n`` at most 100000 (``generic.N_MAX``), which keep its smearing window
 small and one point under ~1 s.  Each limit is a validation error that
-names it (exit code 2 on the command line).
+names it (exit code 2 on the command line).  The model records and
+``_System.model_params`` hold the domain of the sweep variable: an ``eta``
+outside [0, 1] or a negative ``V`` on the grid is reported when its point
+is reached, with the series and the value.
 
 Systems and their sweep variable / fixed parameters:
 
@@ -64,7 +67,7 @@ from typing import Mapping
 
 from . import ecs, generic, leggett_garg, photon
 from .kernels import Validated, as_int
-from .optimize import Correlator, OptimizationResult, maximize_chsh, maximize_lg
+from .optimize import Correlator, OptimizationResult, _check_search, maximize_chsh, maximize_lg
 
 __all__ = [
     "JobError",
@@ -197,6 +200,8 @@ class _System(
     __slots__ = ()
 
     def model_params(self, fixed: Mapping[str, float], value: float) -> object:
+        if self.variable == "V" and value < 0.0:
+            raise ValueError(f"V must be >= 0, got {value}")
         x = math.sqrt(value) if self.variable == "V" else value
         return self.model(**fixed, **{self.swept: x})
 
@@ -267,7 +272,7 @@ def _validate_params(system: str, params: Mapping[str, float]) -> dict[str, floa
                 f"(valid: {', '.join(sorted(sysdef.params))})"
             )
         if isinstance(sysdef.params[key], int):
-            if float(value) != int(value):
+            if isinstance(value, bool) or float(value) != int(value):
                 raise JobError(f"parameter {key!r} must be an integer, got {value!r}")
             merged[key] = int(value)
         else:
@@ -275,14 +280,12 @@ def _validate_params(system: str, params: Mapping[str, float]) -> dict[str, floa
     return merged
 
 
-def _sweep_domain_check(sysdef: _System, value: float) -> None:
-    if not math.isfinite(value):
-        raise JobError(f"{sysdef.variable} must be finite, got {value}")
-    if sysdef.variable == "eta":
-        if not 0.0 <= value <= 1.0:
-            raise JobError(f"eta grid values must lie in [0, 1], got {value}")
-    elif value < 0.0:
-        raise JobError(f"variance grid values must be >= 0, got {value}")
+def _search_starts(starts: int | None) -> int | None:
+    """``starts`` checked by the optimiser's own rule (any valid period does), as a JobError."""
+    try:
+        return _check_search(math.pi, starts)
+    except ValueError as exc:
+        raise JobError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +317,9 @@ def run_sweep(spec: SweepSpec, *, starts: int | None = None) -> SweepResult:
     runs produce identical rows bit for bit.  Per-point optimizer
     non-convergence is recorded in the row rather than aborting the sweep.
     """
+    starts = _search_starts(starts)
     sysdef = _system(spec.system)
     grid = spec.grid()
-    for v in grid:
-        _sweep_domain_check(sysdef, v)
     rows: list[SweepRow] = []
     for series in spec.series:
         merged = _validate_params(spec.system, series.params)
@@ -346,10 +348,10 @@ def optimized_point(
     The system's sweep variable may be supplied as an ordinary parameter
     (``V`` or ``eta``); it falls back to the sharp/ideal default otherwise.
     """
+    starts = _search_starts(starts)
     sysdef = _system(system)
     supplied = dict(params)
     value = float(supplied.pop(sysdef.variable, sysdef.variable_default))
-    _sweep_domain_check(sysdef, value)
     return _optimum(sysdef, _validate_params(system, supplied), value, starts, "")
 
 

@@ -244,6 +244,12 @@ def test_bad_numbers_exit_two_with_a_one_line_error(tmp_path, capsys, argv, job_
     assert not csv_path.exists()
 
 
+def test_a_bad_start_count_prints_the_optimisers_rule_alone(capsys):
+    # no argparse usage line: the count is checked where the optimiser's rule lives
+    assert _exit_code(["point", "generic-ref", "--starts", "0"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: starts must be >= 1, got 0\n"
+
+
 @pytest.mark.parametrize(
     "argv,job_text,code,needle",
     [

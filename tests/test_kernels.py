@@ -91,7 +91,7 @@ def test_cosine_difference_rejects_a_negative_or_non_finite_amplitude(amp):
 
 
 def test_gauss_hermite_weights_sum_to_one():
-    for order in (1, 2, 7, 32, 128):
+    for order in (1, 2, np.int64(7), 32, 128):
         rule = gauss_hermite(order)
         assert isinstance(rule, QuadratureRule)
         assert rule.weights.sum() == pytest.approx(1.0, abs=1e-13)
@@ -102,8 +102,9 @@ def test_gauss_hermite_rejects_out_of_range_orders():
     for bad in (0, -3, 129, 1000):
         with pytest.raises(ValueError):
             gauss_hermite(bad)
-    with pytest.raises(ValueError):
-        gauss_hermite(2.5)
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="order must be an integer"):
+            gauss_hermite(bad)
 
 
 def test_gaussian_moments_are_integrated_exactly():

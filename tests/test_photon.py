@@ -112,6 +112,10 @@ def test_observable_diagonal_is_pinned():
 
 def test_pair_state_is_normalized_and_symmetric():
     rho = build_psi_n(2)
+    numpy_n = build_psi_n(np.int64(2))
+    assert type(numpy_n.n_max) is int and np.array_equal(numpy_n.entries, rho.entries)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        build_psi_n(True)
     assert np.trace(rho.entries) == pytest.approx(1.0, abs=1e-14)
     # swapping the two parties leaves the state invariant
     p = rho.mode_dim ** 2
@@ -270,12 +274,23 @@ def test_rotation_rejects_bad_party_and_block():
         rotate_polarization(rho, "c", 0.1, 1)
     with pytest.raises(ValueError):
         rotate_polarization(rho, "a", 0.1, 2)
+    with pytest.raises(ValueError, match="must be an integer"):
+        rotate_polarization(rho, "a", 0.1, True)
+    assert np.array_equal(
+        rotate_polarization(rho, "a", 0.1, np.int64(1)).entries,
+        rotate_polarization(rho, "a", 0.1, 1).entries,
+    )
 
 
 def test_loss_channel_rejects_bad_mode_and_eta():
     rho = build_psi_n(1)
     with pytest.raises(ValueError):
         loss_channel(rho, 4, 0.5)
+    with pytest.raises(ValueError, match="must be an integer"):
+        loss_channel(rho, True, 0.5)
+    assert np.array_equal(
+        loss_channel(rho, np.int64(2), 0.5).entries, loss_channel(rho, 2, 0.5).entries
+    )
     with pytest.raises(ValueError):
         loss_channel(rho, 0, 1.5)
 

@@ -30,7 +30,7 @@ from coarsebell.leggett_garg import (
     corr_nonclassical,
     corr_spin_parity,
 )
-from coarsebell.optimize import ChshSettings, LgTimes, maximize
+from coarsebell.optimize import MAX_STARTS, ChshSettings, LgTimes, maximize
 from coarsebell.photon import PhotonParams, photon_correlator
 from coarsebell.sweep import (
     MAX_STEPS,
@@ -144,6 +144,8 @@ def test_integer_parameters_reject_fractions():
             "system = photon\nsweep.min=0\nsweep.max=1\nsweep.steps=2\n"
             "series[0].params.n = 2.5\n"
         )
+    with pytest.raises(JobError, match="must be an integer"):
+        SweepSpec("photon", "V", 0.0, 1.0, 2, (SeriesSpec("a", {"n": True}),))
 
 
 def test_eta_grid_domain_is_validated_at_run_time():
@@ -155,8 +157,16 @@ def test_eta_grid_domain_is_validated_at_run_time():
         steps=3,
         series=(SeriesSpec(label="a10", params={"alpha": 10.0}),),
     )
-    with pytest.raises(JobError, match="eta grid"):
+    with pytest.raises(JobError, match=r"eta must lie in \[0, 1\]"):
         run_sweep(spec, starts=16)
+
+
+def test_a_negative_variance_is_reported_at_its_point_before_the_square_root():
+    spec = SweepSpec("generic-ref", "V", -0.5, 0.5, 3, (SeriesSpec("n2", {"n": 2}),))
+    with pytest.raises(JobError, match=r"^series 'n2' at V=-0\.5: V must be >= 0, got -0\.5$"):
+        run_sweep(spec, starts=1)
+    with pytest.raises(JobError, match=r"^V must be >= 0, got -1\.0$"):
+        optimized_point("generic-ref", {"V": -1.0}, starts=1)
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +197,12 @@ def test_optimized_point_rejects_bad_input():
         optimized_point("warp", {})
     with pytest.raises(JobError, match="unknown parameter"):
         optimized_point("photon", {"alpha": 3})
-    with pytest.raises(JobError, match="eta grid"):
+    with pytest.raises(JobError, match=r"eta must lie in \[0, 1\]"):
         optimized_point("ecs-eta", {"eta": 1.2})
     with pytest.raises(JobError, match="must be an integer"):
         optimized_point("photon", {"n": 1.5})
+    with pytest.raises(JobError, match="must be an integer"):
+        optimized_point("generic-ref", {"n": True})  # float(True) == int(True), yet no integer
     with pytest.raises(JobError):
         optimized_point("photon", {"n": 0})  # the range comes from the model
 
@@ -505,6 +517,23 @@ def test_each_point_binds_its_correlator_and_homodyne_average_once(monkeypatch):
         assert factory_calls[name] == 4, name
     alpha = SYSTEMS["ecs-homodyne"].params["alpha"]
     assert averages == [(alpha, 0.5), (alpha, math.sqrt(0.5))] * 2
+
+
+@pytest.mark.parametrize("starts", [0, MAX_STARTS + 1, True], ids=["zero", "above-max", "bool"])
+def test_a_bad_start_count_fails_before_any_correlator_is_built(starts, monkeypatch):
+    factory_calls = []
+    for name, sysdef in list(SYSTEMS.items()):
+        def counted(mp, name=name, factory=sysdef.correlator):
+            factory_calls.append(name)
+            return factory(mp)
+
+        monkeypatch.setitem(SYSTEMS, name, sysdef._replace(correlator=counted))
+    spec = SweepSpec("generic-ref", "V", 0.0, 0.5, 2, (SeriesSpec("a", {}),))
+    with pytest.raises(JobError, match="^starts must be"):
+        run_sweep(spec, starts=starts)
+    with pytest.raises(JobError, match="^starts must be"):
+        optimized_point("generic-ref", {}, starts=starts)
+    assert factory_calls == []
 
 
 def test_sweep_variable_defaults_are_the_sharp_or_ideal_values():
