@@ -249,14 +249,17 @@ def homodyne_angle_average(alpha: float, Delta: float) -> float:
     breakpoints alone exceed the piece limit (Delta above ~37.3; from ~36 up
     the pieces left for bisection no longer suffice), rather than
     silently returning a truncated result.  ``Delta == 0`` is the exact
-    point-mass branch ``erf(sqrt(2) alpha)``.  A non-finite or non-positive
+    point-mass branch ``erf(sqrt(2) alpha)``, and so is a subnormal
+    ``Delta`` (below ``sys.float_info.min``), whose Gaussian peak would
+    overflow the quadrature while the average differs from the point mass
+    by ~(alpha Delta)^2.  A non-finite or non-positive
     ``alpha``, or a non-finite or negative ``Delta``, raises ``ValueError``.
     """
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
     if not (math.isfinite(Delta) and Delta >= 0.0):
         raise ValueError(f"Delta must be finite and >= 0, got {Delta!r}")
-    if Delta == 0.0:
+    if Delta < _TINY:  # a subnormal width's peak 1/(Delta sqrt(2 pi)) overflows
         return erf(_SQRT_2 * alpha)
     window = 12.0 * Delta
     # sign flips (k + 1/2) pi < window, k >= 0; min() keeps ceil() finite

@@ -62,26 +62,17 @@ __all__ = [
 ]
 
 # Largest detector width delta (variance V = 1e8).  The smearing window spans
-# ceil(n + 8 delta) integers either side of zero and is summed once per
-# smeared value, so this keeps it near 1e5 entries; without a limit, V = 1e300
-# asks numpy for a window of ~1e151 entries.
+# ceil(8 delta) integers either side of zero and is summed once per smeared
+# value, so this keeps it near 1.6e5 entries; without a limit, V = 1e300 asks
+# numpy for a window of ~1e151 entries.
 DELTA_MAX = 1e4
-
-# Largest size n.  The same window is ceil(n + 8 delta) wide, so at this n it
-# holds at most ~3.6e5 entries, and one generic-delta point at n = 1e5,
-# V = 1e8 takes ~0.45 s on a 2-vCPU Xeon at its fast clock level and ~0.7 s
-# at its slow one (`coarsebell point`, whole process, most of it the window's
-# sum); n = 1e18 would overflow numpy.
-N_MAX = 100_000
 
 
 def _check_size(n: int) -> int:
-    """``n`` as a built-in int, if it is an integer (not a bool) from 1 to ``N_MAX``."""
+    """``n`` as a built-in int, if it is an integer (not a bool) >= 1."""
     size = as_int(n)
     if size is None or size < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if size > N_MAX:
-        raise ValueError(f"n must be <= N_MAX = {N_MAX}, got {size}")
     return size
 
 
@@ -113,25 +104,24 @@ def chi(j: int) -> int:
     return 1 if j >= 1 else -1
 
 
-def _k_max(n: int, delta: float) -> int:
-    # window half-width covering an 8-sigma tail around the largest offset
-    return max(1, math.ceil(n + 8.0 * delta))
-
-
 # The cache serves the three-argument wrappers, which rebuild the closure on
 # every call: a CHSH lattice over ``corr_fuzzy_detector`` makes ~2e5 lookups.
 # Sweep points never hit it: each point's width makes its key unique (0 hits
 # in the 130 calls of the shipped jobs).
 @lru_cache(maxsize=4096)
-def _smeared_sign(m: int, delta: float, k_max: int) -> float:
+def _smeared_sign(m: int, delta: float) -> float:
     """sum_k w_k chi_{m-k} over the truncated, renormalised kernel, as a built-in float.
+
+    The window spans the kernel alone, max(1, ceil(8 delta)) integers either
+    side of zero, whatever ``m``: once |m| exceeds it every chi_{m-k} equals
+    chi(m), so neither the sum nor its cost grows with |m|.
 
     Summed in Python floats, so the closures built from it compute on
     built-in floats too; numpy scalars made each closure call ~2.4x slower.
     """
     if delta == 0.0:
         return float(chi(m))
-    kern = kernels.discrete_gaussian(delta, k_max)
+    kern = kernels.discrete_gaussian(delta, max(1, math.ceil(8.0 * delta)))
     total = 0.0
     for k, w in zip(kern.offsets.tolist(), kern.weights.tolist()):
         total += w * chi(m - k)
@@ -151,9 +141,8 @@ def fuzzy_detector_correlator(params: GenericParams) -> Callable[[float, float],
     docstring within 1e-14.
     """
     n, delta = params.n, params.delta
-    k_max = _k_max(n, delta)
-    up = _smeared_sign(n, delta, k_max)
-    down = _smeared_sign(-n, delta, k_max)
+    up = _smeared_sign(n, delta)
+    down = _smeared_sign(-n, delta)
     even, odd = 0.5 * (up + down), 0.5 * (up - down)
     return kernels.cosine_correlator(even * even, odd * odd)
 
@@ -189,5 +178,5 @@ def discrimination_error(n: int, delta: float) -> float:
     """
     _check_size(n)
     _check_delta(delta)
-    bracket = _smeared_sign(n, delta, _k_max(n, delta))
+    bracket = _smeared_sign(n, delta)
     return 1.0 - bracket * bracket

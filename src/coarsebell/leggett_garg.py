@@ -63,7 +63,8 @@ J_MAX = 256
 
 def _check_spin(j: float) -> float:
     two_j = 2.0 * j
-    if abs(two_j - round(two_j)) > 1e-9 or round(two_j) < 1:
+    # a non-finite 2j (from |j| near the float maximum) has no integer to round to
+    if not math.isfinite(two_j) or abs(two_j - round(two_j)) > 1e-9 or round(two_j) < 1:
         raise ValueError(f"j must be a positive integer or half-integer, got {j!r}")
     return round(two_j) / 2.0
 

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .generic import GenericParams, _k_max, _smeared_sign, fuzzy_detector_correlator
+from .generic import GenericParams, _smeared_sign, fuzzy_detector_correlator
 from .kernels import as_int
 from .leggett_garg import SpinParams, _check_spin
 from .photon import PhotonParams
@@ -129,9 +129,8 @@ def f_delta(n: int, theta: float, params: GenericParams) -> float:
     """Even part of the single-party response for carried value ``n`` (may be negative)."""
     if n == 0:
         raise ValueError("n must be a nonzero integer")
-    k_max = _k_max(abs(n), params.delta)
-    s_pos = _smeared_sign(n, params.delta, k_max)
-    s_neg = _smeared_sign(-n, params.delta, k_max)
+    s_pos = _smeared_sign(n, params.delta)
+    s_neg = _smeared_sign(-n, params.delta)
     c, s = math.cos(theta), math.sin(theta)
     return c * c * s_pos + s * s * s_neg
 
@@ -140,9 +139,8 @@ def g_delta(n: int, theta: float, params: GenericParams) -> float:
     """Odd (interference) part of the single-party response, n >= 1."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    k_max = _k_max(n, params.delta)
-    s_pos = _smeared_sign(n, params.delta, k_max)
-    s_neg = _smeared_sign(-n, params.delta, k_max)
+    s_pos = _smeared_sign(n, params.delta)
+    s_neg = _smeared_sign(-n, params.delta)
     return math.sin(theta) * math.cos(theta) * (s_pos - s_neg)
 
 

@@ -22,9 +22,9 @@ Limits: every number must be finite; ``sweep.steps`` lies in [1, 10000]
 optimiser's absolute gap tolerance of 1e-8 resolves a period; ``j`` of the
 LG systems is at most 256 (``leggett_garg.J_MAX``), the largest spin whose
 sharp correlator the LG grid resolves; and the detector width of
-``generic-delta`` is at most 1e4 (``generic.DELTA_MAX``, V <= 1e8) and its
-``n`` at most 100000 (``generic.N_MAX``), which keep its smearing window
-small and one point under ~1 s.  Each limit is a validation error that
+``generic-delta`` is at most 1e4 (``generic.DELTA_MAX``, V <= 1e8), which
+keeps its smearing window, 8 delta either side of zero whatever ``n``, small
+and one point under ~1 s.  Each limit is a validation error that
 names it (exit code 2 on the command line).  The model records and
 ``_System.model_params`` hold the domain of the sweep variable: an ``eta``
 outside [0, 1] or a negative ``V`` on the grid is reported when its point

@@ -10,6 +10,7 @@ import coarsebell.sweep
 from coarsebell.cli import EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_VALIDATION, main
 from coarsebell.ecs import ConvergenceError
 from coarsebell.optimize import OptimizationResult
+from coarsebell.sweep import SYSTEMS
 
 JOBS = Path(__file__).resolve().parents[1] / "jobs"
 
@@ -275,13 +276,18 @@ def test_a_bad_start_count_prints_the_optimisers_rule_alone(capsys):
         (["point", "lg-spin", "--param", "j=1e6"], None, EXIT_VALIDATION, "J_MAX = 256"),
         (["point", "lg-spin", "--param", "j=256.5"], None, EXIT_VALIDATION, "J_MAX = 256"),
         (["point", "lg-spin", "--param", "j=256"], None, EXIT_OK, None),
-        (["point", "generic-delta", "--param", "n=100001"], None, EXIT_VALIDATION, "N_MAX = 100000"),
-        (["point", "generic-delta", "--param", "n=1e8"], None, EXIT_VALIDATION, "N_MAX = 100000"),
+        (["point", "generic-delta", "--param", "n=100001", "--starts", "1"], None, EXIT_OK, None),
+        (["point", "generic-delta", "--param", "n=1e8", "--starts", "1"], None, EXIT_OK, None),
         (["point", "generic-delta", "--param", "n=100000", "--param", "V=1", "--starts", "1"], None, EXIT_OK, None),
         pytest.param(  # exp(-2 m^2 V) underflows to 0 through an overflowing square, silently
             ["point", "lg-spin", "--param", "j=3", "--param", "V=1e308"], None, EXIT_OK, None,
             marks=pytest.mark.filterwarnings("error::RuntimeWarning"),
         ),
+        # the smearing window spans 8 delta alone, whatever the size n
+        (["point", "generic-delta", "--param", "n=1e12", "--param", "V=1e8", "--starts", "1"], None, EXIT_OK, None),
+        # 2j overflows to infinity, which has no integer to round to
+        (["point", "lg-spin", "--param", "j=1.7e308"], None, EXIT_VALIDATION, "j must be a positive integer"),
+        (["point", "lg-nonclassical", "--param", "j=-1e308"], None, EXIT_VALIDATION, "j must be a positive integer"),
     ],
 )
 def test_documented_limits_exit_two_and_name_the_limit(tmp_path, capsys, argv, job_text, code, needle):
@@ -313,3 +319,19 @@ def test_shipped_lg_jobs_write_their_committed_bytes(tmp_path, name):
     expected = _expected_digests()
     for path in (csv_path, svg_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == expected[path.name], path.name
+
+
+EXTREMES = [0, -0.0, 5e-324, 1e-310, 1e-300, 1e-8, 0.5, 1, 2.5, 1e4, 1e8, 1e18, 1e300, 1.7e308, -1, -1e308]
+
+
+@pytest.mark.parametrize(
+    "system,name",
+    [(system, name) for system, row in SYSTEMS.items() for name in (row.variable, *row.params)],
+)
+def test_every_parameter_at_every_extreme_ends_in_a_documented_code(capsys, system, name):
+    for value in EXTREMES:
+        code = main(["point", system, "--starts", "1", "--param", f"{name}={value}"])
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NO_CONVERGENCE), (value, err)
+        if code != EXIT_OK:
+            assert [line.startswith("error:") for line in err.splitlines()] == [True], (value, err)

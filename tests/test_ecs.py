@@ -7,6 +7,7 @@ alpha by a composite Gauss-Legendre rule written here with math.erf.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -136,6 +137,16 @@ def test_homodyne_average_sharp_branch_and_small_width_limit():
     assert sharp == pytest.approx(scipy.special.erf(math.sqrt(2.0) * alpha), abs=1e-14)
     near = homodyne_angle_average(alpha, 1e-3)
     assert near == pytest.approx(sharp, abs=1e-5)
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 1.0, 1e300])
+def test_homodyne_average_of_a_subnormal_width_is_the_point_mass(alpha):
+    # below the smallest normal float the Gaussian's peak 1/(Delta sqrt(2 pi))
+    # overflows; the average differs from the point mass by ~(alpha Delta)^2
+    sharp = homodyne_angle_average(alpha, 0.0)
+    for Delta in (3e-309, 5e-324):
+        assert homodyne_angle_average(alpha, Delta) == sharp
+    assert homodyne_angle_average(alpha, sys.float_info.min) == pytest.approx(sharp, abs=1e-15)
 
 
 def test_homodyne_average_matches_trapezoid_oracle():

@@ -10,15 +10,16 @@ import math
 import numpy as np
 import pytest
 
+from coarsebell import kernels
 from coarsebell.generic import (
     DELTA_MAX,
     GenericParams,
-    _k_max,
     _smeared_sign,
     chi,
     corr_coarse_reference,
     corr_fuzzy_detector,
     discrimination_error,
+    fuzzy_detector_correlator,
 )
 from coarsebell.oracles import corr_combined, corr_coarse_reference_quad, f_delta, g_delta
 
@@ -70,16 +71,32 @@ def test_chi_is_the_unit_step_sign():
 
 @pytest.mark.parametrize("delta", [0.3, 1.0, 2.0, 3.0])
 def test_smeared_sign_matches_brute_force(delta):
-    k_max = _k_max(1, delta)
     for m in range(-6, 7):
-        got = _smeared_sign(m, delta, max(k_max, _k_max(abs(m) or 1, delta)))
+        got = _smeared_sign(m, delta)
         assert got == pytest.approx(smeared_sign_oracle(m, delta), abs=1e-12)
 
 
-def test_window_size_tracks_outcome_and_width():
-    assert _k_max(1, 0.0) == 1
-    assert _k_max(3, 0.5) == 7
-    assert _k_max(2, 2.0) == 18
+def test_window_follows_the_kernel_alone_so_a_huge_size_costs_nothing(monkeypatch):
+    # past the 8-delta window every chi_{m-k} is chi(m): a huge n reads the same
+    # kernel, 16 either side of zero, and gives the same bits as n = ceil(8 delta) + 1
+    delta, n = 2.0, 10**12
+    windows = []
+    discrete_gaussian = kernels.discrete_gaussian
+
+    def recording(sigma, k_max):
+        windows.append(k_max)
+        return discrete_gaussian(sigma, k_max)
+
+    monkeypatch.setattr(kernels, "discrete_gaussian", recording)
+    _smeared_sign.cache_clear()
+    edge = math.ceil(8.0 * delta) + 1
+    for sign in (1, -1):
+        assert _smeared_sign(sign * n, delta) == _smeared_sign(sign * edge, delta)
+    assert windows == [16, 16, 16, 16]
+    # the kernel's weights sum to 1 only within rounding, so this is not bit-equal
+    corr = fuzzy_detector_correlator(GenericParams(n=n, delta=delta))
+    for ta, tb in ((0.0, 0.0), (0.3, 1.1), (-2.0, 0.785), (1.3, 2.9)):
+        assert corr(ta, tb) == pytest.approx(-math.cos(2.0 * (ta + tb)), abs=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])

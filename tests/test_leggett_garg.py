@@ -128,6 +128,14 @@ def test_spin_params_validation():
     assert SpinParams(j=1.0 + 1e-12).j == 1.0
 
 
+def test_a_spin_whose_double_overflows_is_refused_by_name():
+    # 2j is infinite here, which has no integer to round to
+    for j in (1e308, 1.7e308, -1e308):
+        for call in (SpinParams, parity_operator):
+            with pytest.raises(ValueError, match="j must be a positive integer or half-integer"):
+                call(j)
+
+
 def test_larger_spins_decay_faster_under_smearing():
     Delta = math.sqrt(0.3)
     tau = 0.35

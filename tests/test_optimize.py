@@ -424,6 +424,7 @@ def test_the_closed_path_goes_by_type_and_other_callables_run_the_lattice(corr):
 @example(alpha=1e-300, eta=0.0, Delta=0.0)
 @example(alpha=1e300, eta=0.0, Delta=0.0)
 @example(alpha=4.655787503742636, eta=1.8018382886e-314, Delta=0.0)  # subnormal amp
+@example(alpha=1e-300, eta=0.0, Delta=5e-324)  # subnormal homodyne width
 def test_every_ecs_row_takes_the_closed_chsh_maximum(alpha, eta, Delta):
     assert len(ECS_ROWS) == 3
     params = ecs.EcsParams(alpha=alpha, eta=eta, Delta=Delta)
