@@ -90,7 +90,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _run_sweep_command(args: argparse.Namespace) -> int:
     try:
-        with open(args.jobfile, encoding="utf-8") as fh:
+        # utf-8-sig: a byte-order mark that some editors write at the start is not part of the job
+        with open(args.jobfile, encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         reason = f"{exc.reason} at byte {exc.start}"

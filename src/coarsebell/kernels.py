@@ -1,7 +1,9 @@
 """The discrete Gaussian smearing kernel, the checks shared by the record
 types (finite fields, integer arguments, a ``_replace`` that re-validates),
 the closure of the correlation shape floor - scale cos 2(theta_a + theta_b),
-and the form ``CosineDifference`` of the shape amp cos 2(theta_a - theta_b).
+and the forms the optimiser recognises by exact type: ``CosineDifference``,
+amp cos 2(theta_a - theta_b), and two single-gap forms, ``Harmonic``,
+amp cos(omega tau), and ``CosineSeries``, a finite sum of such cosines.
 
 Every record of the package is a named tuple with ``__slots__ = ()``: its
 fields cannot be set, and it is indexable, iterable and equal to the plain
@@ -23,10 +25,15 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CosineDifference",
+    "CosineSeries",
+    "Harmonic",
     "DiscreteGaussianWeights",
     "discrete_gaussian",
 ]
@@ -81,7 +88,17 @@ def cosine_correlator(floor: float, scale: float) -> Callable[[float, float], fl
     return corr
 
 
-class CosineDifference:
+class _Frozen:
+    """Base of the forms below: each sets its slots once, in ``__init__``, through
+    ``object.__setattr__``, and no field can be set after that."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set {name!r}")
+
+
+class CosineDifference(_Frozen):
     """``(theta_a, theta_b) -> amp * cos 2(theta_a - theta_b)``, ``amp`` finite and >= 0.
 
     A frozen type of its own, so that ``optimize.maximize_chsh`` can
@@ -97,11 +114,67 @@ class CosineDifference:
             raise ValueError(f"amp must be finite and >= 0, got {amp!r}")
         object.__setattr__(self, "amp", amp)
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"CosineDifference is frozen: cannot set {name!r}")
-
     def __call__(self, theta_a: float, theta_b: float) -> float:
         return self.amp * math.cos(2.0 * (theta_a - theta_b))
+
+
+class Harmonic(_Frozen):
+    """``tau -> amp * cos(omega * tau)``, ``amp`` finite and >= 0, ``omega`` finite and > 0.
+
+    A frozen type of its own, so that ``optimize.maximize_lg`` can recognise
+    the shape and take its exact four-time maximum, 2 sqrt(2) amp.
+    """
+
+    __slots__ = ("amp", "omega")
+
+    def __init__(self, amp: float, omega: float) -> None:
+        if not (math.isfinite(amp) and amp >= 0.0):
+            raise ValueError(f"amp must be finite and >= 0, got {amp!r}")
+        if not (math.isfinite(omega) and omega > 0.0):
+            raise ValueError(f"omega must be finite and > 0, got {omega!r}")
+        object.__setattr__(self, "amp", amp)
+        object.__setattr__(self, "omega", omega)
+
+    def __call__(self, tau: float) -> float:
+        return self.amp * math.cos(self.omega * tau)
+
+
+class CosineSeries(_Frozen):
+    """``tau -> sum_h damping[h] cos(freq[h] tau) / norm`` over read-only numpy arrays.
+
+    A frozen type of its own.  A call reduces its terms with
+    ``np.add.reduce``, and ``sample`` evaluates many gaps in one numpy
+    product with the same operations, so each of its values has the bits of
+    the call at that gap.  ``optimize.maximize_lg`` samples its grid that way.
+    The constructor takes the arrays as they are: its caller,
+    ``leggett_garg.spin_parity_correlator``, builds them finite, of equal
+    length and read-only.
+    """
+
+    __slots__ = ("damping", "freq", "norm", "_cos", "_add_up")
+
+    def __init__(self, damping: np.ndarray, freq: np.ndarray, norm: float) -> None:
+        import numpy as np
+
+        set_field = object.__setattr__
+        set_field(self, "damping", damping)
+        set_field(self, "freq", freq)
+        set_field(self, "norm", norm)
+        # bound once: np.sum's Python wrapper was ~40 % of a call, np.add.reduce has the same bits
+        set_field(self, "_cos", np.cos)
+        set_field(self, "_add_up", np.add.reduce)
+
+    def __call__(self, tau: float) -> float:
+        return float(self._add_up(self.damping * self._cos(self.freq * tau))) / self.norm
+
+    def sample(self, taus: np.ndarray) -> np.ndarray:
+        """The values at the gaps ``taus``, a 1-D float array, equal to the calls bit for bit."""
+        import numpy as np
+
+        terms = np.multiply.outer(taus, self.freq)  # row i holds the call's freq * taus[i]
+        np.cos(terms, out=terms)
+        terms *= self.damping
+        return np.add.reduce(terms, axis=1) / self.norm
 
 
 class DiscreteGaussianWeights(namedtuple("DiscreteGaussianWeights", "offsets weights sigma")):

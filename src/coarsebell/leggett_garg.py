@@ -26,6 +26,12 @@ The four-time figure of merit is
     K = C(g1) + C(g2) + C(g3) - C(g1 + g2 + g3)
 
 over three non-negative time gaps g1, g2, g3 (``optimize.lg_function``).
+
+Both factories return a form that carries these coefficients: the spin sum
+is a ``kernels.CosineSeries``, which ``optimize.maximize_lg`` samples on its
+grid in one numpy product per step, and the two-level probe a
+``kernels.Harmonic``, whose maximum 2 sqrt(2) exp(-Delta^2 / 2) the
+optimiser takes in closed form, without numpy.
 """
 
 from __future__ import annotations
@@ -33,9 +39,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
-from .kernels import Validated, require_finite
+from .kernels import CosineSeries, Harmonic, Validated, require_finite
 
 if TYPE_CHECKING:
     import numpy as np
@@ -92,10 +98,11 @@ class SpinParams(Validated, namedtuple("SpinParams", "j omega Delta", defaults=(
         return np.arange(-self.j, self.j + 0.5)
 
 
-# The cache serves ``corr_spin_parity``, which rebuilds the closure on every
-# call (~2.5k per LG maximisation in the acceptance tests).  Sweep points never
-# hit it: each point's width makes its key unique (0 hits in the 33 calls of
-# the shipped jobs).
+# The cache serves ``corr_spin_parity``, which builds a series on every call
+# (~2.5k per LG maximisation in the acceptance tests).  Sweep points never hit
+# it: each point's width makes its key unique (0 hits in the 33 calls of the
+# shipped jobs).  The arrays are read-only, because every series built from
+# one entry shares them.
 @lru_cache(maxsize=64)
 def _spin_terms(params: SpinParams) -> tuple[np.ndarray, np.ndarray]:
     """Per-sector damping exp(-2 m^2 Delta^2) and angular factor 2 m omega."""
@@ -110,26 +117,19 @@ def _spin_terms(params: SpinParams) -> tuple[np.ndarray, np.ndarray]:
     return damping, freq
 
 
-def spin_parity_correlator(params: SpinParams) -> Callable[[float], float]:
+def spin_parity_correlator(params: SpinParams) -> CosineSeries:
     """Two-time parity correlation of the smeared spin-j measurement.
 
-    Returns ``tau -> C`` with the sector factors of ``params`` looked up
-    once.  Closed sum over projection quantum numbers; each m-sector is
-    damped by ``exp(-2 m^2 Delta^2)``, so the spin-1/2 case reduces to
-    ``exp(-Delta^2/2) cos(omega tau)`` while large spins lose their
-    high-frequency content first.
+    Returns ``tau -> C`` as a ``kernels.CosineSeries`` over the sector
+    factors of ``params``, which ``optimize.maximize_lg`` samples in one
+    numpy product per grid step.  Closed sum over projection quantum
+    numbers; each m-sector is damped by ``exp(-2 m^2 Delta^2)``, so the
+    spin-1/2 case reduces to ``exp(-Delta^2/2) cos(omega tau)`` (still a
+    two-term series) while large spins lose their high-frequency content
+    first.
     """
-    import numpy as np
-
     damping, freq = _spin_terms(params)
-    norm = 2.0 * params.j + 1.0
-    # np.sum's Python wrapper was ~40 % of a call; np.add.reduce is the same ufunc, same bits
-    cos, add_up = np.cos, np.add.reduce
-
-    def corr(tau: float) -> float:
-        return float(add_up(damping * cos(freq * tau))) / norm
-
-    return corr
+    return CosineSeries(damping, freq, 2.0 * params.j + 1.0)
 
 
 def corr_spin_parity(tau: float, params: SpinParams) -> float:
@@ -137,19 +137,14 @@ def corr_spin_parity(tau: float, params: SpinParams) -> float:
     return spin_parity_correlator(params)(tau)
 
 
-def nonclassical_correlator(params: SpinParams) -> Callable[[float], float]:
+def nonclassical_correlator(params: SpinParams) -> Harmonic:
     """Invasion-free two-level probe correlation; deliberately ignores ``j``.
 
-    Returns ``tau -> exp(-Delta^2 / 2) cos(omega tau)`` with the damping
-    computed once.
+    Returns ``tau -> exp(-Delta^2 / 2) cos(omega tau)`` as a
+    ``kernels.Harmonic``, whose four-time maximum ``optimize.maximize_lg``
+    takes in closed form, with the damping computed once.
     """
-    damping = math.exp(-0.5 * params.Delta * params.Delta)
-    omega, cos = params.omega, math.cos
-
-    def corr(tau: float) -> float:
-        return damping * cos(omega * tau)
-
-    return corr
+    return Harmonic(math.exp(-0.5 * params.Delta * params.Delta), params.omega)
 
 
 def corr_nonclassical(tau: float, params: SpinParams) -> float:

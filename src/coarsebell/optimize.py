@@ -27,8 +27,13 @@ correlator compiled in, so no wrapper frame sits between the simplex and
 the correlator.  Every value the run computes, and the re-evaluation at
 each run's best vertex, counts as one evaluation.
 
-LG maximisation is global.  C has period T, so K depends on the gaps only
-through their residues mod T, and for each total s = g1 + g2 + g3 (mod T)
+LG maximisation of a ``kernels.Harmonic``, C = A cos(omega tau) with A >= 0
+(lg-nonclassical), is exact too: K = A (cos x1 + cos x2 + cos x3 -
+cos(x1 + x2 + x3)) with x = omega g is at most 2 sqrt(2) A, attained at
+g1 = g2 = g3 = pi / (4 omega), one point of a continuum of maximisers.  No
+numpy is loaded for it.  Every other LG maximisation is global.  C has
+period T, so K depends on the gaps only through their residues mod T, and
+for each total s = g1 + g2 + g3 (mod T)
 
     max K(s) = [C (+) C (+) C](s) - C(s),
 
@@ -36,8 +41,11 @@ where (+) is the max-plus convolution (x (+) y)(s) = max_k x(k) + y(s - k).
 On an N-point periodic grid that is two O(N^2) max-reductions, and every
 grid value is attained by a grid triple.  N starts at 512 and doubles, up to
 8192, until the grid holds 16 points per period of the highest harmonic of
-C that the FFT of the samples shows.  Nelder-Mead then polishes the triples
-of the three best local maxima of the grid K over s.
+C that the FFT of the samples shows.  A ``kernels.CosineSeries`` (lg-spin)
+gives each step's samples from one numpy product, with the bits of its
+calls; any other correlator is called once per grid point.  Nelder-Mead
+then polishes the triples of the three best local maxima of the grid K
+over s, calling a series through its bound ``__call__``.
 
 There is no randomness anywhere: identical inputs produce bit-identical
 results, and every reduction over starts is order-independent because ties
@@ -56,7 +64,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING, Callable
 
-from .kernels import CosineDifference, Validated, as_int, require_finite
+from .kernels import CosineDifference, CosineSeries, Harmonic, Validated, as_int, require_finite
 
 if TYPE_CHECKING:
     import numpy as np
@@ -152,7 +160,7 @@ class OptimizationResult(
     ``converged`` reports whether the simplex runs that produced the result
     met their tolerances, and for LG points also whether the grid resolved
     the correlator's bandwidth (a best-so-far point is returned either way);
-    a closed-form CHSH result is exact and always converged.
+    a closed-form CHSH or LG result is exact and always converged.
     ``evaluations`` counts objective calls, or correlator calls for LG
     points; ``starts_used`` counts the simplex starts (0 for a closed form).
     """
@@ -563,12 +571,21 @@ def _lg_samples(correlator, period: float) -> tuple[np.ndarray, bool]:
     The grid doubles from ``_LG_GRID_MIN`` points, reusing the samples it
     has, until it holds ``_LG_POINTS_PER_PERIOD`` points per period of the
     highest harmonic whose Fourier coefficient exceeds ``_LG_FFT_TOL``
-    relative to max(1, max|C|); it stops at ``_LG_GRID_MAX`` points.
+    relative to max(1, max|C|); it stops at ``_LG_GRID_MAX`` points.  Each
+    step's new gaps come as one array; a ``CosineSeries`` samples them in
+    one product, any other correlator is called at each.
     """
     import numpy as np
 
+    if type(correlator) is CosineSeries:
+        sample = correlator.sample
+    else:
+
+        def sample(taus: np.ndarray) -> np.ndarray:
+            return np.array([float(correlator(tau)) for tau in taus.tolist()])
+
     n = _LG_GRID_MIN
-    c = np.array([float(correlator(k * period / n)) for k in range(n)])
+    c = sample(np.arange(n) * period / n)
     while True:
         bad = np.flatnonzero(~np.isfinite(c))
         if bad.size:
@@ -586,7 +603,7 @@ def _lg_samples(correlator, period: float) -> tuple[np.ndarray, bool]:
             return c, False
         finer = np.empty(2 * n)
         finer[0::2] = c
-        finer[1::2] = [float(correlator(k * period / (2 * n))) for k in range(1, 2 * n, 2)]
+        finer[1::2] = sample(np.arange(1, 2 * n, 2) * period / (2 * n))
         c, n = finer, 2 * n
 
 
@@ -606,14 +623,26 @@ def maximize_lg(correlator, starts: int | None = None) -> OptimizationResult:
     ``converged`` is true only when the grid resolved the bandwidth of C
     below its size cap and the winning polish met its tolerances.  A
     non-finite sample or objective value raises ``NonFiniteObjectiveError``.
-    """
-    import numpy as np
 
+    A ``kernels.Harmonic``, bare or inside a ``Correlator``, takes its
+    closed-form maximum instead (see the module docstring): ``argmax`` is
+    (pi / (4 omega),) * 3 reduced modulo the period, ``value`` K there,
+    four evaluations and no start, and ``converged`` is true.  The check
+    is by exact type, as in ``maximize_chsh``; a ``kernels.CosineSeries``
+    runs the grid search above, sampled in numpy.
+    """
     period = getattr(correlator, "period", 2.0 * math.pi)
     _check_search(period, starts)
     corr = _bare(correlator)
+    if type(corr) is Harmonic:
+        gap = math.pi / (4.0 * corr.omega) % period
+        argmax = (gap, gap, gap)
+        return OptimizationResult(_lg_objective(corr)(argmax), argmax, 4, True, 0)
+    import numpy as np
 
     c, resolved = _lg_samples(corr, period)
+    if type(corr) is CosineSeries:
+        corr = corr.__call__  # the bound method skips the instance's call slot
     n = len(c)
     pairs, first = _maxplus(c, c)  # pairs[k] = c[g1] + c[k - g1], g1 = first[k]
     triples, second = _maxplus(pairs, c)  # triples[s] = pairs[k] + c[s - k], k = second[s]

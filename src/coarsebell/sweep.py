@@ -50,11 +50,14 @@ its ``SYSTEMS`` row, and maximises the CHSH (or four-time LG) combination of
 the returned function.  The factory computes the point's constants (smeared
 signs, dampings, the in-house homodyne quadrature).  The three ECS rows
 return a ``kernels.CosineDifference``, whose CHSH maximum the optimiser
-takes in closed form from four calls; for every other row the optimiser's
-calls (~1e5 for a CHSH point) run only the returned closure.  No sweep point
-imports scipy or runs anything of ``oracles``.  Rows are emitted in
-lexicographic (series, sweep_value) order with 12 significant digits.  Both
-the CSV and the SVG renderings are byte-deterministic.
+takes in closed form from four calls, and lg-nonclassical a
+``kernels.Harmonic``, whose LG maximum it takes from four calls; lg-spin
+returns a ``kernels.CosineSeries``, which samples the LG grid in numpy; for
+every other row the optimiser's calls (~1e5 for a CHSH point) run only the
+returned closure.  No sweep point imports scipy or runs anything of
+``oracles``.  Rows are emitted in lexicographic (series, sweep_value) order
+with 12 significant digits.  Both the CSV and the SVG renderings are
+byte-deterministic.
 """
 
 from __future__ import annotations
@@ -237,8 +240,8 @@ def _correlator(sysdef: _System, fixed: Mapping, value: float) -> Correlator:
     The factory runs once per point: it computes the configuration's
     constants (smeared signs, damping, the homodyne quadrature) and returns
     a fixed-arity function: a closure, which the optimiser calls ~1e5 times
-    for a CHSH point, or for the ECS rows a ``kernels.CosineDifference``,
-    which it calls four times.
+    for a CHSH point, or one of the forms of ``kernels`` (the ECS and LG
+    rows), which it recognises by type.
     """
     mp = sysdef.model_params(fixed, value)
     fn = sysdef.correlator(mp)

@@ -79,6 +79,18 @@ def test_job_file_that_is_not_utf8_exits_two_with_a_one_line_error(tmp_path, cap
     assert not csv_path.exists()
 
 
+def test_a_job_file_with_a_byte_order_mark_writes_the_bytes_of_the_plain_job(tmp_path):
+    plain = (JOBS / "lg_nonclassical.job").read_bytes()
+    job = tmp_path / "bom.job"
+    job.write_bytes(b"\xef\xbb\xbf" + plain)
+    outputs = []
+    for path in (JOBS / "lg_nonclassical.job", job):
+        csv_path = tmp_path / f"{path.stem}.csv"
+        assert main(["sweep", str(path), "--csv", str(csv_path)]) == EXIT_OK
+        outputs.append(csv_path.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_sweep_reports_non_convergence(tmp_path, monkeypatch, capsys):
     def stuck(correlator, starts=None):
         return OptimizationResult(

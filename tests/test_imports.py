@@ -53,9 +53,20 @@ def test_importing_the_cli_loads_neither_numpy_nor_scipy_nor_the_oracles():
     assert proc.stdout.split() == []
 
 
-@pytest.mark.parametrize("job", ["ecs_reference.job", "generic_reference.job", "photon_n1.job"])
+@pytest.mark.parametrize(
+    "job", ["ecs_reference.job", "generic_reference.job", "photon_n1.job", "lg_nonclassical.job"]
+)
 def test_closed_form_sweeps_never_load_numpy(tmp_path, job):
     assert run_sweep_job(tmp_path, job) == ["0"]
+
+
+def test_a_closed_form_lg_point_never_loads_numpy():
+    argv = ["point", "lg-nonclassical", "--param", "V=0.3", "--param", "omega=2.5"]
+    proc = run_python(RUN_CLI.format(prelude=""), *argv)
+    assert proc.returncode == 0, proc.stderr
+    # the fixed argmax pi / (4 omega), then the exit code and no heavy module
+    gap = "0.314159265359"
+    assert proc.stdout.splitlines()[1:] == [f"argmax = ({gap}, {gap}, {gap})", "0"]
 
 
 @pytest.mark.parametrize("job", ["photon_n2.job", "lg_spin.job"])

@@ -10,7 +10,13 @@ import math
 import numpy as np
 import pytest
 
-from coarsebell.kernels import CosineDifference, DiscreteGaussianWeights, discrete_gaussian
+from coarsebell.kernels import (
+    CosineDifference,
+    CosineSeries,
+    DiscreteGaussianWeights,
+    Harmonic,
+    discrete_gaussian,
+)
 from coarsebell.oracles import QuadratureRule, _hermite_rule, gauss_hermite
 
 
@@ -84,6 +90,40 @@ def test_cosine_difference_evaluates_its_expression_bit_for_bit():
 def test_cosine_difference_rejects_a_negative_or_non_finite_amplitude(amp):
     with pytest.raises(ValueError, match=r"^amp must be finite and >= 0"):
         CosineDifference(amp)
+
+
+# ---------------------------------------------------------------------------
+# the single-gap forms amp cos(omega tau) and sum_h damping_h cos(freq_h tau) / norm
+
+
+def test_harmonic_evaluates_its_expression_bit_for_bit():
+    for amp, omega in [(0.0, 1.0), (0.37, 1e-4), (1.0, 100.0)]:
+        form = Harmonic(amp, omega)
+        for tau in (0.0, 0.3, -1.7, 1e6):
+            assert form(tau) == amp * math.cos(omega * tau)
+    with pytest.raises(AttributeError, match="frozen"):
+        form.omega = 0.5
+
+
+@pytest.mark.parametrize(
+    "amp,omega,field",
+    [(-1.0, 1.0, "amp"), (math.nan, 1.0, "amp"), (math.inf, 1.0, "amp"),
+     (1.0, 0.0, "omega"), (1.0, -2.0, "omega"), (1.0, math.inf, "omega")],
+)
+def test_harmonic_rejects_a_negative_or_non_finite_field(amp, omega, field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        Harmonic(amp, omega)
+
+
+def test_cosine_series_evaluates_its_expression_bit_for_bit():
+    damping, freq = np.array([0.25, 1.0, 0.5]), np.array([-3.0, 0.0, 3.0])
+    form = CosineSeries(damping, freq, 3.0)
+    for tau in (0.0, 0.3, -1.7, 1e6):
+        assert form(tau) == float(np.add.reduce(damping * np.cos(freq * tau))) / 3.0
+    taus = np.array([0.0, 0.3, -1.7, 1e6])
+    assert np.array_equal(form.sample(taus), [form(tau) for tau in taus.tolist()])
+    with pytest.raises(AttributeError, match="frozen"):
+        form.norm = 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,20 @@ projective parity measurements, built from ladder operators and
 scipy.linalg.expm — Tr[Q U Q U^dag] / (2j+1).
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from coarsebell.leggett_garg import J_MAX, SpinParams, corr_nonclassical, corr_spin_parity
+from coarsebell.leggett_garg import (
+    J_MAX,
+    SpinParams,
+    corr_nonclassical,
+    corr_spin_parity,
+    spin_parity_correlator,
+)
 from coarsebell.optimize import LgTimes, lg_function
 from coarsebell.oracles import corr_spin_parity_quad, gauss_hermite, parity_operator
 
@@ -162,6 +169,29 @@ def test_spin_parity_equals_the_per_call_formula_bit_for_bit(j, omega, Delta):
         assert corr_spin_parity(tau, SpinParams(j=j, omega=omega, Delta=Delta)) == corr_spin_parity(
             tau, params
         )
+
+
+def sampled_rows(n: int) -> np.ndarray:
+    """Every gap of a 512-point grid; of a larger one the first and last 64 and every 29th.
+
+    The grid's product is one flat array, so a value could depend on its
+    position only through its SIMD lane or the array's end: each block of 64
+    consecutive rows holds every lane, and both ends are in.
+    """
+    if n <= 512:
+        return np.arange(n)
+    return np.r_[0:64, 64:n - 64:29, n - 64:n]
+
+
+@pytest.mark.parametrize("n", [512, 2048, 8192])
+@pytest.mark.parametrize("j", [0.5, 1.0, 2.5, 7.5, 35.0, 50.0, 256.0])
+def test_the_series_samples_a_grid_with_the_bits_of_its_calls(j, n):
+    for V, omega in itertools.product([0.0, 0.01, 0.3, 1.2, 30.0], [1e-4, 1.0, 100.0]):
+        series = spin_parity_correlator(SpinParams(j=j, omega=omega, Delta=math.sqrt(V)))
+        taus = np.arange(n) * (2.0 * math.pi / omega) / n
+        rows = sampled_rows(n)
+        calls = np.array([series(tau) for tau in taus[rows].tolist()])
+        assert np.array_equal(series.sample(taus)[rows], calls)
 
 
 def test_spin_has_a_documented_limit():

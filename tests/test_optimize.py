@@ -13,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coarsebell.generic import GenericParams, corr_fuzzy_detector
-from coarsebell import ecs, optimize, sweep
-from coarsebell.kernels import CosineDifference, cosine_correlator
+from coarsebell import ecs, leggett_garg, optimize, sweep
+from coarsebell.kernels import CosineDifference, CosineSeries, Harmonic, cosine_correlator
 from coarsebell.leggett_garg import SpinParams, corr_spin_parity
 from coarsebell.optimize import (
     ChshSettings,
@@ -442,6 +442,67 @@ def test_every_ecs_row_takes_the_closed_chsh_maximum(alpha, eta, Delta):
         if corr.amp == 0.0:
             assert sweep._fmt(res.value) == "0"
         assert repr(maximize_chsh(sysdef.correlator(params))) == repr(res)
+
+
+def nonclassical_form(omega: float, Delta: float):
+    return leggett_garg.nonclassical_correlator(SpinParams(j=0.5, omega=omega, Delta=Delta))
+
+
+def lg_point(fn, omega: float) -> Correlator:
+    """``fn`` as a sweep point wraps it, with the period 2 pi / omega."""
+    return Correlator(fn=fn, period=2.0 * math.pi / omega, kind="lg")
+
+
+@settings(max_examples=3, deadline=None)
+@given(
+    Delta=st.one_of(st.just(0.0), st.floats(0.0, 40.0)),
+    omega=st.floats(leggett_garg.OMEGA_MIN, leggett_garg.OMEGA_MAX),
+)
+@example(Delta=0.0, omega=1.0)
+@example(Delta=40.0, omega=leggett_garg.OMEGA_MIN)  # amp underflows to 0
+@example(Delta=38.0, omega=leggett_garg.OMEGA_MAX)  # subnormal amp, exp(-722)
+def test_every_nonclassical_point_takes_the_closed_lg_maximum(Delta, omega):
+    form = nonclassical_form(omega, Delta)
+    assert type(form) is Harmonic
+    res = maximize_lg(lg_point(form, omega))
+    assert (res.evaluations, res.converged, res.starts_used) == (4, True, 0)
+    grid = maximize_lg(lg_point(lambda tau: form(tau), omega))
+    assert grid.starts_used >= 1
+    assert res.value == pytest.approx(grid.value, abs=1e-12)
+    # below the normal floats rounding is absolute, up to a few subnormal steps
+    bound = 2.0 * math.sqrt(2.0) * form.amp
+    assert res.value <= bound * (1.0 + 1e-15) + 4.0 * math.ulp(0.0)
+    if form.amp == 0.0:
+        assert sweep._fmt(res.value) == "0"
+    assert repr(maximize_lg(lg_point(nonclassical_form(omega, Delta), omega))) == repr(res)
+
+
+class HarmonicLookAlike(Harmonic):
+    """The one-harmonic form's shape and call under another type."""
+
+
+@pytest.mark.parametrize(
+    "corr", [lambda tau: 0.8 * math.cos(tau), HarmonicLookAlike(0.8, 1.0)], ids=["lambda", "subclass"]
+)
+def test_the_closed_lg_path_goes_by_type_and_other_callables_run_the_grid(corr):
+    res = maximize_lg(lg_point(corr, 1.0))
+    assert res.starts_used >= 1
+    assert res.evaluations > optimize._LG_GRID_MIN
+    assert res.value == pytest.approx(2.0 * math.sqrt(2.0) * 0.8, abs=1e-12)
+
+
+# every j class of the lg-sweep benchmark and of lg_spin.job, j = 1/2 included
+@pytest.mark.parametrize("j,V", [(0.5, 0.0), (0.5, 0.3), (1.0, 0.45), (2.5, 0.0), (7.5, 0.2),
+                                 (13.5, 0.6), (35.5, 0.25), (50.0, 0.0), (50.0, 0.7)])
+def test_a_spin_series_and_a_function_of_its_calls_give_the_same_lg_result(j, V):
+    params = SpinParams(j=j, omega=1.0, Delta=math.sqrt(V))
+    series = leggett_garg.spin_parity_correlator(params)
+    assert type(series) is CosineSeries
+    res = maximize_lg(lg_point(series, 1.0))
+    calls = maximize_lg(lg_point(lambda tau: series(tau), 1.0))
+    assert (res.value, res.argmax, res.evaluations, res.converged) == (
+        calls.value, calls.argmax, calls.evaluations, calls.converged
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ end-to-end number of ROADMAP.md (the ten jobs).  CPU seconds (user plus
 system, of the job's process) are the steadier reading on a host whose
 clock speed changes between runs.
 
-    python tools/check_jobs.py            # all ten jobs (~8-14 s on a 2-vCPU Xeon, by its clock level)
+    python tools/check_jobs.py            # all ten jobs (~6-12 s on a 2-vCPU Xeon, by its clock level)
     python tools/check_jobs.py --write    # regenerate the digest file
 """
 
