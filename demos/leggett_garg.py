@@ -17,29 +17,20 @@ is classically bounded by 2.  Highlights:
 import math
 from pathlib import Path
 
-from coarsebell import (
-    Correlator,
-    SpinParams,
-    corr_nonclassical,
-    corr_spin_parity,
-    maximize_lg,
-)
+from coarsebell import SpinParams, maximize_lg
+from coarsebell.leggett_garg import nonclassical_correlator, spin_parity_correlator
 from coarsebell.sweep import SweepSpec, SeriesSpec, emit_csv, emit_svg, run_sweep
 
 OUT = Path(__file__).resolve().parent / "out"
 
 
-def optimized(corr_fn, omega: float = 1.0) -> float:
-    corr = Correlator(fn=corr_fn, period=2.0 * math.pi / omega, kind="lg")
-    return maximize_lg(corr).value
-
-
 def main() -> None:
     OUT.mkdir(exist_ok=True)
 
+    # each correlator carries its period 2 pi / omega, so maximize_lg takes it as it is
     print("= sharp timing, spin 1/2 =")
     sharp = SpinParams(j=0.5)
-    print(f"  K = {optimized(lambda t: corr_spin_parity(t, sharp)):.10f}")
+    print(f"  K = {maximize_lg(spin_parity_correlator(sharp)).value:.10f}")
 
     print()
     print("= timing jitter punishes large spins =")
@@ -47,7 +38,7 @@ def main() -> None:
         ks = []
         for j in (0.5, 1.0, 2.5):
             p = SpinParams(j=j, Delta=math.sqrt(V))
-            ks.append(optimized(lambda t, p=p: corr_spin_parity(t, p)))
+            ks.append(maximize_lg(spin_parity_correlator(p)).value)
         print(
             f"  V={V}: K(j=1/2) = {ks[0]:.6f} > K(j=1) = {ks[1]:.6f}"
             f" > K(j=5/2) = {ks[2]:.6f}"
@@ -57,7 +48,7 @@ def main() -> None:
     print("= minimally invasive readout: universal exp(-V/2) decay =")
     for V in (0.0, 0.3, math.log(2.0), 1.0):
         p = SpinParams(j=0.5, Delta=math.sqrt(V))
-        k = optimized(lambda t: corr_nonclassical(t, p))
+        k = maximize_lg(nonclassical_correlator(p)).value
         note = "  <-- classical bound" if abs(k - 2.0) < 1e-6 else ""
         print(f"  V={V:.4f}: K = {k:.8f}{note}")
 

@@ -122,10 +122,10 @@ class Harmonic(_Frozen):
     """``tau -> amp * cos(omega * tau)``, ``amp`` finite and >= 0, ``omega`` finite and > 0.
 
     A frozen type of its own, so that ``optimize.maximize_lg`` can recognise
-    the shape and take its exact four-time maximum, 2 sqrt(2) amp.
+    the shape and take its exact maximum 2 sqrt(2) amp over its ``period``.
     """
 
-    __slots__ = ("amp", "omega")
+    __slots__ = ("amp", "omega", "period")
 
     def __init__(self, amp: float, omega: float) -> None:
         if not (math.isfinite(amp) and amp >= 0.0):
@@ -134,6 +134,7 @@ class Harmonic(_Frozen):
             raise ValueError(f"omega must be finite and > 0, got {omega!r}")
         object.__setattr__(self, "amp", amp)
         object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "period", 2.0 * math.pi / omega)
 
     def __call__(self, tau: float) -> float:
         return self.amp * math.cos(self.omega * tau)
@@ -145,21 +146,22 @@ class CosineSeries(_Frozen):
     A frozen type of its own.  A call reduces its terms with
     ``np.add.reduce``, and ``sample`` evaluates many gaps in one numpy
     product with the same operations, so each of its values has the bits of
-    the call at that gap.  ``optimize.maximize_lg`` samples its grid that way.
-    The constructor takes the arrays as they are: its caller,
-    ``leggett_garg.spin_parity_correlator``, builds them finite, of equal
-    length and read-only.
+    the call at that gap.  ``optimize.maximize_lg`` samples its grid that way
+    over one ``period``.  The constructor takes its fields as they are: its
+    caller, ``leggett_garg.spin_parity_correlator``, builds the arrays
+    finite, of equal length and read-only, and the period as 2 pi / omega.
     """
 
-    __slots__ = ("damping", "freq", "norm", "_cos", "_add_up")
+    __slots__ = ("damping", "freq", "norm", "period", "_cos", "_add_up")
 
-    def __init__(self, damping: np.ndarray, freq: np.ndarray, norm: float) -> None:
+    def __init__(self, damping: np.ndarray, freq: np.ndarray, norm: float, period: float) -> None:
         import numpy as np
 
         set_field = object.__setattr__
         set_field(self, "damping", damping)
         set_field(self, "freq", freq)
         set_field(self, "norm", norm)
+        set_field(self, "period", period)
         # bound once: np.sum's Python wrapper was ~40 % of a call, np.add.reduce has the same bits
         set_field(self, "_cos", np.cos)
         set_field(self, "_add_up", np.add.reduce)

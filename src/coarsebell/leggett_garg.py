@@ -129,7 +129,7 @@ def spin_parity_correlator(params: SpinParams) -> CosineSeries:
     first.
     """
     damping, freq = _spin_terms(params)
-    return CosineSeries(damping, freq, 2.0 * params.j + 1.0)
+    return CosineSeries(damping, freq, 2.0 * params.j + 1.0, 2.0 * math.pi / params.omega)
 
 
 def corr_spin_parity(tau: float, params: SpinParams) -> float:

@@ -110,10 +110,9 @@ _COSINE_DIFFERENCE_ARGMAX = (0.0, math.pi / 4, math.pi / 8, 7 * math.pi / 8)
 class Correlator(namedtuple("Correlator", "fn period kind", defaults=(math.pi, "chsh"))):
     """An evaluable correlation function bundled with its search metadata.
 
-    ``kind`` is "chsh" for two-angle spatial correlations E(theta_a, theta_b)
-    and "lg" for single-gap temporal correlations C(tau).  ``period`` is the
-    periodicity of the underlying function per argument, which bounds the
-    multistart search box.
+    ``period`` is the periodicity of the function per argument, which bounds
+    the search box.  ``kind``, "chsh" for E(theta_a, theta_b) or "lg" for
+    C(tau), stays for existing callers: no maximiser reads it.
     """
 
     __slots__ = ()
@@ -616,6 +615,7 @@ def maximize_lg(correlator, starts: int | None = None) -> OptimizationResult:
     ``_LG_POLISHED`` best local maxima of that grid K over s.  The highest
     polished value wins, the lexicographically smaller argmax on a tie.
 
+    C's period is a ``Correlator``'s, else C's own ``period``, else 2 pi.
     ``value`` is K re-evaluated at ``argmax``, whose gaps are reduced into
     ``[0, period)``.  ``evaluations`` counts every call of ``correlator``,
     the grid samples included.  ``starts`` is validated (>= 1) but does not

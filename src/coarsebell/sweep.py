@@ -21,14 +21,15 @@ Limits: every number must be finite; ``sweep.steps`` lies in [1, 10000]
 (``leggett_garg.OMEGA_MIN``/``OMEGA_MAX``), the range over which the
 optimiser's absolute gap tolerance of 1e-8 resolves a period; ``j`` of the
 LG systems is at most 256 (``leggett_garg.J_MAX``), the largest spin whose
-sharp correlator the LG grid resolves; and the detector width of
+sharp correlator the LG grid resolves; the detector width of
 ``generic-delta`` is at most 1e4 (``generic.DELTA_MAX``, V <= 1e8), which
 keeps its smearing window, 8 delta either side of zero whatever ``n``, small
-and one point under ~1 s.  Each limit is a validation error that
-names it (exit code 2 on the command line).  The model records and
-``_System.model_params`` hold the domain of the sweep variable: an ``eta``
-outside [0, 1] or a negative ``V`` on the grid is reported when its point
-is reached, with the series and the value.
+and one point under ~1 s; and series labels are distinct strings that XML
+can carry.  Each limit is a validation error that names it (exit code 2 on
+the command line).  The model records and ``_System.model_params`` hold the
+domain of the sweep variable: an ``eta`` outside [0, 1] or a negative ``V``
+on the grid is reported when its point is reached, with the series and the
+value.
 
 Systems and their sweep variable / fixed parameters:
 
@@ -46,18 +47,18 @@ lg-nonclassical   V           reference variance      j, omega
 ================  ==========  ======================  =====================
 
 Every grid point binds the system's correlator once, through the factory in
-its ``SYSTEMS`` row, and maximises the CHSH (or four-time LG) combination of
-the returned function.  The factory computes the point's constants (smeared
-signs, dampings, the in-house homodyne quadrature).  The three ECS rows
-return a ``kernels.CosineDifference``, whose CHSH maximum the optimiser
-takes in closed form from four calls, and lg-nonclassical a
-``kernels.Harmonic``, whose LG maximum it takes from four calls; lg-spin
-returns a ``kernels.CosineSeries``, which samples the LG grid in numpy; for
-every other row the optimiser's calls (~1e5 for a CHSH point) run only the
-returned closure.  No sweep point imports scipy or runs anything of
-``oracles``.  Rows are emitted in lexicographic (series, sweep_value) order
-with 12 significant digits.  Both the CSV and the SVG renderings are
-byte-deterministic.
+its ``SYSTEMS`` row, which computes the point's constants (smeared signs,
+dampings, the in-house homodyne quadrature), and passes the result as it
+is to ``maximize_chsh`` or ``maximize_lg``, by the row's ``kind``.  The ECS
+rows return a ``kernels.CosineDifference`` and lg-nonclassical a
+``kernels.Harmonic``, whose maxima the optimiser takes in closed form from
+four calls; lg-spin returns a ``kernels.CosineSeries``, which samples the
+LG grid in numpy, and every other row a closure, which the optimiser calls
+~1e5 times for a CHSH point.  A CHSH correlator is searched over the period
+pi; each LG form carries its own, 2 pi / omega.  No sweep point imports
+scipy or runs anything of ``oracles``.  Rows are emitted in lexicographic
+(series, sweep_value) order with 12 significant digits.  Both the CSV and
+the SVG renderings are byte-deterministic.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from typing import Mapping
 
 from . import ecs, generic, leggett_garg, photon
 from .kernels import Validated, as_int
-from .optimize import Correlator, OptimizationResult, _check_search, maximize_chsh, maximize_lg
+from .optimize import OptimizationResult, _check_search, maximize_chsh, maximize_lg
 
 __all__ = [
     "JobError",
@@ -96,6 +97,12 @@ class JobError(ValueError):
 # point takes ~20 us (ecs-homodyne ~0.5 ms, for its quadrature), so 10000 of
 # them take 0.3-6 s on a 2-vCPU Xeon.  The grid itself stays small.
 MAX_STEPS = 10_000
+
+
+def _xml_text(text: str) -> bool:
+    """Whether every character of ``text`` is in XML 1.0's ``Char`` production."""
+    return all(" " <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd" or c > "\uffff" or c in "\t\n\r"
+               for c in text)
 
 
 class SeriesSpec(namedtuple("SeriesSpec", "label params")):
@@ -146,7 +153,13 @@ class SweepSpec(
             raise JobError(f"sweep grid needs sweep.min < sweep.max, got [{vmin}, {vmax}]")
         elif not math.isfinite(vmax - vmin):
             raise JobError(f"sweep.max - sweep.min overflows a float, got [{vmin}, {vmax}]")
+        labels: set[str] = set()
         for s in series:
+            if not isinstance(s.label, str) or not _xml_text(s.label):
+                raise JobError(f"a series label must be a string XML can carry, got {s.label!r}")
+            if s.label in labels:
+                raise JobError(f"series label {s.label!r} is given to two series")
+            labels.add(s.label)
             _validate_params(system, s.params)
         return tuple.__new__(cls, (system, variable, vmin, vmax, count, series))
 
@@ -234,22 +247,6 @@ SYSTEMS: dict[str, _System] = {
 }
 
 
-def _correlator(sysdef: _System, fixed: Mapping, value: float) -> Correlator:
-    """Build one configuration's correlator from its table row.
-
-    The factory runs once per point: it computes the configuration's
-    constants (smeared signs, damping, the homodyne quadrature) and returns
-    a fixed-arity function: a closure, which the optimiser calls ~1e5 times
-    for a CHSH point, or one of the forms of ``kernels`` (the ECS and LG
-    rows), which it recognises by type.
-    """
-    mp = sysdef.model_params(fixed, value)
-    fn = sysdef.correlator(mp)
-    if sysdef.kind == "lg":
-        return Correlator(fn=fn, period=2.0 * math.pi / mp.omega, kind="lg")
-    return Correlator(fn=fn, period=math.pi, kind="chsh")
-
-
 def _system(name: str) -> _System:
     try:
         return SYSTEMS[name]
@@ -305,10 +302,10 @@ def _optimum(
     from the maximiser, a ``ValueError`` too, propagates (exit 3).
     """
     try:
-        corr = _correlator(sysdef, fixed, value)
+        corr = sysdef.correlator(sysdef.model_params(fixed, value))
     except ValueError as exc:
         raise JobError(f"{where}{exc}") from exc
-    if corr.kind == "lg":
+    if sysdef.kind == "lg":
         return maximize_lg(corr, starts=starts)
     return maximize_chsh(corr, starts=starts)
 

@@ -91,6 +91,31 @@ def test_a_job_file_with_a_byte_order_mark_writes_the_bytes_of_the_plain_job(tmp
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize(
+    "labels,needle",
+    [
+        (["3", "4"], "must be a string XML can carry, got 3"),
+        (["same", "same"], "'same' is given to two series"),
+        (["a\x01b", "c"], "XML can carry, got 'a\\x01b'"),
+    ],
+    ids=["not-a-str", "repeated", "not-an-xml-char"],
+)
+def test_a_label_that_would_break_the_output_exits_two(tmp_path, monkeypatch, capsys, labels, needle):
+    if labels[0] == "3":  # a job file's labels are strings; a library caller can pass another type
+        series_spec = coarsebell.sweep.SeriesSpec
+        monkeypatch.setattr(
+            coarsebell.sweep, "SeriesSpec", lambda label, params: series_spec(int(label), params)
+        )
+    text = GOOD_JOB.replace("series[0].label = n=1", f"series[0].label = {labels[0]}")
+    text += f"series[1].label = {labels[1]}\nseries[1].params.n = 2\n"
+    csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"
+    code = main(["sweep", write_job(tmp_path, text), "--csv", str(csv_path), "--svg", str(svg_path)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+    assert not csv_path.exists() and not svg_path.exists()
+
+
 def test_sweep_reports_non_convergence(tmp_path, monkeypatch, capsys):
     def stuck(correlator, starts=None):
         return OptimizationResult(

@@ -117,7 +117,7 @@ def test_harmonic_rejects_a_negative_or_non_finite_field(amp, omega, field):
 
 def test_cosine_series_evaluates_its_expression_bit_for_bit():
     damping, freq = np.array([0.25, 1.0, 0.5]), np.array([-3.0, 0.0, 3.0])
-    form = CosineSeries(damping, freq, 3.0)
+    form = CosineSeries(damping, freq, 3.0, 2.0 * math.pi / 1.5)
     for tau in (0.0, 0.3, -1.7, 1e6):
         assert form(tau) == float(np.add.reduce(damping * np.cos(freq * tau))) / 3.0
     taus = np.array([0.0, 0.3, -1.7, 1e6])

@@ -449,7 +449,7 @@ def nonclassical_form(omega: float, Delta: float):
 
 
 def lg_point(fn, omega: float) -> Correlator:
-    """``fn`` as a sweep point wraps it, with the period 2 pi / omega."""
+    """``fn`` in a ``Correlator`` with the period 2 pi / omega."""
     return Correlator(fn=fn, period=2.0 * math.pi / omega, kind="lg")
 
 
@@ -503,6 +503,27 @@ def test_a_spin_series_and_a_function_of_its_calls_give_the_same_lg_result(j, V)
     assert (res.value, res.argmax, res.evaluations, res.converged) == (
         calls.value, calls.argmax, calls.evaluations, calls.converged
     )
+
+
+@pytest.mark.parametrize("omega", [1e-4, 0.1, 0.3, 1.0, 3.0, 100.0])
+@pytest.mark.parametrize(
+    "factory",
+    [leggett_garg.nonclassical_correlator, leggett_garg.spin_parity_correlator],
+    ids=["harmonic", "series"],
+)
+def test_a_bare_lg_form_maximises_over_its_own_period(factory, omega):
+    # the form carries 2 pi / omega, so no Correlator is needed to give it one
+    for j, V in [(0.5, 0.0), (1.0, 0.45), (2.5, 0.2)]:
+        form = factory(SpinParams(j=j, omega=omega, Delta=math.sqrt(V)))
+        assert form.period == 2.0 * math.pi / omega
+        bare = maximize_lg(form)
+        wrapped = maximize_lg(lg_point(form, omega))
+        assert (bare.value, bare.argmax, bare.evaluations, bare.converged) == (
+            wrapped.value, wrapped.argmax, wrapped.evaluations, wrapped.converged
+        )
+    sharp = maximize_lg(factory(SpinParams(j=0.5, omega=omega)))
+    assert sharp.converged
+    assert sharp.value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +609,8 @@ def chsh_correlator(system: str, params: dict):
     """The bare correlator of a CHSH sweep point."""
     sysdef = sweep.SYSTEMS[system]
     merged = sweep._validate_params(system, {k: v for k, v in params.items() if k != sysdef.variable})
-    return sweep._correlator(sysdef, merged, params.get(sysdef.variable, sysdef.variable_default)).fn
+    value = params.get(sysdef.variable, sysdef.variable_default)
+    return sysdef.correlator(sysdef.model_params(merged, value))
 
 
 CHSH_CASES = {
@@ -652,7 +674,7 @@ def lg_polish_starts(system: str, params: dict):
     """The four-time objective of a sweep point and ``maximize_lg``'s grid triples."""
     sysdef = sweep.SYSTEMS[system]
     merged = sweep._validate_params(system, {k: v for k, v in params.items() if k != sysdef.variable})
-    corr = sweep._correlator(sysdef, merged, params[sysdef.variable])
+    corr = sysdef.correlator(sysdef.model_params(merged, params[sysdef.variable]))
     starts = []
     run = optimize._nelder_mead
 

@@ -1,6 +1,7 @@
 """Tests for job parsing, sweep execution, and the CSV/SVG emitters."""
 
 import math
+import re
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -44,7 +45,6 @@ from coarsebell.sweep import (
     optimized_point,
     parse_job,
     run_sweep,
-    _correlator,
 )
 
 JOB_TEXT = """\
@@ -89,6 +89,30 @@ def test_parse_job_defaults_variable_and_labels():
     )
     assert spec.variable == "V"
     assert spec.series[0].label == "series3"
+
+
+@pytest.mark.parametrize(
+    "series,needle",
+    [
+        ((SeriesSpec(3, {"alpha": 2.0}),), "must be a string XML can carry, got 3"),
+        ((SeriesSpec("same", {"alpha": 2.0}), SeriesSpec("same", {"alpha": 3.0})), "two series"),
+        ((SeriesSpec("a\x01b", {"alpha": 2.0}),), "XML can carry, got 'a\\x01b'"),
+    ],
+    ids=["not-a-str", "repeated", "not-an-xml-char"],
+)
+def test_a_label_that_would_break_the_output_is_refused(series, needle):
+    # emit_svg cannot escape an int, two series under one label merge in the CSV and the SVG,
+    # and no XML document may hold \x01
+    with pytest.raises(JobError, match=re.escape(needle)):
+        SweepSpec(system="ecs-ref", variable="V", vmin=0.0, vmax=0.5, steps=2, series=series)
+
+
+def test_a_label_that_repeats_a_default_label_is_refused():
+    with pytest.raises(JobError, match="'series1' is given to two series"):
+        parse_job(
+            "system = lg-spin\nsweep.min = 0\nsweep.max = 1\nsweep.steps = 2\n"
+            "series[0].label = series1\nseries[1].params.j = 1.5\n"
+        )
 
 
 @pytest.mark.parametrize(
@@ -472,13 +496,12 @@ def test_table_cases_cover_every_system():
 def test_system_row_builds_the_model_correlator(system, fixed, value, want, model):
     sysdef = SYSTEMS[system]
     assert sysdef.model_params(fixed, value) == want
-    corr = _correlator(sysdef, fixed, value)
+    corr = sysdef.correlator(sysdef.model_params(fixed, value))
     if sysdef.kind == "lg":
-        assert (corr.kind, corr.period) == ("lg", 2.0 * math.pi / want.omega)
+        assert corr.period == 2.0 * math.pi / want.omega
         for tau in GAPS:
             assert corr(tau) == model(tau, want)
     else:
-        assert (corr.kind, corr.period) == ("chsh", math.pi)
         for a, b in ANGLE_PAIRS:
             assert corr(a, b) == model(a, b, want)
 
@@ -487,7 +510,7 @@ def test_system_row_builds_the_model_correlator(system, fixed, value, want, mode
 def test_system_closures_return_built_in_floats(system, fixed, value):
     # numpy scalars would make every optimiser call do numpy arithmetic
     sysdef = SYSTEMS[system]
-    fn = _correlator(sysdef, fixed, value).fn
+    fn = sysdef.correlator(sysdef.model_params(fixed, value))
     for args in ([(0.3, 1.1), (2.0, 0.7)] if sysdef.kind == "chsh" else [(0.4,), (1.9,)]):
         assert type(fn(*args)) is float
 
