@@ -27,7 +27,8 @@ Each ``ecs_*_correlator(params)`` computes its amplitude, the quadrature
 included, once and returns ``(theta_a, theta_b) -> E`` as a
 ``kernels.CosineDifference``, whose CHSH maximum 2 sqrt(2) A
 ``optimize.maximize_chsh`` takes in closed form, with no search; sweeps bind
-one per point, and the ``corr_ecs_*`` functions are one-call conveniences.
+one per point, and the ``corr_ecs_*`` functions bind theirs once per
+configuration through ``kernels.bound``.
 
 ``oracles.oracle_ecs_quadrature`` rebuilds the efficiency-free correlation
 from first principles - coherent-state position wavefunctions,
@@ -40,11 +41,10 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from functools import lru_cache
 from math import erf
 from typing import Callable
 
-from .kernels import CosineDifference, Validated, require_finite
+from .kernels import CosineDifference, Validated, bound, require_finite
 
 __all__ = [
     "EcsParams",
@@ -122,17 +122,17 @@ def ecs_homodyne_correlator(params: EcsParams) -> CosineDifference:
 
 def corr_ecs_efficiency(theta_a: float, theta_b: float, params: EcsParams) -> float:
     """:func:`ecs_efficiency_correlator` of ``params`` at one pair of angles."""
-    return ecs_efficiency_correlator(params)(theta_a, theta_b)
+    return bound(ecs_efficiency_correlator, params)(theta_a, theta_b)
 
 
 def corr_ecs_reference(theta_a: float, theta_b: float, params: EcsParams) -> float:
     """:func:`ecs_reference_correlator` of ``params`` at one pair of angles."""
-    return ecs_reference_correlator(params)(theta_a, theta_b)
+    return bound(ecs_reference_correlator, params)(theta_a, theta_b)
 
 
 def corr_ecs_homodyne_angle(theta_a: float, theta_b: float, params: EcsParams) -> float:
     """:func:`ecs_homodyne_correlator` of ``params`` at one pair of angles."""
-    return ecs_homodyne_correlator(params)(theta_a, theta_b)
+    return bound(ecs_homodyne_correlator, params)(theta_a, theta_b)
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +232,6 @@ def _adaptive(f: Callable[[float], float], edges: list[float]) -> tuple[float, f
     return math.fsum(piece[3] for piece in heap), -math.fsum(piece[0] for piece in heap)
 
 
-# The cache serves ``corr_ecs_homodyne_angle``, which rebuilds the correlator
-# on every call: a CHSH lattice over it makes ~1e5 lookups.  Sweep points never
-# hit it: each point's width makes its key unique (0 hits in the 27 calls of
-# the shipped jobs).
-@lru_cache(maxsize=1024)
 def homodyne_angle_average(alpha: float, Delta: float) -> float:
     """Gaussian average I(alpha, Delta) of the sharp homodyne sign response.
 

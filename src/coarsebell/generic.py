@@ -45,11 +45,10 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
 from typing import Callable
 
 from . import kernels
-from .kernels import Validated, as_int, require_finite
+from .kernels import Validated, bound, check_size, require_finite
 
 __all__ = [
     "GenericParams",
@@ -68,14 +67,6 @@ __all__ = [
 DELTA_MAX = 1e4
 
 
-def _check_size(n: int) -> int:
-    """``n`` as a built-in int, if it is an integer (not a bool) >= 1."""
-    size = as_int(n)
-    if size is None or size < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    return size
-
-
 def _check_delta(delta: float) -> None:
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta!r}")
@@ -92,7 +83,7 @@ class GenericParams(Validated, namedtuple("GenericParams", "n delta Delta", defa
 
     def __new__(cls, n: int, delta: float = 0.0, Delta: float = 0.0):
         require_finite(cls, n, delta, Delta)
-        n = _check_size(n)
+        n = check_size(n)
         _check_delta(delta)
         if Delta < 0.0:
             raise ValueError(f"Delta must be >= 0, got {Delta}")
@@ -104,11 +95,6 @@ def chi(j: int) -> int:
     return 1 if j >= 1 else -1
 
 
-# The cache serves the three-argument wrappers, which rebuild the closure on
-# every call: a CHSH lattice over ``corr_fuzzy_detector`` makes ~2e5 lookups.
-# Sweep points never hit it: each point's width makes its key unique (0 hits
-# in the 130 calls of the shipped jobs).
-@lru_cache(maxsize=4096)
 def _smeared_sign(m: int, delta: float) -> float:
     """sum_k w_k chi_{m-k} over the truncated, renormalised kernel, as a built-in float.
 
@@ -152,7 +138,7 @@ def corr_fuzzy_detector(theta_a: float, theta_b: float, params: GenericParams) -
 
     Agrees with the f/g composition of the module docstring within 1e-14.
     """
-    return fuzzy_detector_correlator(params)(theta_a, theta_b)
+    return bound(fuzzy_detector_correlator, params)(theta_a, theta_b)
 
 
 def coarse_reference_correlator(params: GenericParams) -> Callable[[float, float], float]:
@@ -166,7 +152,7 @@ def coarse_reference_correlator(params: GenericParams) -> Callable[[float, float
 
 def corr_coarse_reference(theta_a: float, theta_b: float, params: GenericParams) -> float:
     """:func:`coarse_reference_correlator` of ``params`` at one pair of angles."""
-    return coarse_reference_correlator(params)(theta_a, theta_b)
+    return bound(coarse_reference_correlator, params)(theta_a, theta_b)
 
 
 def discrimination_error(n: int, delta: float) -> float:
@@ -176,7 +162,7 @@ def discrimination_error(n: int, delta: float) -> float:
     and, for fixed n, grows to 1 as delta -> infinity (the smeared sign
     carries no information left).  Larger n at fixed delta reduces it.
     """
-    _check_size(n)
+    check_size(n)
     _check_delta(delta)
     bracket = _smeared_sign(n, delta)
     return 1.0 - bracket * bracket

@@ -1,5 +1,7 @@
 """The discrete Gaussian smearing kernel, the checks shared by the record
-types (finite fields, integer arguments, a ``_replace`` that re-validates),
+types (finite fields, integer arguments and sizes, a ``_replace`` that
+re-validates), the cache through which the three-argument ``corr_*``
+wrappers bind a model's correlator once per configuration (``bound``),
 the closure of the correlation shape floor - scale cos 2(theta_a + theta_b),
 and the forms the optimiser recognises by exact type: ``CosineDifference``,
 amp cos 2(theta_a - theta_b), and two single-gap forms, ``Harmonic``,
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
@@ -62,6 +65,24 @@ def as_int(value) -> int | None:
         return operator.index(value)
     except TypeError:
         return None
+
+
+def check_size(n) -> int:
+    """``n`` as a built-in int, if it is an integer (not a bool) >= 1, else ``ValueError``."""
+    size = as_int(n)
+    if size is None or size < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    return size
+
+
+# The wrappers are called in bursts on one configuration (a lattice or grid
+# over one ``params``), so a small cache serves them; sweep points never come
+# here.  The factory is part of the key, so two systems share no entry; a
+# -0.0 width shares +0.0's entry, which every factory maps alike.
+@lru_cache(maxsize=256)
+def bound(factory: Callable, params: tuple) -> Callable:
+    """``factory(params)``, built once per configuration for the ``corr_*`` wrappers."""
+    return factory(params)
 
 
 class Validated:

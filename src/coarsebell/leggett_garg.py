@@ -41,7 +41,7 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .kernels import CosineSeries, Harmonic, Validated, require_finite
+from .kernels import CosineSeries, Harmonic, Validated, bound, require_finite
 
 if TYPE_CHECKING:
     import numpy as np
@@ -102,7 +102,8 @@ class SpinParams(Validated, namedtuple("SpinParams", "j omega Delta", defaults=(
 # (~2.5k per LG maximisation in the acceptance tests).  Sweep points never hit
 # it: each point's width makes its key unique (0 hits in the 33 calls of the
 # shipped jobs).  The arrays are read-only, because every series built from
-# one entry shares them.
+# one entry shares them.  ``corr_spin_parity`` moves to ``kernels.bound``
+# once perfbench's clock can time its ~3 us call (ROADMAP item 0).
 @lru_cache(maxsize=64)
 def _spin_terms(params: SpinParams) -> tuple[np.ndarray, np.ndarray]:
     """Per-sector damping exp(-2 m^2 Delta^2) and angular factor 2 m omega."""
@@ -149,4 +150,4 @@ def nonclassical_correlator(params: SpinParams) -> Harmonic:
 
 def corr_nonclassical(tau: float, params: SpinParams) -> float:
     """:func:`nonclassical_correlator` of ``params`` at one gap."""
-    return nonclassical_correlator(params)(tau)
+    return bound(nonclassical_correlator, params)(tau)

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .generic import GenericParams, _smeared_sign, fuzzy_detector_correlator
-from .kernels import as_int
+from .kernels import as_int, check_size
 from .leggett_garg import SpinParams, _check_spin
 from .photon import PhotonParams
 
@@ -240,9 +240,7 @@ def mode_observable(n_max: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def build_psi_n(n: int) -> FockDensityMatrix:
     """Pure entangled pair state |psi_n> as a density matrix, cutoff ``n``."""
-    size = as_int(n)
-    if size is None or size < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    size = check_size(n)
     d = size + 1
     party = d * d
     v_h = np.zeros(party)

@@ -35,7 +35,7 @@ import math
 from collections import namedtuple
 from typing import Callable
 
-from .kernels import Validated, as_int, cosine_correlator, require_finite
+from .kernels import Validated, check_size, cosine_correlator, require_finite
 
 __all__ = [
     "PhotonParams",
@@ -50,9 +50,7 @@ class PhotonParams(Validated, namedtuple("PhotonParams", "n eta Delta", defaults
 
     def __new__(cls, n: int, eta: float = 1.0, Delta: float = 0.0):
         require_finite(cls, n, eta, Delta)
-        size = as_int(n)
-        if size is None or size < 1:
-            raise ValueError(f"n must be an integer >= 1, got {n!r}")
+        size = check_size(n)
         if not 0.0 <= eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {eta}")
         if Delta < 0.0:

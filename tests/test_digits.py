@@ -5,15 +5,20 @@ closed form, and the 12 significant digits the CSV prints,
 ``f"{value:.12g}"``, must be that reference correctly rounded.  A CHSH
 correlator floor - scale cos 2(a + b) or amp cos 2(a - b) has the maximum
 B* = 2 floor + 2 sqrt(2) scale (with floor = 0, scale = amp for the second),
-and the two-level LG probe has 2 sqrt(2) e^(-V/2).
+and the two-level LG probe has 2 sqrt(2) e^(-V/2).  For generic-delta,
+floor = S^2 and scale = A^2, with S and A the even and odd parts of the
+smeared signs of +n and -n over the renormalised discrete Gaussian of
+variance V on the code's window, max(1, ceil(8 sqrt(V))) integers either side
+of zero.
 
 Every row of the ECS efficiency and reference jobs and of the lg-nonclassical
-job is checked.  The generic-ref and photon rows run the CHSH lattice, so
-only the first and last V of each of their series are, each as a
+job is checked.  The generic-delta, generic-ref and photon rows run the CHSH
+lattice, so only the first and last V of each of their series are, each as a
 single-point sweep.
 """
 
 import decimal
+import math
 from pathlib import Path
 
 import mpmath
@@ -38,6 +43,23 @@ def photon_optimum(params, V):
     return tsirelson(miss**2, (1 - miss) ** 2 * mp.exp(-4 * V))
 
 
+def generic_delta_optimum(params, V):
+    n = int(params["n"])
+    if V == 0:
+        weights = {0: mp.mpf(1)}
+    else:
+        k_max = max(1, math.ceil(8.0 * math.sqrt(float(V))))
+        raw = {k: mp.exp(-k * k / (2 * V)) for k in range(-k_max, k_max + 1)}
+        total = mp.fsum(raw.values())
+        weights = {k: w / total for k, w in raw.items()}
+
+    def smeared_sign(m):
+        return mp.fsum(w if m - k >= 1 else -w for k, w in weights.items())
+
+    up, down = smeared_sign(n), smeared_sign(-n)
+    return tsirelson(((up + down) / 2) ** 2, ((up - down) / 2) ** 2)
+
+
 # system -> (series params as mpf, sweep value as mpf) -> the exact optimum
 REFERENCE = {
     "ecs-eta": lambda p, eta: tsirelson(
@@ -47,13 +69,14 @@ REFERENCE = {
         0, mp.exp(-4 * V) * mp.erf(mp.sqrt(2) * p["alpha"]) ** 2 / ecs_overlap(p["alpha"])
     ),
     "lg-nonclassical": lambda p, V: 2 * mp.sqrt(2) * mp.exp(-V / 2),
+    "generic-delta": generic_delta_optimum,
     "generic-ref": lambda p, V: tsirelson(0, mp.exp(-4 * V)),
     "photon": photon_optimum,
 }
 
 # the jobs whose every row is checked, and those checked at the ends of each series
 EVERY_ROW = ("ecs_efficiency.job", "ecs_reference.job", "lg_nonclassical.job")
-END_ROWS = ("generic_reference.job", "photon_n1.job")
+END_ROWS = ("generic_final_resolution.job", "generic_reference.job", "photon_n1.job")
 
 
 def optimised_rows(spec, every_row: bool):

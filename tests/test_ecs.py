@@ -178,7 +178,7 @@ def test_homodyne_average_raises_when_integration_stalls(monkeypatch):
     # pieces leaves 3 bisections, too few to resolve a Gaussian 24 sigma wide
     monkeypatch.setattr("coarsebell.ecs._QUAD_LIMIT", 4)
     with pytest.raises(ConvergenceError, match="did not converge.*estimated error"):
-        homodyne_angle_average(4.321, 0.0777)  # fresh args, not cached
+        homodyne_angle_average(4.321, 0.0777)
 
 
 def test_homodyne_average_refuses_a_window_beyond_the_piece_limit():

@@ -88,7 +88,6 @@ def test_window_follows_the_kernel_alone_so_a_huge_size_costs_nothing(monkeypatc
         return discrete_gaussian(sigma, k_max)
 
     monkeypatch.setattr(kernels, "discrete_gaussian", recording)
-    _smeared_sign.cache_clear()
     edge = math.ceil(8.0 * delta) + 1
     for sign in (1, -1):
         assert _smeared_sign(sign * n, delta) == _smeared_sign(sign * edge, delta)

@@ -1,4 +1,5 @@
-"""Tests for the Gaussian-kernel and quadrature primitives.
+"""Tests for the Gaussian-kernel and quadrature primitives, the forms, and the
+cache through which the three-argument wrappers bind their factories.
 
 The quadrature oracles are closed-form Gaussian moments and the cosine
 characteristic function, both computed without touching the module under
@@ -10,6 +11,9 @@ import math
 import numpy as np
 import pytest
 
+from coarsebell import ecs, generic, kernels, leggett_garg
+from coarsebell.ecs import EcsParams
+from coarsebell.generic import GenericParams
 from coarsebell.kernels import (
     CosineDifference,
     CosineSeries,
@@ -17,6 +21,7 @@ from coarsebell.kernels import (
     Harmonic,
     discrete_gaussian,
 )
+from coarsebell.leggett_garg import SpinParams
 from coarsebell.oracles import QuadratureRule, _hermite_rule, gauss_hermite
 
 
@@ -124,6 +129,56 @@ def test_cosine_series_evaluates_its_expression_bit_for_bit():
     assert np.array_equal(form.sample(taus), [form(tau) for tau in taus.tolist()])
     with pytest.raises(AttributeError, match="frozen"):
         form.norm = 1.0
+
+
+# ---------------------------------------------------------------------------
+# the three-argument wrappers' cache
+
+ANGLES = ((0.0, 0.0), (0.3, 1.1), (-2.0, 0.785))
+GAPS = ((0.0,), (0.9,), (-3.7,))
+
+# module, wrapper, factory, params, the width set to +-0.0, the arguments;
+# ``corr_spin_parity`` is not among them: it builds its series per call from
+# the cached ``leggett_garg._spin_terms``
+WRAPPERS = [
+    (generic, "corr_fuzzy_detector", "fuzzy_detector_correlator",
+     GenericParams(n=2, delta=1.3), "delta", ANGLES),
+    (generic, "corr_coarse_reference", "coarse_reference_correlator",
+     GenericParams(n=2, Delta=0.4), "Delta", ANGLES),
+    (ecs, "corr_ecs_efficiency", "ecs_efficiency_correlator",
+     EcsParams(alpha=1.2, eta=0.7), "eta", ANGLES),
+    (ecs, "corr_ecs_reference", "ecs_reference_correlator",
+     EcsParams(alpha=1.2, Delta=0.3), "Delta", ANGLES),
+    (ecs, "corr_ecs_homodyne_angle", "ecs_homodyne_correlator",
+     EcsParams(alpha=1.2, Delta=0.3), "Delta", ANGLES),
+    (leggett_garg, "corr_nonclassical", "nonclassical_correlator",
+     SpinParams(j=2.5, omega=0.7, Delta=0.4), "Delta", GAPS),
+]
+
+
+@pytest.mark.parametrize(
+    "module,wrapper,factory,params,width,args_list", WRAPPERS, ids=[row[1] for row in WRAPPERS]
+)
+def test_a_wrapper_is_its_factory_bound_once_per_configuration(
+    module, wrapper, factory, params, width, args_list, monkeypatch
+):
+    kernels.bound.cache_clear()
+    corr_fn, build = getattr(module, wrapper), getattr(module, factory)
+    # +0.0 first, so that -0.0 reads the entry +0.0 made
+    for p in (params, params._replace(**{width: 0.0}), params._replace(**{width: -0.0})):
+        for args in args_list:
+            assert corr_fn(*args, p).hex() == build(p)(*args).hex(), (p, args)
+
+    builds = []
+
+    def counting(p):
+        builds.append(p)
+        return build(p)
+
+    monkeypatch.setattr(module, factory, counting)
+    for _ in range(100):
+        corr_fn(*args_list[1], params._replace())
+    assert len(builds) == 1
 
 
 # ---------------------------------------------------------------------------
