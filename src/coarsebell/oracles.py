@@ -6,7 +6,9 @@ closed form (or, for the ECS homodyne angle, by one 1-D adaptive
 quadrature); the oracles here compute it the long way, through the one
 tensor-product Gauss-Hermite average ``angle_average`` (the Hermite roots
 are the package's only use of scipy), the four-mode Fock density-matrix
-pipeline behind ``corr_photon``, and the first-principles rebuild
+pipeline behind ``corr_photon`` (a rotation rewrites only the two rows and
+columns it couples; loss is one contraction per mode with that mode's
+cached channel map), and the first-principles rebuild
 ``oracle_ecs_quadrature``.  Only ``__init__`` imports this module, on first
 use of one of the public names it re-exports.
 """
@@ -251,40 +253,30 @@ def build_psi_n(n: int) -> FockDensityMatrix:
     return FockDensityMatrix(entries=np.outer(psi, psi).astype(complex), n_max=size)
 
 
-@lru_cache(maxsize=64)
-def _party_rotation(n_max: int, n: int, theta: float) -> np.ndarray:
-    d = n_max + 1
-    u = np.eye(d * d, dtype=complex)
-    i_h = n * d  # |n, 0>
-    i_v = n      # |0, n>
-    c, s = math.cos(theta), math.sin(theta)
-    u[i_h, i_h] = c
-    u[i_v, i_v] = c
-    u[i_h, i_v] = 1j * s
-    u[i_v, i_h] = 1j * s
-    u.flags.writeable = False
-    return u
-
-
 def rotate_polarization(rho: FockDensityMatrix, party: str, theta: float, n: int) -> FockDensityMatrix:
     """Rotate one party's polarisation by ``theta`` within the span of {|n,0>, |0,n>}.
 
     ``party`` is "a" or "b"; ``n`` is the photon-number block the rotation
-    couples and must not exceed the cutoff of ``rho``.
+    couples and must not exceed the cutoff of ``rho``.  Only the party's rows
+    and columns of |n,0> and |0,n> change: the 2x2 block [[c, i s], [i s, c]]
+    mixes them on the left, and its adjoint on the right.
     """
     if party not in ("a", "b"):
         raise ValueError(f"party must be 'a' or 'b', got {party!r}")
     block = as_int(n)
     if block is None or not 1 <= block <= rho.n_max:
         raise ValueError(f"block n must be an integer in 1..{rho.n_max} (the cutoff), got {n!r}")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     d = rho.mode_dim
     p = d * d
-    u = _party_rotation(rho.n_max, block, theta)
-    r4 = rho.entries.reshape(p, p, p, p)  # [a_row, b_row, a_col, b_col]
-    if party == "a":
-        out = np.einsum("ij,jklm,nl->iknm", u, r4, u.conj(), optimize=True)
-    else:
-        out = np.einsum("ij,kjlm,nm->kiln", u, r4, u.conj(), optimize=True)
+    h, v = block * d, block  # |n, 0>, |0, n>
+    c, s = math.cos(theta), math.sin(theta)
+    out = rho.entries.reshape(p, p, p, p).copy()  # [a_row, b_row, a_col, b_col]
+    axes = (0, 2) if party == "a" else (1, 3)
+    x = np.moveaxis(out, axes, (0, 1))  # a view: writes land in ``out``
+    x[[h, v]] = c * x[[h, v]] + 1j * s * x[[v, h]]
+    x[:, [h, v]] = c * x[:, [h, v]] - 1j * s * x[:, [v, h]]
     return FockDensityMatrix(entries=out.reshape(p * p, p * p), n_max=rho.n_max)
 
 
@@ -304,11 +296,21 @@ def _kraus_ops(n_max: int, eta: float) -> tuple[np.ndarray, ...]:
     return tuple(ops)
 
 
+@lru_cache(maxsize=64)
+def _loss_map(n_max: int, eta: float) -> np.ndarray:
+    """The one-mode channel sum_k K_k (x) K_k*, indexed [out row, out col, in row, in col]."""
+    d = n_max + 1
+    m = sum(np.kron(k, k.conj()) for k in _kraus_ops(n_max, eta)).reshape(d, d, d, d)
+    m.flags.writeable = False
+    return m
+
+
 def loss_channel(rho: FockDensityMatrix, mode: int, eta: float) -> FockDensityMatrix:
     """Photon loss (beam splitter of transmissivity ``eta``) on one mode.
 
     ``mode`` indexes the order (aH, aV, bH, bV).  The channel is trace
     preserving and maps |m><m| to a binomial mixture over lower occupations.
+    One contraction applies it to the mode's row and column axes together.
     """
     axis = as_int(mode)
     if axis not in (0, 1, 2, 3):
@@ -317,13 +319,8 @@ def loss_channel(rho: FockDensityMatrix, mode: int, eta: float) -> FockDensityMa
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     d = rho.mode_dim
     r8 = rho.entries.reshape([d] * 8)  # row modes 0..3, column modes 4..7
-    out = np.zeros_like(r8)
-    for k in _kraus_ops(rho.n_max, eta):
-        t = np.tensordot(k, r8, axes=([1], [axis]))
-        t = np.moveaxis(t, 0, axis)
-        t = np.tensordot(t, k.conj(), axes=([4 + axis], [1]))
-        t = np.moveaxis(t, -1, 4 + axis)
-        out += t
+    out = np.tensordot(_loss_map(rho.n_max, eta), r8, axes=([2, 3], [axis, 4 + axis]))
+    out = np.moveaxis(out, (0, 1), (axis, 4 + axis))
     dim = d ** 4
     return FockDensityMatrix(entries=out.reshape(dim, dim), n_max=rho.n_max)
 

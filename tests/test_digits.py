@@ -9,11 +9,13 @@ and the two-level LG probe has 2 sqrt(2) e^(-V/2).  For generic-delta,
 floor = S^2 and scale = A^2, with S and A the even and odd parts of the
 smeared signs of +n and -n over the renormalised discrete Gaussian of
 variance V on the code's window, max(1, ceil(8 sqrt(V))) integers either side
-of zero.
+of zero.  For lg-spin, the maximum of K over the three gaps is a stationary
+point of K on the torus of its period; Newton's method finds it from the best
+point of a 3-D lattice scan, so the program's own argmax plays no part.
 
 Every row of the ECS efficiency and reference jobs and of the lg-nonclassical
-job is checked.  The generic-delta, generic-ref and photon rows run the CHSH
-lattice, so only the first and last V of each of their series are, each as a
+job is checked.  The generic-delta, generic-ref, photon and lg-spin rows run
+a search, so only the first and last V of each of their series are, each as a
 single-point sweep.
 """
 
@@ -22,6 +24,7 @@ import math
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 
 from coarsebell.sweep import parse_job, run_sweep
@@ -60,6 +63,49 @@ def generic_delta_optimum(params, V):
     return tsirelson(((up + down) / 2) ** 2, ((up - down) / 2) ** 2)
 
 
+def lg_spin_optimum(params, V):
+    """max K, K = C(g1) + C(g2) + C(g3) - C(g1 + g2 + g3), by Newton on grad K = 0.
+
+    C(tau) = sum_m a_m cos(w_m tau) over m = -j..j, with a_m = exp(-2 m^2 V) / (2j + 1)
+    and w_m = 2 m omega, has period 2 pi / omega in tau, so K has it in each gap.
+    The Newton solve starts from the best of the 64^3 lattice points of one
+    period per gap, evaluated in floats.
+    """
+    scan = 64
+    j, omega = params["j"], params.get("omega", mp.mpf(1))
+    ms = [k - j for k in range(int(2 * j) + 1)]
+    amps = [mp.exp(-2 * m * m * V) / (2 * j + 1) for m in ms]
+    freqs = [2 * m * omega for m in ms]
+
+    def deriv(tau, order):  # the order-th derivative of C
+        shift = order * mp.pi / 2
+        return mp.fsum(a * w**order * mp.cos(w * tau + shift) for a, w in zip(amps, freqs))
+
+    tau = np.arange(scan) * (2 * math.pi / float(omega) / scan)
+    c = np.cos(np.multiply.outer(tau, np.array(freqs, dtype=float))) @ np.array(amps, dtype=float)
+    i = np.arange(scan)
+    lattice = c[:, None, None] + c[None, :, None] + c[None, None, :]
+    lattice -= c[(i[:, None, None] + i[None, :, None] + i[None, None, :]) % scan]
+    gaps = [mp.mpf(float(tau[k])) for k in np.unravel_index(np.argmax(lattice), lattice.shape)]
+    for _ in range(30):
+        total = mp.fsum(gaps)
+        grad = mp.matrix([deriv(g, 1) - deriv(total, 1) for g in gaps])
+        curv = deriv(total, 2)
+        hess = mp.matrix(
+            [[(deriv(g, 2) if r == s else 0) - curv for s in range(3)] for r, g in enumerate(gaps)]
+        )
+        step = mp.lu_solve(hess, grad)
+        gaps = [g - dg for g, dg in zip(gaps, step)]
+        if mp.norm(step) < mp.mpf(10) ** (5 - mp.dps):
+            break
+    else:
+        raise AssertionError(f"Newton did not converge from the scan at j={j}, V={V}")
+    value = mp.fsum(deriv(g, 0) for g in gaps) - deriv(mp.fsum(gaps), 0)
+    # a saddle or a lesser maximum would lie below the scan's best point
+    assert value >= lattice.max() - 1e-12
+    return value
+
+
 # system -> (series params as mpf, sweep value as mpf) -> the exact optimum
 REFERENCE = {
     "ecs-eta": lambda p, eta: tsirelson(
@@ -72,11 +118,14 @@ REFERENCE = {
     "generic-delta": generic_delta_optimum,
     "generic-ref": lambda p, V: tsirelson(0, mp.exp(-4 * V)),
     "photon": photon_optimum,
+    "lg-spin": lg_spin_optimum,
 }
 
 # the jobs whose every row is checked, and those checked at the ends of each series
 EVERY_ROW = ("ecs_efficiency.job", "ecs_reference.job", "lg_nonclassical.job")
-END_ROWS = ("generic_final_resolution.job", "generic_reference.job", "photon_n1.job")
+END_ROWS = (
+    "generic_final_resolution.job", "generic_reference.job", "photon_n1.job", "lg_spin.job"
+)
 
 
 def optimised_rows(spec, every_row: bool):

@@ -1,22 +1,24 @@
 """Tests for the truncated-Fock photon-pair simulator.
 
-The main oracle rebuilds every pipeline stage with dense matrices: rotations
-via scipy.linalg.expm of the explicit generator, loss via Kronecker-lifted
-Kraus operators, detection via a plain diagonal contraction.  No einsum or
-tensordot machinery from the module under test is reused.
+The main oracle rebuilds every pipeline stage with full-space matrices:
+rotations via scipy.linalg.expm of the explicit generator, loss via
+Kronecker-lifted Kraus operators (stored sparse, which changes only their
+cost), detection via a plain diagonal contraction.  No einsum or tensordot
+machinery from the module under test is reused.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from coarsebell.oracles import (
     FockDensityMatrix,
     _corr_sharp,
     _kraus_ops,
-    _party_rotation,
     build_psi_n,
     corr_photon,
     dichotomic_expectation,
@@ -36,29 +38,29 @@ def dense_rotation(n_max: int, n: int, theta: float) -> np.ndarray:
     return scipy.linalg.expm(1j * theta * h)
 
 
+def lift(op: np.ndarray, first: int, modes: int) -> scipy.sparse.csr_matrix:
+    """``op`` on ``modes`` consecutive Fock modes from ``first``, identities on the rest."""
+    d = round(op.shape[0] ** (1.0 / modes))
+    before, after = scipy.sparse.identity(d**first), scipy.sparse.identity(d ** (4 - first - modes))
+    return scipy.sparse.kron(scipy.sparse.kron(before, op), after, format="csr")
+
+
+def dense_loss(rho: np.ndarray, n_max: int, mode: int, eta: float) -> np.ndarray:
+    """One mode's loss: the Kraus sum, each operator Kronecker-lifted to all four modes."""
+    out = np.zeros_like(rho)
+    for k in _kraus_ops(n_max, eta):
+        full = lift(k, mode, 1)
+        out += full @ rho @ full.conj().T
+    return out
+
+
 def dense_corr_oracle(phi_a: float, phi_b: float, n: int, eta: float) -> float:
     """Same physics, different machinery: full-matrix Schroedinger evolution."""
-    d = n + 1
-    p = d * d
     rho = build_psi_n(n).entries.copy()
-    u_full = np.kron(dense_rotation(n, n, phi_a), np.eye(p)) @ np.kron(
-        np.eye(p), dense_rotation(n, n, phi_b)
-    )
+    u_full = lift(dense_rotation(n, n, phi_a), 0, 2) @ lift(dense_rotation(n, n, phi_b), 2, 2)
     rho = u_full @ rho @ u_full.conj().T
-    eye_d = np.eye(d)
-    eye_p = np.eye(p)
-    lifts = [
-        lambda k: np.kron(np.kron(k, eye_d), eye_p),  # aH
-        lambda k: np.kron(np.kron(eye_d, k), eye_p),  # aV
-        lambda k: np.kron(eye_p, np.kron(k, eye_d)),  # bH
-        lambda k: np.kron(eye_p, np.kron(eye_d, k)),  # bV
-    ]
-    for lift in lifts:
-        nxt = np.zeros_like(rho)
-        for k in _kraus_ops(n, eta):
-            full = lift(k)
-            nxt += full @ rho @ full.conj().T
-        rho = nxt
+    for mode in range(4):
+        rho = dense_loss(rho, n, mode, eta)
     o = mode_observable(n)
     return float(np.real(np.sum(np.diagonal(rho) * np.kron(o, o))))
 
@@ -91,13 +93,39 @@ def test_loss_channel_gives_binomial_occupation():
         assert occup[k] == pytest.approx(want, abs=1e-14)
 
 
+@functools.lru_cache(maxsize=None)
+def random_state(n_max: int, seed: int) -> FockDensityMatrix:
+    """A full-rank density matrix whose every entry, coherences included, is nonzero."""
+    dim = (n_max + 1) ** 4
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    rho = (rho + rho.conj().T) / 2.0
+    return FockDensityMatrix(entries=rho / np.trace(rho).real, n_max=n_max)
+
+
 def test_rotation_block_matches_matrix_exponential():
-    for n in (1, 2, 3):
+    # the whole output, against U rho U^dagger with U = expm of the explicit generator
+    for n in (1, 2, 3, 4):
+        rho = random_state(n, seed=n)
         for theta in (0.3, 1.1, -0.7):
-            got = _party_rotation(n, n, theta)
-            want = dense_rotation(n, n, theta)
-            assert np.allclose(got, want, atol=1e-12)
-            assert np.allclose(got @ got.conj().T, np.eye(got.shape[0]), atol=1e-12)
+            u = dense_rotation(n, n, theta)
+            for party, first in (("a", 0), ("b", 2)):
+                u_full = lift(u, first, 2)
+                want = u_full @ rho.entries @ u_full.conj().T
+                got = rotate_polarization(rho, party, theta, n).entries
+                assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("eta", [0.0, 0.3, 0.9, 1.0])
+def test_loss_channel_matches_lifted_kraus_sum(n, eta):
+    # the whole output matrix, coherences included: amplitude damping never carries a
+    # coherence into a population, so the diagonal alone cannot catch a misplaced one
+    rho = random_state(n, seed=10 + n)
+    for mode in range(4):
+        got = loss_channel(rho, mode, eta).entries
+        assert np.max(np.abs(got - dense_loss(rho.entries, n, mode, eta))) <= 1e-14
 
 
 def test_observable_diagonal_is_pinned():
@@ -276,6 +304,9 @@ def test_rotation_rejects_bad_party_and_block():
         rotate_polarization(rho, "a", 0.1, 2)
     with pytest.raises(ValueError, match="must be an integer"):
         rotate_polarization(rho, "a", 0.1, True)
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            rotate_polarization(rho, "a", theta, 1)
     assert np.array_equal(
         rotate_polarization(rho, "a", 0.1, np.int64(1)).entries,
         rotate_polarization(rho, "a", 0.1, 1).entries,
