@@ -24,8 +24,8 @@ adaptive Gauss-Kronrod (7/15) quadrature with breakpoints at the erf steps,
 so this module needs no scipy.
 
 Each ``ecs_*_correlator(params)`` computes its amplitude, the quadrature
-included, once and returns ``(theta_a, theta_b) -> E`` as a
-``kernels.CosineDifference``, whose CHSH maximum 2 sqrt(2) A
+included, once and returns ``(theta_a, theta_b) -> E`` as the
+``kernels.CosineForm(0, A, 0)``, whose CHSH maximum 2 sqrt(2) A
 ``optimize.maximize_chsh`` takes in closed form, with no search; sweeps bind
 one per point, and the ``corr_ecs_*`` functions bind theirs once per
 configuration through ``kernels.bound``.
@@ -44,7 +44,7 @@ from collections import namedtuple
 from math import erf
 from typing import Callable
 
-from .kernels import CosineDifference, Validated, bound, require_finite
+from .kernels import CosineForm, Validated, bound, require_finite
 
 __all__ = [
     "EcsParams",
@@ -87,7 +87,7 @@ def _overlap_denominator(alpha: float) -> float:
     return 1.0 + math.exp(-4.0 * alpha * alpha)
 
 
-def ecs_efficiency_correlator(params: EcsParams) -> CosineDifference:
+def ecs_efficiency_correlator(params: EcsParams) -> CosineForm:
     """Correlation with detector efficiency ``eta`` (sharp references).
 
     Amplitude ``erf(sqrt(2 eta) alpha)^2 / (1 + e^{-4 alpha^2})``; increasing
@@ -95,10 +95,10 @@ def ecs_efficiency_correlator(params: EcsParams) -> CosineDifference:
     compensated by amplitude.
     """
     e = erf(math.sqrt(2.0 * params.eta) * params.alpha)
-    return CosineDifference(e * e / _overlap_denominator(params.alpha))
+    return CosineForm(0.0, e * e / _overlap_denominator(params.alpha), 0.0)
 
 
-def ecs_reference_correlator(params: EcsParams) -> CosineDifference:
+def ecs_reference_correlator(params: EcsParams) -> CosineForm:
     """Correlation with Gaussian-smeared rotation references (unit efficiency).
 
     The smearing multiplies the sharp amplitude by ``e^{-4 Delta^2}``,
@@ -106,10 +106,10 @@ def ecs_reference_correlator(params: EcsParams) -> CosineDifference:
     """
     e = erf(_SQRT_2 * params.alpha)
     damping = math.exp(-4.0 * params.Delta * params.Delta)
-    return CosineDifference(damping * e * e / _overlap_denominator(params.alpha))
+    return CosineForm(0.0, damping * e * e / _overlap_denominator(params.alpha), 0.0)
 
 
-def ecs_homodyne_correlator(params: EcsParams) -> CosineDifference:
+def ecs_homodyne_correlator(params: EcsParams) -> CosineForm:
     """Correlation with a Gaussian-smeared homodyne measurement angle.
 
     Amplitude ``I(alpha, Delta)^2 / (1 + e^{-4 alpha^2})``, with the average
@@ -117,7 +117,7 @@ def ecs_homodyne_correlator(params: EcsParams) -> CosineDifference:
     cannot be compensated by increasing ``alpha``.
     """
     i_val = homodyne_angle_average(params.alpha, params.Delta)
-    return CosineDifference(i_val * i_val / _overlap_denominator(params.alpha))
+    return CosineForm(0.0, i_val * i_val / _overlap_denominator(params.alpha), 0.0)
 
 
 def corr_ecs_efficiency(theta_a: float, theta_b: float, params: EcsParams) -> float:

@@ -45,10 +45,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Callable
 
 from . import kernels
-from .kernels import Validated, bound, check_size, require_finite
+from .kernels import CosineForm, Validated, bound, check_size, require_finite
 
 __all__ = [
     "GenericParams",
@@ -102,8 +101,8 @@ def _smeared_sign(m: int, delta: float) -> float:
     side of zero, whatever ``m``: once |m| exceeds it every chi_{m-k} equals
     chi(m), so neither the sum nor its cost grows with |m|.
 
-    Summed in Python floats, so the closures built from it compute on
-    built-in floats too; numpy scalars made each closure call ~2.4x slower.
+    Summed in Python floats, so the forms built from it compute on built-in
+    floats too; numpy scalars made each call ~2.4x slower.
     """
     if delta == 0.0:
         return float(chi(m))
@@ -114,40 +113,38 @@ def _smeared_sign(m: int, delta: float) -> float:
     return total
 
 
-def fuzzy_detector_correlator(params: GenericParams) -> Callable[[float, float], float]:
+def fuzzy_detector_correlator(params: GenericParams) -> CosineForm:
     """Two-party correlation with smearing applied at the final detection.
 
-    Returns ``(theta_a, theta_b) -> S^2 - A^2 cos 2(theta_a + theta_b)``,
-    with ``S`` and ``A`` the even and odd parts ``(up +- down) / 2`` of the
-    smeared signs ``up`` of +n and ``down`` of -n, computed once.  Any
-    ``Delta`` in ``params`` is ignored here; this is the pure
-    detector-fuzziness branch.  For ``delta == 0``, S = 0 and A = 1, so it
-    reduces exactly to ``-cos 2(theta_a + theta_b)``.  Agrees with the
-    composition of ``oracles.f_delta`` and ``oracles.g_delta`` in the module
-    docstring within 1e-14.
+    Returns ``(theta_a, theta_b) -> S^2 - A^2 cos 2(theta_a + theta_b)`` as
+    the ``kernels.CosineForm(S^2, 0, -A^2)``, with ``S`` and ``A`` the even
+    and odd parts ``(up +- down) / 2`` of the smeared signs ``up`` of +n and
+    ``down`` of -n, computed once.  Any ``Delta`` in ``params`` is ignored
+    here; this is the pure detector-fuzziness branch.  For ``delta == 0``,
+    S = 0 and A = 1, so it reduces exactly to ``-cos 2(theta_a + theta_b)``.
+    Agrees with the composition of ``oracles.f_delta`` and
+    ``oracles.g_delta`` in the module docstring within 1e-14.
     """
     n, delta = params.n, params.delta
     up = _smeared_sign(n, delta)
     down = _smeared_sign(-n, delta)
     even, odd = 0.5 * (up + down), 0.5 * (up - down)
-    return kernels.cosine_correlator(even * even, odd * odd)
+    return CosineForm(even * even, 0.0, -(odd * odd))
 
 
 def corr_fuzzy_detector(theta_a: float, theta_b: float, params: GenericParams) -> float:
-    """:func:`fuzzy_detector_correlator` of ``params`` at one pair of angles.
-
-    Agrees with the f/g composition of the module docstring within 1e-14.
-    """
+    """:func:`fuzzy_detector_correlator` of ``params`` at one pair of angles."""
     return bound(fuzzy_detector_correlator, params)(theta_a, theta_b)
 
 
-def coarse_reference_correlator(params: GenericParams) -> Callable[[float, float], float]:
+def coarse_reference_correlator(params: GenericParams) -> CosineForm:
     """Two-party correlation with a Gaussian-smeared rotation reference.
 
     Returns ``(theta_a, theta_b) -> -exp(-4 Delta^2) cos 2(theta_a + theta_b)``
-    with the damping computed once; note it does not depend on the size ``n``.
+    as the ``kernels.CosineForm(0, 0, -exp(-4 Delta^2))``, with the damping
+    computed once; note it does not depend on the size ``n``.
     """
-    return kernels.cosine_correlator(0.0, math.exp(-4.0 * params.Delta * params.Delta))
+    return CosineForm(0.0, 0.0, -math.exp(-4.0 * params.Delta * params.Delta))
 
 
 def corr_coarse_reference(theta_a: float, theta_b: float, params: GenericParams) -> float:

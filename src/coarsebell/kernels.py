@@ -2,10 +2,10 @@
 types (finite fields, integer arguments and sizes, a ``_replace`` that
 re-validates), the cache through which the three-argument ``corr_*``
 wrappers bind a model's correlator once per configuration (``bound``),
-the closure of the correlation shape floor - scale cos 2(theta_a + theta_b),
-and the forms the optimiser recognises by exact type: ``CosineDifference``,
-amp cos 2(theta_a - theta_b), and two single-gap forms, ``Harmonic``,
-amp cos(omega tau), and ``CosineSeries``, a finite sum of such cosines.
+and the forms the optimiser recognises by exact type: ``CosineForm``, the
+one CHSH shape floor + p cos 2(theta_a - theta_b) + q cos 2(theta_a + theta_b),
+and two single-gap forms, ``Harmonic``, amp cos(omega tau), and
+``CosineSeries``, a finite sum of such cosines.
 
 Every record of the package is a named tuple with ``__slots__ = ()``: its
 fields cannot be set, and it is indexable, iterable and equal to the plain
@@ -34,7 +34,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "CosineDifference",
+    "CosineForm",
     "CosineSeries",
     "Harmonic",
     "DiscreteGaussianWeights",
@@ -67,11 +67,11 @@ def as_int(value) -> int | None:
         return None
 
 
-def check_size(n) -> int:
+def check_size(n, name: str = "n") -> int:
     """``n`` as a built-in int, if it is an integer (not a bool) >= 1, else ``ValueError``."""
     size = as_int(n)
     if size is None or size < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+        raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
     return size
 
 
@@ -99,16 +99,6 @@ class Validated:
         return cls(*iterable)
 
 
-def cosine_correlator(floor: float, scale: float) -> Callable[[float, float], float]:
-    """``(theta_a, theta_b) -> floor - scale * cos 2(theta_a + theta_b)``, constants bound once."""
-    cos = math.cos
-
-    def corr(theta_a: float, theta_b: float) -> float:
-        return floor - scale * cos(2.0 * (theta_a + theta_b))
-
-    return corr
-
-
 class _Frozen:
     """Base of the forms below: each sets its slots once, in ``__init__``, through
     ``object.__setattr__``, and no field can be set after that."""
@@ -119,24 +109,36 @@ class _Frozen:
         raise AttributeError(f"{type(self).__name__} is frozen: cannot set {name!r}")
 
 
-class CosineDifference(_Frozen):
-    """``(theta_a, theta_b) -> amp * cos 2(theta_a - theta_b)``, ``amp`` finite and >= 0.
+class CosineForm(_Frozen):
+    """``(theta_a, theta_b) -> floor + p cos 2(theta_a - theta_b) + q cos 2(theta_a + theta_b)``.
 
-    A frozen type of its own, so that ``optimize.maximize_chsh`` can
-    recognise the shape and take its exact CHSH maximum, 2 sqrt(2) amp.  A
-    plain class rather than a record: a named tuple would be a sequence and
-    equal to the tuple ``(amp,)``, which a correlator has no reason to be.
+    The correlation shape of all six CHSH systems: the ECS rows are
+    ``(0, amp, 0)``, and generic-delta, generic-ref and photon
+    ``(floor, 0, -scale)``.  The fields are finite, ``p >= 0 >= q``, and at
+    most one of ``p`` and ``q`` is nonzero.  The one term is bound once, as
+    ``closure``: ``floor + q * cos(2.0 * (a + b))`` if ``q`` is nonzero,
+    else ``floor + p * cos(2.0 * (a - b))``; a call delegates to it.  A
+    frozen type of its own, so that ``optimize.maximize_chsh`` can recognise
+    the shape, and no record: a correlator has no reason to be a sequence.
     """
 
-    __slots__ = ("amp",)
+    __slots__ = ("floor", "p", "q", "closure")
 
-    def __init__(self, amp: float) -> None:
-        if not (math.isfinite(amp) and amp >= 0.0):
-            raise ValueError(f"amp must be finite and >= 0, got {amp!r}")
-        object.__setattr__(self, "amp", amp)
+    def __init__(self, floor: float, p: float, q: float) -> None:
+        if not (all(map(math.isfinite, (floor, p, q))) and p >= 0.0 >= q and 0.0 in (p, q)):
+            raise ValueError(f"need finite fields, p >= 0 >= q, p or q 0, got {(floor, p, q)!r}")
+        cos = math.cos
+        if q == 0.0:
+            def closure(theta_a: float, theta_b: float) -> float:
+                return floor + p * cos(2.0 * (theta_a - theta_b))
+        else:
+            def closure(theta_a: float, theta_b: float) -> float:
+                return floor + q * cos(2.0 * (theta_a + theta_b))
+        for name, value in zip(self.__slots__, (floor, p, q, closure)):
+            object.__setattr__(self, name, value)
 
     def __call__(self, theta_a: float, theta_b: float) -> float:
-        return self.amp * math.cos(2.0 * (theta_a - theta_b))
+        return self.closure(theta_a, theta_b)
 
 
 class Harmonic(_Frozen):
@@ -209,11 +211,14 @@ class DiscreteGaussianWeights(namedtuple("DiscreteGaussianWeights", "offsets wei
     __slots__ = ()
 
     def weight(self, k: int) -> float:
-        """Weight of offset ``k`` (zero outside the truncation window)."""
+        """Weight of the integer offset ``k`` (zero outside the truncation window)."""
+        offset = as_int(k)
+        if offset is None:
+            raise ValueError(f"offset must be an integer, got {k!r}")
         k_max = (len(self.offsets) - 1) // 2
-        if abs(k) > k_max:
+        if abs(offset) > k_max:
             return 0.0
-        return float(self.weights[k + k_max])
+        return float(self.weights[offset + k_max])
 
 
 def discrete_gaussian(sigma: float, k_max: int) -> DiscreteGaussianWeights:
@@ -226,8 +231,8 @@ def discrete_gaussian(sigma: float, k_max: int) -> DiscreteGaussianWeights:
         Values below the machine-meaningful threshold degenerate to a point
         mass at 0.
     k_max : int
-        Half-width of the truncation window.  Must satisfy ``k_max >= 3 sigma``
-        so that the discarded tail is negligible before renormalisation.
+        Half-width of the truncation window, an integer >= max(1, 3 sigma)
+        (not a bool), so that the discarded tail is negligible.
 
     Returns
     -------
@@ -235,8 +240,7 @@ def discrete_gaussian(sigma: float, k_max: int) -> DiscreteGaussianWeights:
         Offsets ``-k_max..k_max`` and weights proportional to
         ``exp(-k^2 / (2 sigma^2))``, renormalised to sum to one.
     """
-    if k_max < 1:
-        raise ValueError(f"k_max must be a positive integer, got {k_max}")
+    k_max = check_size(k_max, "k_max")
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma!r}")
     if sigma < 0.0:

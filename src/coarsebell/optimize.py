@@ -6,13 +6,14 @@ or time gaps:
     CHSH:  B = E(a, b) + E(a', b) + E(a, b') - E(a', b')      (4 angles)
     LG:    K = C(g1) + C(g2) + C(g3) - C(g1 + g2 + g3)        (3 gaps)
 
-CHSH maximisation of a ``kernels.CosineDifference``, E = A cos 2(a - b)
+CHSH maximisation of a ``kernels.CosineForm`` with q = 0, E = c + A cos 2(a - b)
 with A >= 0 (the three ECS systems), is exact and needs no search: the signed
 sum of four cosines is at most 2 sqrt(2) (Tsirelson's bound), attained at
 (a, a', b, b') = (0, pi/4, pi/8, 7 pi/8), one point of a continuum of
 maximisers.  Every other correlator runs Nelder-Mead simplex refinement from
 a fixed lattice of starting points spread over one period per coordinate (3
-per axis by default).
+per axis by default); a form with q < 0, c + q cos 2(a + b) (generic-delta,
+generic-ref and photon), runs it on the form's ``closure``.
 
 The simplex is an in-house ``_nelder_mead`` over floats that
 replays ``scipy.optimize.minimize(method="Nelder-Mead")`` step for step: the
@@ -64,7 +65,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING, Callable
 
-from .kernels import CosineDifference, CosineSeries, Harmonic, Validated, as_int, require_finite
+from .kernels import CosineForm, CosineSeries, Harmonic, Validated, as_int, require_finite
 
 if TYPE_CHECKING:
     import numpy as np
@@ -102,10 +103,6 @@ _LG_POINTS_PER_PERIOD = 16
 _LG_FFT_TOL = 1e-14
 _LG_BLOCK_BYTES = 1 << 20
 _LG_POLISHED = 3
-
-# The CHSH argmax of A cos 2(a - b), A >= 0: each of the four terms is +-A / sqrt(2).
-_COSINE_DIFFERENCE_ARGMAX = (0.0, math.pi / 4, math.pi / 8, 7 * math.pi / 8)
-
 
 class Correlator(namedtuple("Correlator", "fn period kind", defaults=(math.pi, "chsh"))):
     """An evaluable correlation function bundled with its search metadata.
@@ -495,22 +492,25 @@ def maximize(
 def maximize_chsh(correlator, starts: int | None = None) -> OptimizationResult:
     """Maximise the CHSH combination of a two-angle correlator (see ``maximize``).
 
-    A ``kernels.CosineDifference``, bare or inside a ``Correlator``, takes
-    its closed-form maximum (see the module docstring): ``argmax`` is the
-    fixed ``_COSINE_DIFFERENCE_ARGMAX``, ``value`` the CHSH sum there, one
-    evaluation and no start; ``starts`` is validated but unused.  The check
-    is by exact type, so any other correlator, a subclass or a function of
-    the same shape too, runs the lattice.  Its simplex runs evaluate the CHSH sum of
-    the bare correlator inline (the CHSH form of ``_compiled_nelder_mead``),
-    with the operation order of ``_chsh_objective``, through which ``value``
-    is re-evaluated.
+    A ``kernels.CosineForm`` with ``q == 0``, bare or inside a ``Correlator``,
+    takes its closed-form maximum (see the module docstring): ``argmax`` is
+    the fixed (0, pi/4, pi/8, 7 pi/8), ``value`` the CHSH sum there, one
+    evaluation and no start; ``starts`` is validated but unused.  Any other
+    form runs the lattice on its ``closure``, never its ``__call__``.  The
+    check is by exact type, so any other correlator, a subclass or a
+    function of the same shape too, runs the lattice as it is.  Its simplex
+    runs evaluate the CHSH sum of the bare correlator inline (the CHSH form
+    of ``_compiled_nelder_mead``), with the operation order of
+    ``_chsh_objective``, through which ``value`` is re-evaluated.
     """
     period = getattr(correlator, "period", math.pi)
     starts = _check_search(period, starts)
     corr = _bare(correlator)
-    if type(corr) is CosineDifference:
-        argmax = _COSINE_DIFFERENCE_ARGMAX
-        return OptimizationResult(_chsh_objective(corr)(argmax), argmax, 1, True, 0)
+    if type(corr) is CosineForm:
+        if corr.q == 0.0:
+            argmax = (0.0, math.pi / 4, math.pi / 8, 7 * math.pi / 8)  # each term c +- p / sqrt(2)
+            return OptimizationResult(_chsh_objective(corr.closure)(argmax), argmax, 1, True, 0)
+        corr = corr.closure
     return _lattice_maximum(_Polish(_chsh_objective(corr), 4, period, corr), starts)
 
 

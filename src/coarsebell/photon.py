@@ -24,18 +24,17 @@ an angle average that damps each party by exp(-2 Delta^2), the correlation is
 
     E = m^2 - (1 - m)^2 exp(-4 Delta^2) cos 2(theta_a + theta_b).
 
-``photon_correlator`` binds it for any n and is what sweeps optimise.
-``oracles.corr_photon`` averages the truncated-Fock density-matrix pipeline
-over the quadrature nodes and is the independent check, limited to n <= 4.
+``photon_correlator`` binds it for any n as a ``kernels.CosineForm``, which
+sweeps optimise; ``oracles.corr_photon``, the independent check (n <= 4),
+averages the truncated-Fock density-matrix pipeline over quadrature nodes.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Callable
 
-from .kernels import Validated, check_size, cosine_correlator, require_finite
+from .kernels import CosineForm, Validated, check_size, require_finite
 
 __all__ = [
     "PhotonParams",
@@ -58,12 +57,12 @@ class PhotonParams(Validated, namedtuple("PhotonParams", "n eta Delta", defaults
         return tuple.__new__(cls, (size, eta, Delta))
 
 
-def photon_correlator(params: PhotonParams) -> Callable[[float, float], float]:
+def photon_correlator(params: PhotonParams) -> CosineForm:
     """Closed form of ``oracles.corr_photon`` (see the module docstring), for any ``n``.
 
-    Returns ``(theta_a, theta_b) -> E`` with the loss and damping factors
-    of ``params`` computed once.
+    Returns E as the ``kernels.CosineForm(m^2, 0, -(1 - m)^2 exp(-4 Delta^2))``,
+    with the loss and damping factors of ``params`` computed once.
     """
     miss = (1.0 - params.eta) ** params.n
     damping = math.exp(-4.0 * params.Delta * params.Delta)
-    return cosine_correlator(miss * miss, (1.0 - miss) ** 2 * damping)
+    return CosineForm(miss * miss, 0.0, -((1.0 - miss) ** 2 * damping))

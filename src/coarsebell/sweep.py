@@ -49,16 +49,16 @@ lg-nonclassical   V           reference variance      j, omega
 Every grid point binds the system's correlator once, through the factory in
 its ``SYSTEMS`` row, which computes the point's constants (smeared signs,
 dampings, the in-house homodyne quadrature), and passes the result as it
-is to ``maximize_chsh`` or ``maximize_lg``, by the row's ``kind``.  The ECS
-rows return a ``kernels.CosineDifference`` and lg-nonclassical a
-``kernels.Harmonic``, whose maxima the optimiser takes in closed form from
-four calls; lg-spin returns a ``kernels.CosineSeries``, which samples the
-LG grid in numpy, and every other row a closure, which the optimiser calls
-~1e5 times for a CHSH point.  A CHSH correlator is searched over the period
-pi; each LG form carries its own, 2 pi / omega.  No sweep point imports
-scipy or runs anything of ``oracles``.  Rows are emitted in lexicographic
-(series, sweep_value) order with 12 significant digits.  Both the CSV and
-the SVG renderings are byte-deterministic.
+is to ``maximize_chsh`` or ``maximize_lg``, by the row's ``kind``.  Every
+row returns a form of ``kernels``: each CHSH row a ``CosineForm``,
+lg-nonclassical a ``Harmonic`` and lg-spin a ``CosineSeries``, which samples
+the LG grid in numpy.  The ECS forms and the ``Harmonic`` take their maxima
+in closed form from four calls; the lattice calls the ``closure`` of the
+other three CHSH forms ~1e5 times a point.  A CHSH correlator is searched
+over the period pi; each LG form carries its own, 2 pi / omega.  No sweep
+point imports scipy or runs anything of ``oracles``.  Rows are emitted in
+lexicographic (series, sweep_value) order with 12 significant digits.  Both
+the CSV and the SVG renderings are byte-deterministic.
 """
 
 from __future__ import annotations
@@ -209,8 +209,8 @@ class _System(
     ``kind`` is "chsh" or "lg".  The sweep value, or its square root (a
     width) when it is the variance ``V``, sets the ``swept`` field of the
     model's params class ``model``; ``correlator(mp)`` binds that
-    configuration ``mp`` once and returns the bare function the optimiser
-    calls (``(ta, tb) -> E`` or ``tau -> C``).
+    configuration ``mp`` once and returns the form the optimiser maximises
+    (``(ta, tb) -> E`` or ``tau -> C``).
     """
 
     __slots__ = ()

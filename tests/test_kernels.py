@@ -7,21 +7,23 @@ test; the rules are applied by summing their nodes and weights here.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
 
-from coarsebell import ecs, generic, kernels, leggett_garg
+from coarsebell import ecs, generic, kernels, leggett_garg, photon
 from coarsebell.ecs import EcsParams
 from coarsebell.generic import GenericParams
 from coarsebell.kernels import (
-    CosineDifference,
+    CosineForm,
     CosineSeries,
     DiscreteGaussianWeights,
     Harmonic,
     discrete_gaussian,
 )
 from coarsebell.leggett_garg import SpinParams
+from coarsebell.photon import PhotonParams
 from coarsebell.oracles import QuadratureRule, _hermite_rule, gauss_hermite
 
 
@@ -70,6 +72,17 @@ def test_discrete_gaussian_point_mass():
 def test_discrete_gaussian_validates_k_max():
     with pytest.raises(ValueError):
         discrete_gaussian(1.0, 0)
+    # a float half-width gave half-integer offsets, and True counted as 1
+    for k_max in (3.5, 4.0, True, "4"):
+        with pytest.raises(ValueError, match="^k_max must be an integer >= 1"):
+            discrete_gaussian(1.0, k_max)
+    w = discrete_gaussian(1.0, np.int64(4))
+    assert list(w.offsets) == list(range(-4, 5))
+    assert w.weight(np.int64(1)) == w.weight(1) == w.weight(-1)
+    # a non-integer offset indexed numpy with a float (IndexError) or a bool
+    for k in (0.5, 1.0, True, None):
+        with pytest.raises(ValueError, match="^offset must be an integer"):
+            w.weight(k)
 
 
 def test_discrete_gaussian_weights_are_read_only():
@@ -79,22 +92,85 @@ def test_discrete_gaussian_weights_are_read_only():
 
 
 # ---------------------------------------------------------------------------
-# the form amp cos 2(theta_a - theta_b)
+# the CHSH form floor + p cos 2(theta_a - theta_b) + q cos 2(theta_a + theta_b)
+
+FORM_ANGLES = [(0.0, 0.0), (0.3, 2.9), (-1.7, 5.2), (1e6, -3.0)]
 
 
 def test_cosine_difference_evaluates_its_expression_bit_for_bit():
     for amp in (0.0, 0.37, 1.0):
-        form = CosineDifference(amp)
-        for a, b in [(0.0, 0.0), (0.3, 2.9), (-1.7, 5.2), (1e6, -3.0)]:
+        form = CosineForm(0.0, amp, 0.0)
+        for a, b in FORM_ANGLES:
             assert form(a, b) == amp * math.cos(2.0 * (a - b))
     with pytest.raises(AttributeError, match="frozen"):
-        form.amp = 0.5
+        form.p = 0.5
 
 
 @pytest.mark.parametrize("amp", [-1.0, -5e-324, math.nan, math.inf])
 def test_cosine_difference_rejects_a_negative_or_non_finite_amplitude(amp):
-    with pytest.raises(ValueError, match=r"^amp must be finite and >= 0"):
-        CosineDifference(amp)
+    with pytest.raises(ValueError, match=r"^need finite fields, p >= 0 >= q, p or q 0"):
+        CosineForm(0.0, amp, 0.0)
+
+
+def test_cosine_form_evaluates_its_expression_bit_for_bit():
+    for floor, p, q in [(0.0, 0.0, 0.0), (0.25, 1.0, -0.0), (0.0, 0.0, -0.37),
+                        (0.25, -0.0, -1.0), (1.0, 0.0, -5e-324)]:
+        form = CosineForm(floor, p, q)
+        for a, b in FORM_ANGLES:
+            if q == 0.0:
+                want = floor + p * math.cos(2.0 * (a - b))
+            else:
+                want = floor + q * math.cos(2.0 * (a + b))
+            assert form(a, b).hex() == form.closure(a, b).hex() == want.hex()
+    with pytest.raises(AttributeError, match="frozen"):
+        form.closure = None
+
+
+@pytest.mark.parametrize(
+    "floor,p,q",
+    [(0.0, 0.0, 5e-324), (0.0, 0.0, math.nan), (0.0, 0.0, -math.inf), (math.nan, 1.0, 0.0),
+     (-math.inf, 0.0, -1.0), (0.0, 0.5, -0.5), (0.0, 5e-324, -5e-324)],
+    ids=["q=5e-324", "q=nan", "q=-inf", "floor=nan", "floor=-inf", "p-and-q", "p-and-q-subnormal"],
+)
+def test_cosine_form_rejects_a_field_out_of_range(floor, p, q):
+    with pytest.raises(ValueError, match=r"^need finite fields, p >= 0 >= q, p or q 0"):
+        CosineForm(floor, p, q)
+
+
+# each CHSH factory, with a draw of its params from a seeded generator
+CHSH_FACTORIES = [
+    (ecs.ecs_efficiency_correlator,
+     lambda rng: EcsParams(rng.uniform(0.1, 3.0), eta=rng.uniform(0.05, 1.0))),
+    (ecs.ecs_reference_correlator,
+     lambda rng: EcsParams(rng.uniform(0.1, 3.0), Delta=rng.uniform(0.0, 1.5))),
+    (ecs.ecs_homodyne_correlator,
+     lambda rng: EcsParams(rng.uniform(0.1, 3.0), Delta=rng.uniform(0.0, 1.5))),
+    (generic.fuzzy_detector_correlator,
+     lambda rng: GenericParams(rng.randint(1, 6), delta=rng.uniform(0.0, 3.0))),
+    (generic.coarse_reference_correlator,
+     lambda rng: GenericParams(rng.randint(1, 6), Delta=rng.uniform(0.0, 1.5))),
+    (photon.photon_correlator,
+     lambda rng: PhotonParams(rng.randint(1, 6), rng.uniform(0.05, 1.0), rng.uniform(0.0, 1.5))),
+]
+
+
+@pytest.mark.parametrize("factory,draw", CHSH_FACTORIES, ids=[row[0].__name__ for row in CHSH_FACTORIES])
+def test_every_chsh_factory_form_keeps_the_bits_of_its_old_expression(factory, draw):
+    """The ECS forms are amp cos 2(a - b), the others floor - scale cos 2(a + b), bit for bit."""
+    rng = random.Random(f"forms:{factory.__name__}")
+    for _ in range(20):
+        form = factory(draw(rng))
+        assert type(form) is CosineForm
+        angles = [(rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)) for _ in range(20)]
+        if factory.__module__ == "coarsebell.ecs":
+            amp = form.p
+            assert (form.floor, form.q) == (0.0, 0.0) and amp > 0.0
+            old = [amp * math.cos(2.0 * (a - b)) for a, b in angles]
+        else:
+            floor, scale = form.floor, -form.q
+            assert form.p == 0.0 and scale > 0.0
+            old = [floor - scale * math.cos(2.0 * (a + b)) for a, b in angles]
+        assert [form(a, b).hex() for a, b in angles] == [v.hex() for v in old]
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coarsebell.generic import GenericParams, corr_fuzzy_detector
-from coarsebell import ecs, leggett_garg, optimize, sweep
-from coarsebell.kernels import CosineDifference, CosineSeries, Harmonic, cosine_correlator
+from coarsebell import ecs, generic, leggett_garg, optimize, photon, sweep
+from coarsebell.kernels import CosineForm, CosineSeries, Harmonic
 from coarsebell.leggett_garg import SpinParams, corr_spin_parity
 from coarsebell.optimize import (
     ChshSettings,
@@ -396,16 +396,26 @@ def test_every_chsh_row_gets_the_four_call_objective(monkeypatch):
 ECS_ROWS = [name for name, sysdef in sweep.SYSTEMS.items() if sysdef.model is ecs.EcsParams]
 
 
-class LookAlike(CosineDifference):
+class LookAlike(CosineForm):
     """The form's shape and call under another type."""
+
+
+def plain_closure(floor: float, scale: float):
+    """``(a, b) -> floor - scale * cos 2(a + b)``, a plain function, constants bound once."""
+    cos = math.cos
+
+    def corr(a: float, b: float) -> float:
+        return floor - scale * cos(2.0 * (a + b))
+
+    return corr
 
 
 @pytest.mark.parametrize(
     "corr",
     [
         lambda a, b: 0.8 * math.cos(2.0 * (a - b)),
-        cosine_correlator(0.1, 0.8),
-        LookAlike(0.8),
+        plain_closure(0.1, 0.8),
+        LookAlike(0.0, 0.8, 0.0),
     ],
     ids=["lambda", "cosine-correlator", "subclass"],
 )
@@ -431,17 +441,57 @@ def test_every_ecs_row_takes_the_closed_chsh_maximum(alpha, eta, Delta):
     for system in ECS_ROWS:
         sysdef = sweep.SYSTEMS[system]
         corr = sysdef.correlator(params)
-        assert type(corr) is CosineDifference
+        assert type(corr) is CosineForm and (corr.floor, corr.q) == (0.0, 0.0)
         res = maximize_chsh(Correlator(fn=corr))
         assert (res.evaluations, res.converged, res.starts_used) == (1, True, 0)
         lattice = maximize(optimize._chsh_objective(corr), 4)
         assert res.value == pytest.approx(lattice.value, abs=1e-12)
         # below the normal floats rounding is absolute, up to a few subnormal steps
-        tsirelson = 2.0 * math.sqrt(2.0) * corr.amp
+        tsirelson = 2.0 * math.sqrt(2.0) * corr.p
         assert res.value <= tsirelson * (1.0 + 1e-15) + 4.0 * math.ulp(0.0)
-        if corr.amp == 0.0:
+        if corr.p == 0.0:
             assert sweep._fmt(res.value) == "0"
         assert repr(maximize_chsh(sysdef.correlator(params))) == repr(res)
+
+
+# the a+b forms, floor - scale cos 2(a + b): generic-delta, generic-ref, photon
+SUM_FORMS = {
+    "generic-delta": generic.fuzzy_detector_correlator(GenericParams(n=2, delta=0.8)),
+    "generic-ref": generic.coarse_reference_correlator(GenericParams(n=1, Delta=0.3)),
+    "photon": photon.photon_correlator(photon.PhotonParams(n=2, eta=0.9, Delta=0.4)),
+}
+
+
+@pytest.mark.parametrize("system", sorted(SUM_FORMS))
+def test_an_a_plus_b_form_runs_the_lattice_of_its_plain_closure(system, monkeypatch):
+    form = SUM_FORMS[system]
+    assert form.p == 0.0 and form.q < 0.0
+    want = maximize_chsh(plain_closure(form.floor, -form.q))
+    assert want.starts_used == 81
+
+    def refuse(self, theta_a, theta_b):
+        raise AssertionError("the lattice called the form, not its closure")
+
+    monkeypatch.setattr(CosineForm, "__call__", refuse)
+    res = maximize_chsh(form)
+    assert res == want and repr(res) == repr(want)
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        photon.photon_correlator(photon.PhotonParams(n=3, eta=0.0, Delta=0.2)),  # every photon lost
+        generic.coarse_reference_correlator(GenericParams(n=1, Delta=20.0)),  # damping underflows
+    ],
+    ids=["photon-eta-0", "generic-ref-underflow"],
+)
+def test_a_constant_form_takes_the_closed_path_with_the_lattice_value(form):
+    assert form.p == 0.0 and form.q == 0.0
+    res = maximize_chsh(form)
+    argmax = (0.0, math.pi / 4, math.pi / 8, 7 * math.pi / 8)
+    assert (res.argmax, res.evaluations, res.converged, res.starts_used) == (argmax, 1, True, 0)
+    lattice = maximize_chsh(plain_closure(form.floor, -form.q))
+    assert res.value.hex() == lattice.value.hex() == (2.0 * form.floor).hex()
 
 
 def nonclassical_form(omega: float, Delta: float):
