@@ -412,9 +412,15 @@ def parse_job(text: str) -> SweepSpec:
         raise JobError(f"sweep.steps must be an integer, got {top['sweep.steps']!r}")
 
     series = []
+    given = {entry["label"] for entry in series_raw.values()}
     for idx in sorted(series_raw):
         entry = series_raw[idx]
-        label = entry["label"] if entry["label"] is not None else f"series{idx}"
+        label = entry["label"]
+        if label is None:
+            label = f"series{idx}"
+            if label in given:
+                raise JobError(f"series label {label!r} is given to two series: "
+                               f"series[{idx}] has no label and defaults to {label!r}")
         series.append(SeriesSpec(label=label, params=entry["params"]))
     return SweepSpec(
         system=system,

@@ -17,6 +17,11 @@ Every row of the ECS efficiency and reference jobs and of the lg-nonclassical
 job is checked.  The generic-delta, generic-ref, photon and lg-spin rows run
 a search, so only the first and last V of each of their series are, each as a
 single-point sweep.
+
+Every row of the ecs-homodyne job is checked too, in double precision and
+without the package's quadrature: its amplitude is I^2 / (1 + e^(-4 alpha^2))
+with I(alpha, V) = sum over odd h of c_h(alpha) e^(-h^2 V / 2), the Gaussian
+average of the Fourier series of erf(sqrt(2) alpha cos lambda) = sum c_h cos h lambda.
 """
 
 import decimal
@@ -26,6 +31,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 
 from coarsebell.sweep import parse_job, run_sweep
 
@@ -161,3 +167,24 @@ def test_every_printed_digit_of_a_closed_form_row_is_right(name):
         if decimal.Decimal(f"{value:.12g}") != want:
             wrong.append((params, v, f"{value:.12g}", str(want)))
     assert wrong == []
+
+
+def ecs_homodyne_optimum(alpha: float, V: float) -> float:
+    """B* = 2 sqrt(2) I^2 / (1 + e^(-4 alpha^2)), with I from an FFT of the sharp response."""
+    n = 2 ** math.ceil(math.log2(64 * alpha + 64))
+    sharp = scipy.special.erf(math.sqrt(2) * alpha * np.cos(2 * np.pi * np.arange(n) / n))
+    h = np.arange(1, n // 2, 2)
+    c = 2 * np.fft.rfft(sharp).real[h] / n
+    average = math.fsum(c * np.exp(-h * h * V / 2))
+    return 2 * math.sqrt(2) * average**2 / (1 + math.exp(-4 * alpha**2))
+
+
+def test_every_printed_digit_of_an_ecs_homodyne_row_is_right():
+    spec = parse_job((JOBS / "ecs_homodyne_angle.job").read_text())
+    alphas = {s.label: s.params["alpha"] for s in spec.series}
+    rows = run_sweep(spec).rows
+    assert len(rows) == len(spec.series) * spec.steps == 27
+    for row in rows:
+        want = ecs_homodyne_optimum(alphas[row.series], row.sweep_value)
+        assert f"{row.value:.12g}" == f"{want:.12g}", (row, want)
+        assert abs(row.value - want) <= 1e-14 * want, (row, want)

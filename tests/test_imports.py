@@ -12,7 +12,10 @@ from pathlib import Path
 import pytest
 
 import coarsebell
-from coarsebell import oracles
+from coarsebell import ecs, generic, kernels, leggett_garg, optimize, oracles, photon, sweep
+
+# the modules whose __all__ lists the package exports
+MODULES = (kernels, generic, photon, ecs, leggett_garg, optimize, sweep, oracles)
 
 SRC = Path(coarsebell.__file__).resolve().parents[1]
 JOBS = SRC.parent / "jobs"
@@ -103,3 +106,20 @@ def test_every_exported_name_resolves_and_is_listed():
     assert coarsebell.corr_photon is oracles.corr_photon
     with pytest.raises(AttributeError, match="no attribute 'corr_nothing'"):
         coarsebell.corr_nothing  # noqa: B018
+
+
+def test_the_package_exports_exactly_the_modules_lists_with_no_name_twice():
+    # a repeat would mean that one module's wildcard import shadows another's name
+    assert len(set(coarsebell.__all__)) == len(coarsebell.__all__)
+    listed = ["__version__", *(name for module in MODULES for name in module.__all__)]
+    assert sorted(coarsebell.__all__) == sorted(listed)
+
+
+def test_the_lazy_oracle_names_are_the_oracles_own_list():
+    assert list(coarsebell._ORACLE_NAMES) == oracles.__all__
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_each_exported_name_is_the_object_its_module_holds(module):
+    for name in module.__all__:
+        assert getattr(coarsebell, name) is getattr(module, name), name

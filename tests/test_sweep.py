@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coarsebell import ecs, oracles
+from coarsebell.cli import EXIT_VALIDATION, main
 from coarsebell.ecs import (
     EcsParams,
     corr_ecs_efficiency,
@@ -107,12 +108,20 @@ def test_a_label_that_would_break_the_output_is_refused(series, needle):
         SweepSpec(system="ecs-ref", variable="V", vmin=0.0, vmax=0.5, steps=2, series=series)
 
 
-def test_a_label_that_repeats_a_default_label_is_refused():
-    with pytest.raises(JobError, match="'series1' is given to two series"):
-        parse_job(
-            "system = lg-spin\nsweep.min = 0\nsweep.max = 1\nsweep.steps = 2\n"
-            "series[0].label = series1\nseries[1].params.j = 1.5\n"
-        )
+def test_a_label_that_repeats_a_default_label_is_refused(tmp_path, capsys):
+    # the file gives 'series1' once; series[1] takes it by default, and the error says so
+    text = (
+        "system = lg-spin\nsweep.min = 0\nsweep.max = 1\nsweep.steps = 2\n"
+        "series[0].label = series1\nseries[1].params.j = 1.5\n"
+    )
+    needle = "'series1' is given to two series: series[1] has no label and defaults to 'series1'"
+    with pytest.raises(JobError, match=re.escape(needle)):
+        parse_job(text)
+    job = tmp_path / "clash.job"
+    job.write_text(text)
+    assert main(["sweep", str(job), "--csv", str(tmp_path / "out.csv")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
 
 
 @pytest.mark.parametrize(
