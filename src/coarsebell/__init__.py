@@ -11,6 +11,7 @@ A public name is written once, in its module's ``__all__``.  The package
 exports the union of those lists: the seven modules below are re-exported as
 they load, and the names of ``oracles`` load that module (and the numpy it
 needs) on first use, so that importing the package or its CLI stays light.
+A wildcard import fetches every listed name, and so loads ``oracles`` too.
 """
 
 from . import kernels, generic, photon, ecs, leggett_garg, optimize, sweep

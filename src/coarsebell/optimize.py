@@ -79,7 +79,6 @@ __all__ = [
     "OptimizationResult",
     "chsh_value",
     "lg_function",
-    "maximize",
     "maximize_chsh",
     "maximize_lg",
 ]
@@ -129,9 +128,6 @@ class ChshSettings(
         angles = (theta_a, theta_a_prime, theta_b, theta_b_prime)
         require_finite(cls, *angles)
         return tuple.__new__(cls, [float(theta) % math.pi for theta in angles])
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return tuple(self)
 
 
 class LgTimes(Validated, namedtuple("LgTimes", "gaps")):
@@ -186,7 +182,7 @@ def _lg_objective(corr: Callable[[float], float]) -> Callable[[tuple[float, ...]
 
 def chsh_value(correlator, settings: ChshSettings) -> float:
     """CHSH combination of a two-angle correlation at the given settings."""
-    return _chsh_objective(correlator)(settings.as_tuple())
+    return _chsh_objective(correlator)(settings)
 
 
 def lg_function(correlator, times: LgTimes) -> float:
@@ -453,44 +449,8 @@ def _check_search(period: float, starts: int | None) -> int | None:
     return count
 
 
-def maximize(
-    objective: Callable[[tuple[float, ...]], float],
-    d: int,
-    period: float = math.pi,
-    starts: int | None = None,
-) -> OptimizationResult:
-    """Deterministic multistart maximisation over a d-dimensional period box.
-
-    Parameters
-    ----------
-    objective : callable
-        Maps a length-``d`` tuple of floats to a float.  Must be periodic with
-        ``period`` in every coordinate (the argmax is reported reduced into
-        ``[0, period)``).  A non-finite value raises ``NonFiniteObjectiveError``.
-    d : int
-        Dimension of the search space, an integer >= 1 (not a bool).
-    period : float
-        Periodicity per coordinate; also the edge length of the start lattice.
-    starts : int, optional
-        Requested number of lattice starts, an integer from 1 to ``MAX_STARTS``.
-        Rounded to the nearest perfect d-th power (default ``3**d``);
-        cell-midpoint placement avoids the degenerate all-zero corner.
-
-    Returns
-    -------
-    OptimizationResult
-        Best value found, its (reduced) argmax, the total number of
-        objective evaluations, and a convergence flag.
-    """
-    dim = as_int(d)
-    if dim is None or dim < 1:
-        raise ValueError(f"d must be an integer >= 1, got {d!r}")
-    starts = _check_search(period, starts)
-    return _lattice_maximum(_Polish(objective, dim, period), starts)
-
-
 def maximize_chsh(correlator, starts: int | None = None) -> OptimizationResult:
-    """Maximise the CHSH combination of a two-angle correlator (see ``maximize``).
+    """Maximise the CHSH combination of a two-angle correlator.
 
     A ``kernels.CosineForm`` with ``q == 0``, bare or inside a ``Correlator``,
     takes its closed-form maximum (see the module docstring): ``argmax`` is
@@ -502,6 +462,12 @@ def maximize_chsh(correlator, starts: int | None = None) -> OptimizationResult:
     runs evaluate the CHSH sum of the bare correlator inline (the CHSH form
     of ``_compiled_nelder_mead``), with the operation order of
     ``_chsh_objective``, through which ``value`` is re-evaluated.
+
+    The lattice puts its starts at the cell midpoints of the period box, the
+    number per angle being the fourth root of ``starts`` (default 81)
+    rounded to the nearest integer; the runs from every start and one more
+    from the winner count in ``evaluations``, and ``argmax`` is reduced
+    into ``[0, period)``.
     """
     period = getattr(correlator, "period", math.pi)
     starts = _check_search(period, starts)
@@ -511,31 +477,16 @@ def maximize_chsh(correlator, starts: int | None = None) -> OptimizationResult:
             argmax = (0.0, math.pi / 4, math.pi / 8, 7 * math.pi / 8)  # each term c +- p / sqrt(2)
             return OptimizationResult(_chsh_objective(corr.closure)(argmax), argmax, 1, True, 0)
         corr = corr.closure
-    return _lattice_maximum(_Polish(_chsh_objective(corr), 4, period, corr), starts)
-
-
-def _lattice_maximum(polish: _Polish, starts: int | None) -> OptimizationResult:
-    """Refine from every cell midpoint of the start lattice, then once more from the winner."""
-    d, period = polish.d, polish.period
-    if starts is None:
-        starts = 3 ** d
-    per_axis = max(1, round(starts ** (1.0 / d)))
-
+    polish = _Polish(_chsh_objective(corr), 4, period, corr)
+    per_axis = max(1, round((81 if starts is None else starts) ** 0.25))
     axis = [(i + 0.5) * period / per_axis for i in range(per_axis)]
-    best_value, best_point, best_ok, evaluations = polish.best(itertools.product(axis, repeat=d))
+    best_value, best_point, best_ok, evaluations = polish.best(itertools.product(axis, repeat=4))
 
     # one polishing pass from the winner tightens the last digits
     value, point, ok, calls = polish.refine(best_point)
     if _better(value, point, best_value, best_point):
         best_value, best_point, best_ok = value, point, ok and best_ok
-
-    return OptimizationResult(
-        value=best_value,
-        argmax=best_point,
-        evaluations=evaluations + calls,
-        converged=best_ok,
-        starts_used=per_axis ** d,
-    )
+    return OptimizationResult(best_value, best_point, evaluations + calls, best_ok, per_axis ** 4)
 
 
 def _maxplus(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -130,7 +130,8 @@ REFERENCE = {
 # the jobs whose every row is checked, and those checked at the ends of each series
 EVERY_ROW = ("ecs_efficiency.job", "ecs_reference.job", "lg_nonclassical.job")
 END_ROWS = (
-    "generic_final_resolution.job", "generic_reference.job", "photon_n1.job", "lg_spin.job"
+    "generic_final_resolution.job", "generic_reference.job", "photon_n1.job", "photon_n2.job",
+    "photon_n3.job", "lg_spin.job",
 )
 
 

@@ -23,7 +23,6 @@ from coarsebell.optimize import (
     NonFiniteObjectiveError,
     OptimizationResult,
     chsh_value,
-    maximize,
     maximize_chsh,
     maximize_lg,
 )
@@ -49,12 +48,12 @@ def lg_correlator(j: float, V: float) -> Correlator:
 
 def test_settings_reduce_modulo_period():
     s = ChshSettings(3.5 * math.pi, -0.25 * math.pi, math.pi, 0.3)
-    a, ap, b, bp = s.as_tuple()
+    a, ap, b, bp = s
     assert a == pytest.approx(0.5 * math.pi)
     assert ap == pytest.approx(0.75 * math.pi)
     assert b == pytest.approx(0.0, abs=1e-15)
     assert bp == 0.3
-    for v in s.as_tuple():
+    for v in s:
         assert 0.0 <= v < math.pi
 
 
@@ -97,54 +96,95 @@ def test_result_value_is_the_objective_at_argmax():
     assert res.evaluations > 0
 
 
-def test_known_two_dimensional_maximum_is_found():
-    def f(x):
-        return math.sin(2.0 * x[0]) + math.cos(2.0 * (x[1] - 0.3))
+def sin_plus_cos(a, b):
+    """E(a, b) whose CHSH sum is sin 2a + cos 2(b - 0.3), at most 2: a' and b' drop out."""
+    return 0.5 * math.sin(2.0 * a) + 0.5 * math.cos(2.0 * (b - 0.3))
 
-    res = maximize(f, d=2, period=math.pi, starts=9)
+
+def test_known_two_dimensional_maximum_is_found():
+    res = maximize_chsh(sin_plus_cos, starts=16)
     assert res.value == pytest.approx(2.0, abs=1e-9)
     assert res.argmax[0] == pytest.approx(math.pi / 4.0, abs=1e-6)
-    assert res.argmax[1] == pytest.approx(0.3, abs=1e-6)
+    assert res.argmax[2] == pytest.approx(0.3, abs=1e-6)
 
 
 def test_beats_a_fine_grid_search():
-    def f(x):
-        return math.sin(2.0 * x[0]) + math.cos(2.0 * (x[1] - 0.3))
+    def f(a, b):
+        return math.sin(2.0 * a) + math.cos(2.0 * (b - 0.3))
 
     h = math.pi / 64.0
     grid_best = max(
-        f((i * h, k * h)) for i in range(64) for k in range(64)
+        f(i * h, k * h) for i in range(64) for k in range(64)
     )
-    res = maximize(f, d=2, period=math.pi, starts=9)
+    res = maximize_chsh(sin_plus_cos, starts=16)
     assert res.value >= grid_best - 1e-8
     # a smooth maximum can exceed the grid by at most ~ |f''| h^2 per axis
     assert res.value <= grid_best + 2 * 2 * (2.0 * h) ** 2
 
 
 def test_one_dimensional_and_single_start():
-    res = maximize(lambda x: math.sin(2.0 * x[0]), d=1, period=math.pi, starts=1)
+    # the CHSH sum of E = sin(2a) / 2 is sin 2a, a function of one angle
+    res = maximize_chsh(lambda a, b: 0.5 * math.sin(2.0 * a), starts=1)
     assert res.value == pytest.approx(1.0, abs=1e-9)
     assert res.argmax[0] == pytest.approx(math.pi / 4.0, abs=1e-6)
     assert res.starts_used == 1
 
 
 def test_degenerate_maxima_resolve_deterministically():
-    # cos(4x) peaks at both 0 and pi/2 inside one period
-    runs = [maximize(lambda x: math.cos(4.0 * x[0]), d=1, period=math.pi, starts=4) for _ in range(3)]
+    # the CHSH sum cos 4a peaks at both a = 0 and a = pi/2 inside one period
+    runs = [maximize_chsh(lambda a, b: 0.5 * math.cos(4.0 * a), starts=16) for _ in range(3)]
     assert len({r.argmax for r in runs}) == 1
     assert runs[0].value == pytest.approx(1.0, abs=1e-10)
 
 
+def stub_simplex(monkeypatch, run):
+    """Replace the simplex by ``run(x0)``, recording each start; a run costs one evaluation."""
+    starts = []
+
+    def stub(f, x0, maxiter, maxfev, chsh):
+        starts.append(x0)
+        return run(x0), True, 1
+
+    monkeypatch.setattr(optimize, "_nelder_mead", stub)
+    return starts
+
+
+@pytest.mark.parametrize(
+    "starts,per_axis",
+    [(1, 1), (2, 1), (15, 2), (16, 2), (39, 2), (40, 3), (None, 3), pytest.param(np.int64(16), 2, id="int64-2")],
+)
+def test_the_lattice_starts_at_the_cell_midpoints_of_its_period_box(starts, per_axis, monkeypatch):
+    # the count per angle is the fourth root of ``starts``, rounded
+    runs = stub_simplex(monkeypatch, lambda x0: x0)
+    period = 2.0
+    res = maximize_chsh(Correlator(fn=lambda a, b: math.cos(2.0 * a - b), period=period), starts)
+    axis = [(i + 0.5) * period / per_axis for i in range(per_axis)]
+    assert runs[:-1] == list(itertools.product(axis, repeat=4))
+    assert runs[-1] == res.argmax  # one more run, from the winner
+    assert res.starts_used == per_axis ** 4
+    # each run's one evaluation, and the re-evaluation at its point
+    assert res.evaluations == 2 * len(runs)
+
+
+def test_equal_values_go_to_the_lexicographically_smallest_argmax(monkeypatch):
+    # every run of a constant correlator ties; each ends at the mirror image
+    # of its start, so the later starts end at the smaller points
+    runs = stub_simplex(monkeypatch, lambda x0: tuple(-v for v in x0))
+    res = maximize_chsh(lambda a, b: 0.25, starts=16)
+    first = tuple(-v % math.pi for v in runs[0])
+    assert res.value == 0.5
+    assert res.argmax == min(tuple(-v % math.pi for v in x0) for x0 in runs) == (math.pi / 4,) * 4
+    assert res.argmax < first
+
+
 def test_validation_errors():
-    with pytest.raises(ValueError):
-        maximize(lambda x: 0.0, d=0)
-    with pytest.raises(ValueError):
-        maximize(lambda x: 0.0, d=1, period=0.0)
-    with pytest.raises(ValueError):
-        maximize(lambda x: 0.0, d=1, starts=0)
-    for d in (True, False):
-        with pytest.raises(ValueError, match=rf"^d must be an integer >= 1, got {d}$"):
-            maximize(lambda x: 0.0, d=d)
+    for period in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^period must be finite and > 0, got "):
+            maximize_chsh(Correlator(fn=lambda a, b: 0.0, period=period))
+        with pytest.raises(ValueError, match="^period must be finite and > 0, got "):
+            maximize_lg(Correlator(fn=lambda tau: 0.0, period=period, kind="lg"))
+    with pytest.raises(ValueError, match="^starts must be >= 1, got 0$"):
+        maximize_chsh(lambda a, b: 0.0, starts=0)
 
 
 def test_lg_maximum_for_the_two_level_case():
@@ -165,14 +205,15 @@ def test_correlator_dataclass_metadata_defaults():
 
 
 def test_optimizer_tracks_evaluation_count():
+    # one evaluation is one CHSH sum, four correlator calls; here the sum is -(a - 1)^2
     calls = []
 
-    def f(x):
-        calls.append(x)
-        return -((x[0] - 1.0) ** 2)
+    def corr(a, b):
+        calls.append((a, b))
+        return -0.5 * (a - 1.0) ** 2
 
-    res = maximize(f, d=1, period=4.0, starts=2)
-    assert res.evaluations == len(calls)
+    res = maximize_chsh(Correlator(fn=corr, period=4.0), starts=2)
+    assert 4 * res.evaluations == len(calls)
     assert res.value == pytest.approx(0.0, abs=1e-12)
     assert res.argmax[0] == pytest.approx(1.0, abs=1e-5)
 
@@ -255,7 +296,7 @@ def test_lg_evaluations_count_every_correlator_call():
 
 def test_lg_reruns_are_bit_identical_and_ignore_starts():
     corr = lg_correlator(7.5, 0.01)
-    runs = [maximize_lg(corr, starts=s) for s in (None, None, 1, 64)]
+    runs = [maximize_lg(corr, starts=s) for s in (None, None, 1, 64, MAX_STARTS)]
     assert len({(r.value, r.argmax, r.evaluations, r.converged) for r in runs}) == 1
     g1, g2, g3 = runs[0].argmax
     assert all(0.0 <= g < 2.0 * math.pi for g in runs[0].argmax)
@@ -266,11 +307,11 @@ def test_lg_reruns_are_bit_identical_and_ignore_starts():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda starts: maximize(lambda x: 0.0, d=4, starts=starts),
+        lambda starts: maximize_chsh(lambda a, b: 0.0, starts=starts),
         lambda starts: maximize_chsh(sharp_correlator(), starts=starts),
         lambda starts: maximize_lg(lg_correlator(0.5, 0.0), starts=starts),
     ],
-    ids=["maximize", "chsh", "lg"],
+    ids=["chsh-function", "chsh", "lg"],
 )
 def test_start_counts_above_the_limit_are_rejected(call, starts):
     # rejected before any start runs
@@ -285,11 +326,11 @@ def test_start_counts_above_the_limit_are_rejected(call, starts):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda starts: maximize(lambda x: 0.0, d=1, starts=starts),
+        lambda starts: maximize_chsh(lambda a, b: 0.0, starts=starts),
         lambda starts: maximize_chsh(sharp_correlator(), starts=starts),
         lambda starts: maximize_lg(lg_correlator(0.5, 0.0), starts=starts),
     ],
-    ids=["maximize", "chsh", "lg"],
+    ids=["chsh-function", "chsh", "lg"],
 )
 def test_start_counts_that_are_not_integers_are_rejected(call, starts):
     with pytest.raises(ValueError, match="starts must be an integer, got "):
@@ -315,13 +356,13 @@ def test_lg_correlator_without_finite_bandwidth_stops_at_the_grid_cap():
     "call",
     [
         lambda: maximize_chsh(Correlator(fn=lambda a, b: math.nan), starts=1),
-        lambda: maximize(lambda x: math.inf if x[0] > 1.0 else 0.0, d=1, starts=2),
+        lambda: maximize_chsh(lambda a, b: math.inf if a > 1.0 else 0.0, starts=16),
         lambda: maximize_lg(Correlator(fn=lambda tau: math.nan, kind="lg")),
         lambda: maximize_lg(
             Correlator(fn=lambda tau: -math.inf if tau > 3.0 else math.cos(tau), kind="lg")
         ),
     ],
-    ids=["chsh-nan", "maximize-inf", "lg-nan", "lg-minus-inf"],
+    ids=["chsh-nan", "chsh-function-inf", "lg-nan", "lg-minus-inf"],
 )
 def test_non_finite_objective_values_raise_a_value_error(call):
     with pytest.raises(ValueError, match=r"not finite: (nan|inf|-inf)"):
@@ -330,20 +371,21 @@ def test_non_finite_objective_values_raise_a_value_error(call):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_an_objective_that_turns_non_finite_mid_run_is_named_unnegated(bad):
-    # the first 40 values are finite (5 make the first initial simplex); the
-    # simplex minimises the negation, but the error names the objective's
-    # own value at the point
-    objective = chsh_sum(sharp_correlator().fn)
-    points = []
+    # the LG polish runs the simplex on the objective itself: after the 512
+    # grid samples of C, the first 40 values of K are finite; the simplex
+    # minimises the negation, but the error names K's own value at the point
+    calls = []
 
-    def turning(x):
-        points.append(x)
-        return bad if len(points) == 41 else objective(x)
+    def turning(tau):
+        calls.append(tau)
+        return bad if len(calls) == optimize._LG_GRID_MIN + 4 * 40 + 1 else math.cos(tau)
 
     with pytest.raises(NonFiniteObjectiveError) as excinfo:
-        maximize(turning, d=4)
-    assert len(points) == 41
-    assert str(excinfo.value) == f"objective value is not finite: {bad!r} at {points[-1]!r}"
+        maximize_lg(Correlator(fn=turning, period=2.0 * math.pi, kind="lg"))
+    assert len(calls) == optimize._LG_GRID_MIN + 4 * 41
+    g1, g2, g3, total = calls[-4:]
+    assert total == g1 + g2 + g3
+    assert str(excinfo.value) == f"objective value is not finite: {bad!r} at {(g1, g2, g3)!r}"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -444,7 +486,7 @@ def test_every_ecs_row_takes_the_closed_chsh_maximum(alpha, eta, Delta):
         assert type(corr) is CosineForm and (corr.floor, corr.q) == (0.0, 0.0)
         res = maximize_chsh(Correlator(fn=corr))
         assert (res.evaluations, res.converged, res.starts_used) == (1, True, 0)
-        lattice = maximize(optimize._chsh_objective(corr), 4)
+        lattice = maximize_chsh(corr.closure)
         assert res.value == pytest.approx(lattice.value, abs=1e-12)
         # below the normal floats rounding is absolute, up to a few subnormal steps
         tsirelson = 2.0 * math.sqrt(2.0) * corr.p
@@ -475,6 +517,29 @@ def test_an_a_plus_b_form_runs_the_lattice_of_its_plain_closure(system, monkeypa
     monkeypatch.setattr(CosineForm, "__call__", refuse)
     res = maximize_chsh(form)
     assert res == want and repr(res) == repr(want)
+
+
+# a random configuration of each a+b system, as its sweep rows build it
+SUM_PARAMS = {
+    "generic-delta": st.builds(GenericParams, n=st.integers(1, 10), delta=st.floats(0.0, 3.0)),
+    "generic-ref": st.builds(GenericParams, n=st.integers(1, 10), Delta=st.floats(0.0, 2.0)),
+    "photon": st.builds(
+        photon.PhotonParams, n=st.integers(1, 10), eta=st.floats(0.0, 1.0), Delta=st.floats(0.0, 2.0)
+    ),
+}
+
+
+@pytest.mark.parametrize("system", sorted(SUM_PARAMS))
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_every_a_plus_b_row_reaches_its_closed_maximum(system, data):
+    # floor + q cos 2(a + b), q <= 0, has the CHSH maximum 2 floor - 2 sqrt(2) q
+    # (Horodecki's criterion; floor = 0, q = -1 gives Tsirelson's 2 sqrt(2))
+    form = sweep.SYSTEMS[system].correlator(data.draw(SUM_PARAMS[system], label="params"))
+    assert type(form) is CosineForm and form.p == 0.0
+    res = maximize_chsh(form)
+    assert res.value == pytest.approx(2.0 * form.floor - 2.0 * math.sqrt(2.0) * form.q, abs=1e-12)
+    assert res.converged
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from coarsebell.ecs import EcsParams
 from coarsebell.generic import GenericParams
 from coarsebell.kernels import DiscreteGaussianWeights
 from coarsebell.leggett_garg import SpinParams
-from coarsebell.optimize import ChshSettings, Correlator, LgTimes, OptimizationResult, maximize
+from coarsebell.optimize import ChshSettings, Correlator, LgTimes, OptimizationResult, maximize_chsh
 from coarsebell.photon import PhotonParams, photon_correlator
 from coarsebell.sweep import (
     JobError,
@@ -130,14 +130,13 @@ def test_replace_normalises_as_the_constructor_does():
 # numpy integers
 
 
-def cosine(x):
-    return math.cos(2.0 * x[0])
+def cosine(a, b):
+    return math.cos(2.0 * (a - b))
 
 
 INTEGER_ENTRY_POINTS = {
     "SweepSpec.steps": lambda k: SweepSpec(**{**SPEC, "steps": k}),
-    "maximize.d": lambda k: maximize(cosine, d=k),
-    "maximize.starts": lambda k: maximize(cosine, d=1, starts=k),
+    "maximize_chsh.starts": lambda k: maximize_chsh(cosine, starts=k),
     "GenericParams.n": lambda k: GenericParams(n=k),
     "PhotonParams.n": lambda k: PhotonParams(n=k),
 }

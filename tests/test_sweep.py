@@ -31,7 +31,7 @@ from coarsebell.leggett_garg import (
     corr_nonclassical,
     corr_spin_parity,
 )
-from coarsebell.optimize import MAX_STARTS, ChshSettings, LgTimes, maximize
+from coarsebell.optimize import MAX_STARTS, ChshSettings, LgTimes
 from coarsebell.photon import PhotonParams, photon_correlator
 from coarsebell.sweep import (
     MAX_STEPS,
@@ -307,13 +307,11 @@ def test_models_and_sweep_specs_reject_non_finite_numbers(build, name):
         (lambda: ecs.homodyne_angle_average(5.0, -0.3), "Delta"),
         (lambda: _spec(steps=2.5), "sweep.steps"),
         (lambda: _spec(steps=True), "sweep.steps"),
-        (lambda: maximize(lambda x: 0.0, d=2.5), "d"),
     ],
     ids=[
         "chsh-settings-nan", "chsh-settings-inf", "lg-times-nan", "lg-times-inf",
         "kernel-nan", "kernel-inf", "discrimination-nan", "homodyne-alpha-nan",
         "homodyne-Delta-nan", "homodyne-Delta-negative", "sweep-steps-2.5", "sweep-steps-bool",
-        "maximize-d-2.5",
     ],
 )
 def test_value_types_and_functions_reject_bad_numbers_by_name(call, name):
