@@ -75,12 +75,10 @@ def check_size(n, name: str = "n") -> int:
     return size
 
 
-# All seven ``corr_*`` wrappers bind here.  They are called in bursts on one
-# configuration (a lattice or grid over one ``params``), so a small cache
-# serves them; sweep points never come here.  Callers share each bound form,
-# so none can change: a ``CosineSeries``' arrays are read-only.  The factory
-# is part of the key, so two systems share no entry; a -0.0 width shares
-# +0.0's entry, which every factory maps alike.
+# The wrappers are called in bursts on one configuration (a lattice or grid
+# over one ``params``), so a small cache serves them; sweep points never come
+# here.  The factory is part of the key, so two systems share no entry; a
+# -0.0 width shares +0.0's entry, which every factory maps alike.
 @lru_cache(maxsize=256)
 def bound(factory: Callable, params: tuple) -> Callable:
     """``factory(params)``, built once per configuration for the ``corr_*`` wrappers."""

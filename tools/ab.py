@@ -1,14 +1,16 @@
 """A/B harness: alternate a parent revision and this checkout on the end-to-end numbers.
 
 Extracts ``PARENT_REV`` with ``git archive`` into a temporary directory (no
-worktree is registered, and the directory is removed at the end), then runs
-``--pairs`` alternating pairs; pair k runs the parent first when k is even
-and this checkout first when k is odd.  Within a pair each measurement runs
-on both trees back to back:
+worktree is registered, and the directory is removed at the end) and
+byte-compiles both trees, so that neither pays for compiling at each import
+when ``PYTHONDONTWRITEBYTECODE`` is set.  Then it runs ``--pairs``
+alternating pairs; pair k runs the parent first when k is even
+and this checkout first when k is odd.  Within a pair each of three
+measurements runs on both trees back to back, in this order:
 
 - ``jobs``: the tree's ``tools/check_jobs.py``, its wall-clock and CPU totals;
 - ``tier1``: the tree's Tier-1 suite with CI's flags and one BLAS thread,
-  its wall-clock and CPU seconds and its test counts;
+  its wall-clock and CPU seconds and its passed count;
 - ``perfbench``: ``perfbench/run.py --trace 0`` of each workload at seed
   3001 + k, its end-to-end metrics and failed-point count.
 
@@ -16,8 +18,8 @@ It prints, for every number, each side's median and quartiles and in how many
 complete pairs this checkout read lower than the parent.  It judges nothing,
 and a run that exits non-zero is reported and left out of its pair.
 
-    python tools/ab.py HEAD~1                       # all three parts, 5 pairs (~8 min on a 2-vCPU Xeon)
-    python tools/ab.py HEAD~1 --parts perfbench --pairs 10
+    python tools/ab.py HEAD~1              # 5 pairs (~10 min on a 2-vCPU Xeon)
+    python tools/ab.py HEAD~1 --pairs 10
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import os
 import re
 import resource
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -37,7 +39,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-PARTS = ("jobs", "tier1", "perfbench")
 WORKLOADS = ("chsh-sweep", "lg-sweep", "photon-fock")
 SEED = 3001
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -46,20 +47,10 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cach
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
-    """First quartile, median and third quartile, interpolated between order statistics.
-
-    The same as ``statistics.quantiles(values, n=4, method="inclusive")`` with
-    the median in the middle, and defined for a single value too.
-    """
-    s = sorted(values)
-
-    def at(q: float) -> float:
-        pos = q * (len(s) - 1)
-        lo = math.floor(pos)
-        hi = min(lo + 1, len(s) - 1)
-        return s[lo] + (s[hi] - s[lo]) * (pos - lo)
-
-    return at(0.25), at(0.5), at(0.75)
+    """First quartile, median and third quartile, interpolated between order statistics."""
+    if len(values) == 1:  # which statistics.quantiles refuses before Python 3.13
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
 def summarize(parent: list[float | None], change: list[float | None]) -> dict:
@@ -99,10 +90,10 @@ def _jobs(tree: Path, seed: int) -> dict:
 def _tier1(tree: Path, seed: int) -> dict:
     path = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
     proc, wall, cpu = _run(tree, TIER1, dict(ONE_THREAD, PYTHONPATH=path))
-    counts = {f"tier1.{word}": float(n) for n, word in re.findall(r"(\d+) (passed|failed|errors?)\b", proc.stdout)}
-    if "tier1.passed" not in counts:
+    passed = re.search(r"(\d+) passed\b", proc.stdout)
+    if proc.returncode != 0 or passed is None:
         raise RuntimeError(f"pytest exit {proc.returncode}: {proc.stdout[-300:]}")
-    return {"tier1.wall_s": wall, "tier1.cpu_s": cpu, **counts}
+    return {"tier1.wall_s": wall, "tier1.cpu_s": cpu, "tier1.passed": float(passed[1])}
 
 
 def _perfbench(tree: Path, seed: int) -> dict:
@@ -119,9 +110,6 @@ def _perfbench(tree: Path, seed: int) -> dict:
         for name, metric in result["metrics"].items():
             out[f"{workload}.{name}"] = metric["value"]
     return out
-
-
-MEASURE = {"jobs": _jobs, "tier1": _tier1, "perfbench": _perfbench}
 
 
 def _extract(rev: str, dest: Path) -> None:
@@ -153,7 +141,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", metavar="PARENT_REV", help="the revision to compare this checkout with")
     parser.add_argument("--pairs", type=int, default=5, help="alternating pairs (default 5)")
-    parser.add_argument("--parts", nargs="+", choices=PARTS, default=list(PARTS))
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -162,15 +149,17 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": ROOT}
         _extract(args.parent, trees["parent"])
+        for tree in trees.values():
+            subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree)], check=True)
         for k in range(args.pairs):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             runs = {side: {} for side in order}
-            for part in args.parts:
+            for measure in (_jobs, _tier1, _perfbench):
                 for side in order:
                     try:
-                        runs[side].update(MEASURE[part](trees[side], SEED + k))
+                        runs[side].update(measure(trees[side], SEED + k))
                     except RuntimeError as exc:
-                        print(f"  {side} {part} pair {k}: {exc}", file=sys.stderr)
+                        print(f"  {side} {measure.__name__[1:]} pair {k}: {exc}", file=sys.stderr)
             for side in order:
                 readings[side].append(runs[side])
             print(f"pair {k + 1} of {args.pairs} done ({order[0]} first)", file=sys.stderr)
