@@ -314,8 +314,8 @@ def _compiled_nelder_mead(d: int, chsh: bool) -> Callable:
         scaled = "(1 + 0.05) * x0_{k} if x0_{k} != 0 else 0.00025"
         return "(" + ", ".join((scaled if k == j else "x0_{k}").format(k=k) for k in range(d)) + ",)"
 
-    def vertex_sum(k: int) -> str:  # summed vertex by vertex, as numpy reduces axis 0
-        total = "s0_{k}"
+    def vertex_sum(k: int) -> str:  # vertex by vertex from +0.0, as numpy reduces axis 0
+        total = "(0.0 + s0_{k})"  # so that a sum of -0.0s is +0.0
         for j in range(1, d):
             total = "(" + total + " + s{}_{{k}})".format(j)
         return total.format(k=k)
@@ -386,41 +386,28 @@ def _nelder_mead(
     return _compiled_nelder_mead(len(x0), chsh)(f, x0, maxiter, maxfev)
 
 
-class _Polish:
-    """Nelder-Mead refinement of one objective over a box of edge ``period``.
+def _best_run(
+    f, chsh: bool, objective, period: float, starts
+) -> tuple[float, tuple[float, ...], bool, int]:
+    """Value, point and convergence flag of the best Nelder-Mead run, and all runs' evaluations.
 
-    The runs evaluate ``objective``, or with ``corr`` its CHSH form (see
-    ``_compiled_nelder_mead``); the refined point is re-evaluated through
-    ``objective``, and that call counts as an evaluation too.
+    Each run from a start evaluates ``f`` (with ``chsh``, the correlator whose
+    CHSH sum is ``objective``; see ``_compiled_nelder_mead``).  Its point is
+    reduced into ``[0, period)`` and re-evaluated through ``objective``, and
+    that call counts as an evaluation too.  ``_better`` picks the best run.
     """
-
-    def __init__(
-        self, objective: Callable[[tuple[float, ...]], float], d: int, period: float, corr=None
-    ):
-        self.objective = objective
-        self.d = d
-        self.period = period
-        self.f, self.chsh = (objective, False) if corr is None else (corr, True)
-
-    def refine(self, x0: tuple[float, ...]) -> tuple[float, tuple[float, ...], bool, int]:
-        """Value, reduced point, convergence flag and evaluations of one run from ``x0``."""
-        d = self.d
-        x, ok, calls = _nelder_mead(self.f, x0, 4000 * d, 8000 * d, self.chsh)
-        point = tuple(v % self.period for v in x)
-        value = float(self.objective(point))
+    best_value, best_point, best_ok, evaluations = -math.inf, None, False, 0
+    for x0 in starts:
+        d = len(x0)
+        x, ok, calls = _nelder_mead(f, x0, 4000 * d, 8000 * d, chsh)
+        point = tuple(v % period for v in x)
+        value = float(objective(point))
         if not math.isfinite(value):
             _not_finite(value, point)
-        return value, point, ok, calls + 1
-
-    def best(self, starts) -> tuple[float, tuple[float, ...], bool, int]:
-        """Refine from every start and keep the best result (see ``_better``)."""
-        best_value, best_point, best_ok, evaluations = -math.inf, None, False, 0
-        for x0 in starts:
-            value, point, ok, calls = self.refine(x0)
-            evaluations += calls
-            if _better(value, point, best_value, best_point):
-                best_value, best_point, best_ok = value, point, ok
-        return best_value, best_point, best_ok, evaluations
+        evaluations += calls + 1
+        if _better(value, point, best_value, best_point):
+            best_value, best_point, best_ok = value, point, ok
+    return best_value, best_point, best_ok, evaluations
 
 
 def _better(value: float, point: tuple[float, ...], best_value: float, best_point) -> bool:
@@ -477,13 +464,14 @@ def maximize_chsh(correlator, starts: int | None = None) -> OptimizationResult:
             argmax = (0.0, math.pi / 4, math.pi / 8, 7 * math.pi / 8)  # each term c +- p / sqrt(2)
             return OptimizationResult(_chsh_objective(corr.closure)(argmax), argmax, 1, True, 0)
         corr = corr.closure
-    polish = _Polish(_chsh_objective(corr), 4, period, corr)
+    objective = _chsh_objective(corr)
     per_axis = max(1, round((81 if starts is None else starts) ** 0.25))
     axis = [(i + 0.5) * period / per_axis for i in range(per_axis)]
-    best_value, best_point, best_ok, evaluations = polish.best(itertools.product(axis, repeat=4))
+    lattice = itertools.product(axis, repeat=4)
+    best_value, best_point, best_ok, evaluations = _best_run(corr, True, objective, period, lattice)
 
     # one polishing pass from the winner tightens the last digits
-    value, point, ok, calls = polish.refine(best_point)
+    value, point, ok, calls = _best_run(corr, True, objective, period, [best_point])
     if _better(value, point, best_value, best_point):
         best_value, best_point, best_ok = value, point, ok and best_ok
     return OptimizationResult(best_value, best_point, evaluations + calls, best_ok, per_axis ** 4)
@@ -611,8 +599,9 @@ def maximize_lg(correlator, starts: int | None = None) -> OptimizationResult:
         g1 = int(first[k])
         return tuple(g * period / n for g in (g1, (k - g1) % n, (s - k) % n))
 
-    polish = _Polish(_lg_objective(corr), 3, period)
-    value, point, ok, calls = polish.best(grid_gaps(int(s)) for s in peaks)
+    objective = _lg_objective(corr)
+    peak_gaps = (grid_gaps(int(s)) for s in peaks)
+    value, point, ok, calls = _best_run(objective, False, objective, period, peak_gaps)
     return OptimizationResult(
         value=value,
         argmax=point,

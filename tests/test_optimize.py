@@ -825,6 +825,18 @@ def test_simplex_replays_scipy_in_two_dimensions(x0, monkeypatch):
     assert_same_run(f, x0, monkeypatch, maxiter=4000 * 2, maxfev=8000 * 2)
 
 
+def periodic_objective(harmonics, coupling: float, step: float):
+    """coupling cos(v0 - v_last) + sum of a sin(m v + p), rounded to ``step`` unless it is 0."""
+
+    def f(x):
+        value = coupling * math.cos(x[0] - x[-1])
+        for (a, m, p), v in zip(harmonics, x):
+            value += a * math.sin(m * v + p)
+        return step * round(value / step) if step else value
+
+    return f
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     data=st.data(),
@@ -842,14 +854,16 @@ def test_simplex_replays_scipy_on_random_periodic_objectives(data, d, maxiter, m
     # a rounded objective has plateaus, whose ties and failed contractions
     # drive the stable order and the shrink step, both rare on smooth ones
     step = data.draw(st.sampled_from([0.0, 0.25]), label="rounding step")
-
-    def f(x):
-        value = coupling * math.cos(x[0] - x[-1])
-        for (a, m, p), v in zip(harmonics, x):
-            value += a * math.sin(m * v + p)
-        return step * round(value / step) if step else value
-
+    f = periodic_objective(harmonics, coupling, step)
     assert_same_run(f, x0, pytest.MonkeyPatch(), maxiter=maxiter, maxfev=maxfev)
+
+
+def test_simplex_replays_scipy_where_every_kept_vertex_holds_a_negative_zero(monkeypatch):
+    # a draw of the test above: scipy's centroid sums the kept vertices from
+    # +0.0, so where they all hold -0.0 it is +0.0, and so is the third
+    # coordinate of the 58th call
+    f = periodic_objective([(1.0, 1, 0.0)] * 3, coupling=1.0, step=0.0)
+    assert_same_run(f, (0.0, 0.0, -5e-324), monkeypatch, maxiter=29, maxfev=58)
 
 
 def test_one_compiled_run_serves_each_dimension():

@@ -18,8 +18,8 @@ It prints, for every number, each side's median and quartiles and in how many
 complete pairs this checkout read lower than the parent.  It judges nothing,
 and a run that exits non-zero is reported and left out of its pair.
 
-    python tools/ab.py HEAD~1              # 5 pairs (~10 min on a 2-vCPU Xeon)
-    python tools/ab.py HEAD~1 --pairs 10
+    python tools/ab.py HEAD~1              # 10 pairs (~20 min on a 2-vCPU Xeon)
+    python tools/ab.py HEAD~1 --pairs 20
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ WORKLOADS = ("chsh-sweep", "lg-sweep", "photon-fock")
 SEED = 3001
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
-         "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning"]
+         "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+         "-W", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"]
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -140,7 +141,7 @@ def _report(readings: dict[str, list[dict]]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", metavar="PARENT_REV", help="the revision to compare this checkout with")
-    parser.add_argument("--pairs", type=int, default=5, help="alternating pairs (default 5)")
+    parser.add_argument("--pairs", type=int, default=10, help="alternating pairs (default 10)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
