@@ -44,7 +44,7 @@ from collections import namedtuple
 from math import erf
 from typing import Callable
 
-from .kernels import CosineForm, Validated, bound, require_finite
+from .kernels import CosineForm, Validated, bound, is_finite, require_finite
 
 __all__ = [
     "EcsParams",
@@ -250,9 +250,9 @@ def homodyne_angle_average(alpha: float, Delta: float) -> float:
     by ~(alpha Delta)^2.  A non-finite or non-positive
     ``alpha``, or a non-finite or negative ``Delta``, raises ``ValueError``.
     """
-    if not (math.isfinite(alpha) and alpha > 0.0):
+    if not (is_finite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
-    if not (math.isfinite(Delta) and Delta >= 0.0):
+    if not (is_finite(Delta) and Delta >= 0.0):
         raise ValueError(f"Delta must be finite and >= 0, got {Delta!r}")
     if Delta < _TINY:  # a subnormal width's peak 1/(Delta sqrt(2 pi)) overflows
         return erf(_SQRT_2 * alpha)

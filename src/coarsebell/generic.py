@@ -47,7 +47,7 @@ import math
 from collections import namedtuple
 
 from . import kernels
-from .kernels import CosineForm, Validated, bound, check_size, require_finite
+from .kernels import CosineForm, Validated, bound, check_size, is_finite, require_finite
 
 __all__ = [
     "GenericParams",
@@ -67,7 +67,7 @@ DELTA_MAX = 1e4
 
 
 def _check_delta(delta: float) -> None:
-    if not math.isfinite(delta):
+    if not is_finite(delta):
         raise ValueError(f"delta must be finite, got {delta!r}")
     if delta < 0.0:
         raise ValueError(f"delta must be >= 0, got {delta}")

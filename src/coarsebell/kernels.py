@@ -45,12 +45,27 @@ __all__ = [
 # (exp(-1/(2 s^2)) underflows); treat it explicitly to avoid 0/0.
 _TINY_SIGMA = 1e-8
 
+# Largest half-width of the discrete kernel's window.  The window sizes two
+# arrays of 2 k_max + 1 eight-byte entries, 16 MB each at this limit; the
+# package's widest window is ceil(8 * generic.DELTA_MAX) = 80,000.
+K_MAX = 10**6
+
+
+def is_finite(value: float) -> bool:
+    """``math.isfinite(value)``, and False where the float conversion overflows:
+    ``math.isfinite(10**400)`` raises ``OverflowError`` instead."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
 
 def require_finite(cls: type, *values: float) -> None:
-    """Raise ``ValueError`` naming the first NaN or infinite one of ``values``,
-    the fields of the named-tuple class ``cls`` in the order of its ``_fields``."""
+    """Raise ``ValueError`` naming the first NaN or infinite one of ``values``
+    (or an int too large for a float), the fields of the named-tuple class
+    ``cls`` in the order of its ``_fields``."""
     for name, value in zip(cls._fields, values):
-        if not math.isfinite(value):
+        if not is_finite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
@@ -76,12 +91,14 @@ def check_size(n, name: str = "n") -> int:
 
 
 # The wrappers are called in bursts on one configuration (a lattice or grid
-# over one ``params``), so a small cache serves them; sweep points never come
-# here.  The factory is part of the key, so two systems share no entry; a
-# -0.0 width shares +0.0's entry, which every factory maps alike.
+# over one ``params``), so a small cache serves them.  Of the sweep points
+# only ``lg-spin`` comes here, one entry per point for its sector terms.  The
+# factory is part of the key, so two systems share no entry; a -0.0 width
+# shares +0.0's entry, which every factory maps alike.
 @lru_cache(maxsize=256)
-def bound(factory: Callable, params: tuple) -> Callable:
-    """``factory(params)``, built once per configuration for the ``corr_*`` wrappers."""
+def bound(factory: Callable, params: tuple):
+    """``factory(params)``, built once per configuration for the ``corr_*``
+    wrappers and for ``leggett_garg``'s spin sector terms."""
     return factory(params)
 
 
@@ -125,7 +142,7 @@ class CosineForm(_Frozen):
     __slots__ = ("floor", "p", "q", "closure")
 
     def __init__(self, floor: float, p: float, q: float) -> None:
-        if not (all(map(math.isfinite, (floor, p, q))) and p >= 0.0 >= q and 0.0 in (p, q)):
+        if not (all(map(is_finite, (floor, p, q))) and p >= 0.0 >= q and 0.0 in (p, q)):
             raise ValueError(f"need finite fields, p >= 0 >= q, p or q 0, got {(floor, p, q)!r}")
         cos = math.cos
         if q == 0.0:
@@ -151,9 +168,9 @@ class Harmonic(_Frozen):
     __slots__ = ("amp", "omega", "period")
 
     def __init__(self, amp: float, omega: float) -> None:
-        if not (math.isfinite(amp) and amp >= 0.0):
+        if not (is_finite(amp) and amp >= 0.0):
             raise ValueError(f"amp must be finite and >= 0, got {amp!r}")
-        if not (math.isfinite(omega) and omega > 0.0):
+        if not (is_finite(omega) and omega > 0.0):
             raise ValueError(f"omega must be finite and > 0, got {omega!r}")
         object.__setattr__(self, "amp", amp)
         object.__setattr__(self, "omega", omega)
@@ -232,7 +249,8 @@ def discrete_gaussian(sigma: float, k_max: int) -> DiscreteGaussianWeights:
         mass at 0.
     k_max : int
         Half-width of the truncation window, an integer >= max(1, 3 sigma)
-        (not a bool), so that the discarded tail is negligible.
+        (not a bool), so that the discarded tail is negligible, and at most
+        ``K_MAX``.
 
     Returns
     -------
@@ -241,7 +259,9 @@ def discrete_gaussian(sigma: float, k_max: int) -> DiscreteGaussianWeights:
         ``exp(-k^2 / (2 sigma^2))``, renormalised to sum to one.
     """
     k_max = check_size(k_max, "k_max")
-    if not math.isfinite(sigma):
+    if k_max > K_MAX:
+        raise ValueError(f"k_max must be <= K_MAX = {K_MAX}, got {k_max}")
+    if not is_finite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma!r}")
     if sigma < 0.0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .kernels import CosineSeries, Harmonic, Validated, bound, require_finite
@@ -98,13 +97,7 @@ class SpinParams(Validated, namedtuple("SpinParams", "j omega Delta", defaults=(
         return np.arange(-self.j, self.j + 0.5)
 
 
-# The cache serves ``corr_spin_parity``, which builds a series on every call
-# (~2.5k per LG maximisation in the acceptance tests).  Sweep points never hit
-# it: each point's width makes its key unique (0 hits in the 33 calls of the
-# shipped jobs).  The arrays are read-only, because every series built from
-# one entry shares them.  ``corr_spin_parity`` moves to ``kernels.bound``
-# once perfbench's clock can time its ~3 us call (ROADMAP item 0).
-@lru_cache(maxsize=64)
+# The arrays are read-only: every series of one configuration shares them.
 def _spin_terms(params: SpinParams) -> tuple[np.ndarray, np.ndarray]:
     """Per-sector damping exp(-2 m^2 Delta^2) and angular factor 2 m omega."""
     import numpy as np
@@ -129,7 +122,7 @@ def spin_parity_correlator(params: SpinParams) -> CosineSeries:
     two-term series) while large spins lose their high-frequency content
     first.
     """
-    damping, freq = _spin_terms(params)
+    damping, freq = bound(_spin_terms, params)
     return CosineSeries(damping, freq, 2.0 * params.j + 1.0, 2.0 * math.pi / params.omega)
 
 

@@ -65,7 +65,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING, Callable
 
-from .kernels import CosineForm, CosineSeries, Harmonic, Validated, as_int, require_finite
+from .kernels import CosineForm, CosineSeries, Harmonic, Validated, as_int, is_finite, require_finite
 
 if TYPE_CHECKING:
     import numpy as np
@@ -136,7 +136,7 @@ class LgTimes(Validated, namedtuple("LgTimes", "gaps")):
     __slots__ = ()
 
     def __new__(cls, gaps: tuple[float, float, float]):
-        if not all(math.isfinite(g) for g in gaps):
+        if not all(map(is_finite, gaps)):
             raise ValueError(f"gaps must be finite, got {gaps!r}")
         if len(gaps) != 3 or any(g < 0.0 for g in gaps):
             raise ValueError(f"need three non-negative gaps, got {gaps!r}")
@@ -422,7 +422,7 @@ def _bare(correlator) -> Callable[..., float]:
 
 def _check_search(period: float, starts: int | None) -> int | None:
     """``starts`` as a built-in int (or None), once it and ``period`` are valid."""
-    if not (math.isfinite(period) and period > 0.0):
+    if not (is_finite(period) and period > 0.0):
         raise ValueError(f"period must be finite and > 0, got {period}")
     if starts is None:
         return None

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .generic import GenericParams, _smeared_sign, fuzzy_detector_correlator
-from .kernels import as_int, check_size
+from .kernels import as_int, check_size, is_finite
 from .leggett_garg import SpinParams, _check_spin
 from .photon import PhotonParams
 
@@ -266,7 +266,7 @@ def rotate_polarization(rho: FockDensityMatrix, party: str, theta: float, n: int
     block = as_int(n)
     if block is None or not 1 <= block <= rho.n_max:
         raise ValueError(f"block n must be an integer in 1..{rho.n_max} (the cutoff), got {n!r}")
-    if not math.isfinite(theta):
+    if not is_finite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
     d = rho.mode_dim
     p = d * d

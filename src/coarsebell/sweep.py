@@ -70,7 +70,7 @@ from operator import attrgetter
 from typing import Mapping
 
 from . import ecs, generic, leggett_garg, photon
-from .kernels import Validated, as_int
+from .kernels import Validated, as_int, is_finite
 from .optimize import OptimizationResult, _check_search, maximize_chsh, maximize_lg
 
 __all__ = [
@@ -137,7 +137,7 @@ class SweepSpec(
                 f"got sweep.variable = {variable!r}"
             )
         for key, value in (("sweep.min", vmin), ("sweep.max", vmax)):
-            if not math.isfinite(value):
+            if not is_finite(value):
                 raise JobError(f"{key} must be finite, got {value!r}")
         count = as_int(steps)
         if count is None:
@@ -151,7 +151,7 @@ class SweepSpec(
                 raise JobError("a single-point sweep requires sweep.min == sweep.max")
         elif not vmin < vmax:
             raise JobError(f"sweep grid needs sweep.min < sweep.max, got [{vmin}, {vmax}]")
-        elif not math.isfinite(vmax - vmin):
+        elif not is_finite(vmax - vmin):
             raise JobError(f"sweep.max - sweep.min overflows a float, got [{vmin}, {vmax}]")
         labels: set[str] = set()
         for s in series:
@@ -260,7 +260,7 @@ def _validate_params(system: str, params: Mapping[str, float]) -> dict[str, floa
     sysdef = _system(system)
     merged = dict(sysdef.params)
     for key, value in params.items():
-        if not math.isfinite(value):
+        if not is_finite(value):
             raise JobError(f"parameter {key!r} must be finite, got {value!r}")
         if key == sysdef.variable:
             raise JobError(
@@ -351,7 +351,11 @@ def optimized_point(
     starts = _search_starts(starts)
     sysdef = _system(system)
     supplied = dict(params)
-    value = float(supplied.pop(sysdef.variable, sysdef.variable_default))
+    value = supplied.pop(sysdef.variable, sysdef.variable_default)
+    try:
+        value = float(value)
+    except OverflowError:  # an int too large for a float
+        raise JobError(f"parameter {sysdef.variable!r} must be finite, got {value!r}") from None
     return _optimum(sysdef, _validate_params(system, supplied), value, starts, "")
 
 

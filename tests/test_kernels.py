@@ -76,6 +76,11 @@ def test_discrete_gaussian_validates_k_max():
     for k_max in (3.5, 4.0, True, "4"):
         with pytest.raises(ValueError, match="^k_max must be an integer >= 1"):
             discrete_gaussian(1.0, k_max)
+    # an unbounded k_max sized two numpy arrays of 2 k_max + 1 entries
+    for k_max in (kernels.K_MAX + 1, 10**400):
+        with pytest.raises(ValueError, match="^k_max must be <= K_MAX"):
+            discrete_gaussian(1.0, k_max)
+    assert len(discrete_gaussian(1.0, kernels.K_MAX).offsets) == 2 * kernels.K_MAX + 1
     w = discrete_gaussian(1.0, np.int64(4))
     assert list(w.offsets) == list(range(-4, 5))
     assert w.weight(np.int64(1)) == w.weight(1) == w.weight(-1)
@@ -129,8 +134,9 @@ def test_cosine_form_evaluates_its_expression_bit_for_bit():
 @pytest.mark.parametrize(
     "floor,p,q",
     [(0.0, 0.0, 5e-324), (0.0, 0.0, math.nan), (0.0, 0.0, -math.inf), (math.nan, 1.0, 0.0),
-     (-math.inf, 0.0, -1.0), (0.0, 0.5, -0.5), (0.0, 5e-324, -5e-324)],
-    ids=["q=5e-324", "q=nan", "q=-inf", "floor=nan", "floor=-inf", "p-and-q", "p-and-q-subnormal"],
+     (-math.inf, 0.0, -1.0), (0.0, 0.5, -0.5), (0.0, 5e-324, -5e-324), (10**400, 0.0, 0.0)],
+    ids=["q=5e-324", "q=nan", "q=-inf", "floor=nan", "floor=-inf", "p-and-q", "p-and-q-subnormal",
+         "floor=10**400"],
 )
 def test_cosine_form_rejects_a_field_out_of_range(floor, p, q):
     with pytest.raises(ValueError, match=r"^need finite fields, p >= 0 >= q, p or q 0"):
@@ -189,7 +195,9 @@ def test_harmonic_evaluates_its_expression_bit_for_bit():
 @pytest.mark.parametrize(
     "amp,omega,field",
     [(-1.0, 1.0, "amp"), (math.nan, 1.0, "amp"), (math.inf, 1.0, "amp"),
-     (1.0, 0.0, "omega"), (1.0, -2.0, "omega"), (1.0, math.inf, "omega")],
+     (1.0, 0.0, "omega"), (1.0, -2.0, "omega"), (1.0, math.inf, "omega"),
+     pytest.param(10**400, 1.0, "amp", id="amp=10**400"),
+     pytest.param(1.0, 10**400, "omega", id="omega=10**400")],
 )
 def test_harmonic_rejects_a_negative_or_non_finite_field(amp, omega, field):
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
@@ -215,7 +223,7 @@ GAPS = ((0.0,), (0.9,), (-3.7,))
 
 # module, wrapper, factory, params, the width set to +-0.0, the arguments;
 # ``corr_spin_parity`` is not among them: it builds its series per call from
-# the cached ``leggett_garg._spin_terms``
+# sector terms that ``leggett_garg._spin_terms`` binds through ``bound``
 WRAPPERS = [
     (generic, "corr_fuzzy_detector", "fuzzy_detector_correlator",
      GenericParams(n=2, delta=1.3), "delta", ANGLES),

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from coarsebell import kernels
 from coarsebell.leggett_garg import (
     J_MAX,
     SpinParams,
@@ -177,6 +178,22 @@ def test_a_spin_series_arrays_are_read_only():
         assert not field.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             field[0] = 0.0
+
+
+def test_the_sector_terms_are_computed_once_per_configuration(monkeypatch):
+    kernels.bound.cache_clear()
+    computed = []
+    magnetic_numbers = SpinParams.magnetic_numbers
+
+    def counting(params):
+        computed.append(params)
+        return magnetic_numbers(params)
+
+    monkeypatch.setattr(SpinParams, "magnetic_numbers", counting)
+    values = {corr_spin_parity(0.9, SpinParams(j=4.5, omega=0.7, Delta=0.35)) for _ in range(100)}
+    series = spin_parity_correlator(SpinParams(j=4.5, omega=0.7, Delta=0.35))
+    assert values == {series(0.9)}
+    assert len(computed) == 1
 
 
 def sampled_rows(n: int) -> np.ndarray:

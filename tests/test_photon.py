@@ -304,7 +304,7 @@ def test_rotation_rejects_bad_party_and_block():
         rotate_polarization(rho, "a", 0.1, 2)
     with pytest.raises(ValueError, match="must be an integer"):
         rotate_polarization(rho, "a", 0.1, True)
-    for theta in (math.nan, math.inf, -math.inf):
+    for theta in (math.nan, math.inf, -math.inf, 10**400):
         with pytest.raises(ValueError, match="theta must be finite"):
             rotate_polarization(rho, "a", theta, 1)
     assert np.array_equal(

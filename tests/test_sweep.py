@@ -31,7 +31,7 @@ from coarsebell.leggett_garg import (
     corr_nonclassical,
     corr_spin_parity,
 )
-from coarsebell.optimize import MAX_STARTS, ChshSettings, LgTimes
+from coarsebell.optimize import MAX_STARTS, ChshSettings, Correlator, LgTimes, maximize_chsh
 from coarsebell.photon import PhotonParams, photon_correlator
 from coarsebell.sweep import (
     MAX_STEPS,
@@ -256,12 +256,23 @@ def test_optimized_point_rejects_bad_input():
             ),
             starts=1,
         ),
+        lambda: optimized_point("generic-ref", {"n": BIG}, starts=1),
+        lambda: optimized_point("generic-ref", {"V": BIG}, starts=1),
+        lambda: run_sweep(
+            SweepSpec("generic-ref", "V", 0.0, 0.5, 2, (SeriesSpec(label="a", params={"n": BIG}),)),
+            starts=1,
+        ),
     ],
-    ids=["point-V-nan", "point-V-inf", "point-n-inf", "sweep-alpha-nan"],
+    ids=["point-V-nan", "point-V-inf", "point-n-inf", "sweep-alpha-nan",
+         "point-n-big", "point-V-big", "sweep-n-big"],
 )
 def test_library_api_rejects_non_finite_numbers(call):
     with pytest.raises(JobError, match="must be finite"):
         call()
+
+
+# an int too large for a float: math.isfinite raises OverflowError on it
+BIG = 10**400
 
 
 def _spec(vmin=0.0, vmax=0.5, steps=2):
@@ -283,6 +294,13 @@ def _spec(vmin=0.0, vmax=0.5, steps=2):
         (lambda: _spec(vmin=math.nan), "sweep.min"),
         (lambda: _spec(vmax=math.inf), "sweep.max"),
         (lambda: _spec(vmin=-math.inf, steps=1), "sweep.min"),
+        pytest.param(lambda: GenericParams(n=BIG), "n", id="generic-n-big"),
+        pytest.param(lambda: GenericParams(n=1, delta=BIG), "delta", id="generic-delta-big"),
+        pytest.param(lambda: PhotonParams(n=BIG), "n", id="photon-n-big"),
+        pytest.param(lambda: EcsParams(alpha=BIG), "alpha", id="ecs-alpha-big"),
+        pytest.param(lambda: SpinParams(j=BIG), "j", id="spin-j-big"),
+        pytest.param(lambda: SpinParams(j=1, omega=BIG), "omega", id="spin-omega-big"),
+        pytest.param(lambda: _spec(vmin=-BIG, vmax=1.0, steps=3), "sweep.min", id="sweep-min-big"),
     ],
 )
 def test_models_and_sweep_specs_reject_non_finite_numbers(build, name):
@@ -307,11 +325,19 @@ def test_models_and_sweep_specs_reject_non_finite_numbers(build, name):
         (lambda: ecs.homodyne_angle_average(5.0, -0.3), "Delta"),
         (lambda: _spec(steps=2.5), "sweep.steps"),
         (lambda: _spec(steps=True), "sweep.steps"),
+        (lambda: ChshSettings(BIG, 0, 0, 0), "theta_a"),
+        (lambda: LgTimes((BIG, 0, 0)), "gaps"),
+        (lambda: discrete_gaussian(BIG, 5), "sigma"),
+        (lambda: discrete_gaussian(1.0, BIG), "k_max"),
+        (lambda: ecs.homodyne_angle_average(BIG, 0.1), "alpha"),
+        (lambda: maximize_chsh(Correlator(fn=lambda a, b: 0.0, period=BIG)), "period"),
     ],
     ids=[
         "chsh-settings-nan", "chsh-settings-inf", "lg-times-nan", "lg-times-inf",
         "kernel-nan", "kernel-inf", "discrimination-nan", "homodyne-alpha-nan",
         "homodyne-Delta-nan", "homodyne-Delta-negative", "sweep-steps-2.5", "sweep-steps-bool",
+        "chsh-settings-big", "lg-times-big", "kernel-big", "kernel-k_max-big", "homodyne-alpha-big",
+        "chsh-period-big",
     ],
 )
 def test_value_types_and_functions_reject_bad_numbers_by_name(call, name):

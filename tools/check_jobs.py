@@ -1,6 +1,8 @@
 """Byte-identity check of the shipped jobs against committed digests.
 
-Runs every ``jobs/*.job`` through
+Byte-compiles this checkout's ``src/`` first (``python -m compileall -q``),
+so that no job pays for compiling at its import when
+``PYTHONDONTWRITEBYTECODE`` is set.  Then runs every ``jobs/*.job`` through
 ``python -m coarsebell sweep JOB --csv NAME.csv --svg NAME.svg`` into a
 temporary directory, with this checkout's ``src/`` first on ``PYTHONPATH``,
 and compares the sha256 digest of each output file with
@@ -79,6 +81,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--write", action="store_true", help=f"rewrite {EXPECTED.name} instead of comparing")
     args = parser.parse_args(argv)
     names = sorted(p.stem for p in JOBS.glob("*.job"))
+    subprocess.run([sys.executable, "-m", "compileall", "-q", str(ROOT / "src")], check=True)
     with tempfile.TemporaryDirectory() as tmp:
         digests = _run_jobs(names, Path(tmp))
 
