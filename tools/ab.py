@@ -1,16 +1,23 @@
 """A/B harness: alternate a parent revision and this checkout on the end-to-end numbers.
 
-Extracts ``PARENT_REV`` with ``git archive`` into a temporary directory (no
-worktree is registered, and the directory is removed at the end) and
-byte-compiles both trees, so that neither pays for compiling at each import
-when ``PYTHONDONTWRITEBYTECODE`` is set.  Then it runs ``--pairs``
+Extracts two trees the same way, each with ``git archive`` into a temporary
+directory (no worktree is registered, and the directory is removed at the
+end): ``PARENT_REV``, and this checkout's tracked files as they stand, staged
+or not (``git stash create``, or ``HEAD`` when nothing is modified).  So
+neither side carries the checkout's caches.  It refuses to run, naming them,
+while there are untracked files that are not ignored, which the change tree
+would silently leave out; ``git add`` them first.  It byte-compiles both
+trees, so that neither pays for compiling at each import when
+``PYTHONDONTWRITEBYTECODE`` is set.  Then it runs ``--pairs``
 alternating pairs; pair k runs the parent first when k is even
 and this checkout first when k is odd.  Within a pair each of three
 measurements runs on both trees back to back, in this order:
 
 - ``jobs``: the tree's ``tools/check_jobs.py``, its wall-clock and CPU totals;
-- ``tier1``: the tree's Tier-1 suite with CI's flags and one BLAS thread,
-  its wall-clock and CPU seconds and its passed count;
+- ``tier1``: the tree's Tier-1 suite under its own warning and thread policy
+  (``pyproject.toml`` and ``tests/conftest.py``), its wall-clock and CPU
+  seconds and its passed count.  A parent older than that policy runs with
+  whatever the caller's environment sets;
 - ``perfbench``: ``perfbench/run.py --trace 0`` of each workload at seed
   3001 + k, its end-to-end metrics and failed-point count.
 
@@ -41,10 +48,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("chsh-sweep", "lg-sweep", "photon-fock")
 SEED = 3001
-ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
-         "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
-         "-W", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"]
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -90,7 +94,7 @@ def _jobs(tree: Path, seed: int) -> dict:
 
 def _tier1(tree: Path, seed: int) -> dict:
     path = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
-    proc, wall, cpu = _run(tree, TIER1, dict(ONE_THREAD, PYTHONPATH=path))
+    proc, wall, cpu = _run(tree, TIER1, {"PYTHONPATH": path})
     passed = re.search(r"(\d+) passed\b", proc.stdout)
     if proc.returncode != 0 or passed is None:
         raise RuntimeError(f"pytest exit {proc.returncode}: {proc.stdout[-300:]}")
@@ -113,8 +117,25 @@ def _perfbench(tree: Path, seed: int) -> dict:
     return out
 
 
-def _extract(rev: str, dest: Path) -> None:
-    data = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+def _git(root: Path, *args: str) -> str:
+    return subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True,
+                          check=True).stdout
+
+
+def change_rev(root: Path) -> str:
+    """A revision that holds ``root``'s tracked files as they stand, staged or not.
+
+    Raises ``RuntimeError`` naming the untracked files that are not ignored,
+    since no revision would hold them.
+    """
+    untracked = _git(root, "ls-files", "--others", "--exclude-standard").splitlines()
+    if untracked:
+        raise RuntimeError("untracked files would be left out of the change tree: " + ", ".join(untracked))
+    return _git(root, "stash", "create").strip() or "HEAD"
+
+
+def _extract(root: Path, rev: str, dest: Path) -> None:
+    data = subprocess.run(["git", "-C", str(root), "archive", "--format=tar", rev],
                           capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         # the "data" filter where this Python has it (3.10.12+), which newer versions default to
@@ -146,11 +167,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
 
+    try:
+        revs = {"parent": args.parent, "change": change_rev(ROOT)}
+    except RuntimeError as exc:
+        parser.error(str(exc))
+
     readings: dict[str, list[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {"parent": Path(tmp) / "parent", "change": ROOT}
-        _extract(args.parent, trees["parent"])
-        for tree in trees.values():
+        trees = {side: Path(tmp) / side for side in revs}
+        for side, tree in trees.items():
+            _extract(ROOT, revs[side], tree)
             subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree)], check=True)
         for k in range(args.pairs):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")

@@ -6,7 +6,9 @@ test node IDs that must fail.  The tool first checks every entry's old
 text and runs all the named tests on an unchanged copy of the tree, where
 they must pass.  Then, for each entry, it copies the tree to a temporary
 directory, applies the edit and runs the named tests there with
-``pytest -x``, with the copy's ``src/`` first on ``PYTHONPATH``.
+``pytest -x``, with the copy's ``src/`` first on ``PYTHONPATH``.  Each run
+carries the suite's own warning and thread policy, the copy's
+``pyproject.toml`` and ``tests/conftest.py``, as CI's Tier-1 step does.
 A mutant is killed when pytest reports a failed test (exit 1).  The tool
 exits 1 when an old text is not found exactly once, when the named tests
 fail without any mutant, or when a mutant survives or its run errors;
