@@ -51,7 +51,7 @@ lg-nonclassical   V           reference variance      j, omega
 
 Every grid point binds the system's correlator once, through the factory in
 its ``SYSTEMS`` row, which computes the point's constants (smeared signs,
-dampings, the in-house homodyne quadrature), and passes the result as it
+dampings, the homodyne-angle average's Bessel series), and passes the result as it
 is to ``maximize_chsh`` or ``maximize_lg``, by the row's ``kind``.  Every
 row returns a form of ``kernels``: each CHSH row a ``CosineForm``,
 lg-nonclassical a ``Harmonic`` and lg-spin a ``CosineSeries``, which samples
@@ -97,8 +97,9 @@ class JobError(ValueError):
 
 # Largest sweep grid, per series.  A point on the CHSH lattice or the LG grid
 # takes ~5-50 ms, so this is minutes of work per series; a closed-form ECS
-# point takes ~20 us (ecs-homodyne ~0.5 ms, for its quadrature), so 10000 of
-# them take 0.3-6 s on a 2-vCPU Xeon.  The grid itself stays small.
+# point takes ~20 us, and ecs-homodyne up to ~0.2 ms more for its Bessel series
+# (30-180 us at alpha = 20-30), so 10000 of them take at most ~2 s on a 2-vCPU
+# Xeon.  The grid itself stays small.
 MAX_STEPS = 10_000
 
 
@@ -256,7 +257,7 @@ SYSTEMS: dict[str, _System] = {
 def _system(name: str) -> _System:
     try:
         return SYSTEMS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a name that cannot be hashed, such as a list
         raise JobError(
             f"unknown system {name!r} (valid: {', '.join(sorted(SYSTEMS))})"
         ) from None
@@ -274,6 +275,8 @@ def _check_number(name: str, value: float) -> None:
 
 def _validate_params(system: str, params: Mapping[str, float]) -> dict[str, float]:
     sysdef = _system(system)
+    if not isinstance(params, Mapping):
+        raise JobError(f"parameters must be a mapping of names to numbers, got {params!r}")
     merged = dict(sysdef.params)
     for key, value in params.items():
         _check_number(f"parameter {key!r}", value)

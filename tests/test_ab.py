@@ -1,12 +1,17 @@
 """``tools/ab.py``: its summary arithmetic and the source of its change tree.
 
 The harness itself runs for minutes and stays out of this suite; these tests
-load the module, check its reductions against hand-computed values, and
-extract a change tree from a throwaway git repository.
+load the module, check its reductions and its JSON record against
+hand-computed values, write that record through ``--json`` with the
+measurement stubbed out, and extract a change tree from a throwaway git
+repository.
 """
 
 import importlib.util
+import json
+import re
 import subprocess
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -35,6 +40,46 @@ def test_summary_keeps_complete_pairs_and_counts_where_change_read_lower():
 
 def test_a_number_no_pair_completed_has_no_quartiles():
     assert ab.summarize([1.0, None], [None, 2.0]) == {"pairs": 0}
+
+
+def test_the_json_record_holds_the_revs_the_date_and_every_numbers_summary():
+    readings = {
+        "parent": [{"jobs.wall_s": 2.0, "tier1.passed": 779.0}, {"jobs.wall_s": 4.0}],
+        "change": [{"jobs.wall_s": 1.0, "tier1.passed": 779.0}, {"jobs.wall_s": 3.0, "lg-sweep.sweep_s": 0.1}],
+    }
+    revs = {"parent": "a" * 40, "change": "b" * 40}
+    start = datetime(2026, 1, 2, 3, 4, 5, tzinfo=timezone.utc)
+    rec = json.loads(json.dumps(ab.record(revs, readings, start)))
+    assert set(rec) == {"revs", "date", "pairs", "numbers"}
+    assert rec["revs"] == revs
+    assert rec["date"] == "2026-01-02T03:04:05+00:00"
+    assert rec["pairs"] == 2
+    assert list(rec["numbers"]) == ["jobs.wall_s", "tier1.passed", "lg-sweep.sweep_s"]  # as first read
+    assert rec["numbers"]["jobs.wall_s"] == {
+        "pairs": 2, "parent": [2.5, 3.0, 3.5], "change": [1.5, 2.0, 2.5], "lower": 2,
+    }
+    assert rec["numbers"]["tier1.passed"] == {
+        "pairs": 1, "parent": [779.0] * 3, "change": [779.0] * 3, "lower": 0,
+    }
+    assert rec["numbers"]["lg-sweep.sweep_s"] == {"pairs": 0}
+
+
+def test_the_json_flag_writes_that_record_after_the_table(monkeypatch, tmp_path, capsys):
+    readings = {"parent": [{"jobs.wall_s": 2.0}], "change": [{"jobs.wall_s": 1.0}]}
+    monkeypatch.setattr(ab, "change_rev", lambda root: "HEAD")
+    monkeypatch.setattr(ab, "commit_of", lambda root, rev: {"HEAD~1": "a" * 40, "HEAD": "b" * 40}[rev])
+    monkeypatch.setattr(ab, "measure", lambda revs, pairs: readings)
+    out = tmp_path / "ab.json"
+    assert ab.main(["HEAD~1", "--pairs", "1", "--json", str(out)]) == 0
+    assert "jobs.wall_s" in capsys.readouterr().out
+    rec = json.loads(out.read_text())
+    assert rec["revs"] == {"parent": "a" * 40, "change": "b" * 40}
+    assert datetime.fromisoformat(rec["date"]).tzinfo is not None
+    assert rec["pairs"] == 1
+    assert rec["numbers"] == {"jobs.wall_s": {"pairs": 1, "parent": [2.0] * 3, "change": [1.0] * 3, "lower": 1}}
+    with pytest.raises(SystemExit) as refused:  # before any run, when the file cannot be written
+        ab.main(["HEAD~1", "--json", str(tmp_path / "missing" / "ab.json")])
+    assert refused.value.code == 2
 
 
 def _git(root, *args):
@@ -72,3 +117,11 @@ def test_an_untracked_file_makes_the_tool_refuse_and_name_it(repo):
     (repo / "new.py").write_text("Z = 4\n")
     with pytest.raises(RuntimeError, match=r"left out of the change tree: new\.py$"):
         ab.change_rev(repo)
+
+
+def test_a_revision_resolves_to_its_commit_id_or_is_refused(repo):
+    commit = ab.commit_of(repo, "HEAD")
+    assert re.fullmatch(r"[0-9a-f]{40}", commit)
+    assert ab.commit_of(repo, commit[:12]) == commit
+    with pytest.raises(RuntimeError, match="^not a commit: no-such-rev$"):
+        ab.commit_of(repo, "no-such-rev")

@@ -2,19 +2,20 @@
 
 oracle_ecs_quadrature rebuilds the unit-efficiency correlation from position
 wavefunctions; the homodyne-angle average is cross-checked by a piecewise
-trapezoid integration written here with scipy.special.erf only, and at large
-alpha by a composite Gauss-Legendre rule written here with math.erf.
+trapezoid integration written here with scipy.special.erf only, at large
+alpha by a composite Gauss-Legendre rule written here with math.erf, and
+across every branch of its series by a 40-digit mpmath reference.
 """
 
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
 
 from coarsebell.ecs import (
-    ConvergenceError,
     EcsParams,
     corr_ecs_efficiency,
     corr_ecs_homodyne_angle,
@@ -141,8 +142,8 @@ def test_homodyne_average_sharp_branch_and_small_width_limit():
 
 @pytest.mark.parametrize("alpha", [1e-300, 1.0, 1e300])
 def test_homodyne_average_of_a_subnormal_width_is_the_point_mass(alpha):
-    # below the smallest normal float the Gaussian's peak 1/(Delta sqrt(2 pi))
-    # overflows; the average differs from the point mass by ~(alpha Delta)^2
+    # below the smallest normal float the average is the point mass erf(s),
+    # which it differs from by < Delta^2 / 4
     sharp = homodyne_angle_average(alpha, 0.0)
     for Delta in (3e-309, 5e-324):
         assert homodyne_angle_average(alpha, Delta) == sharp
@@ -155,7 +156,7 @@ def test_homodyne_average_matches_trapezoid_oracle():
 
 
 def test_homodyne_average_handles_wide_smearing_and_large_alpha():
-    # many sign flips inside the window; adaptive splitting must still settle
+    # the window spans many sign flips of cos(lambda); the series sums 7 damped harmonics
     val = homodyne_angle_average(30.0, 1.0)
     assert 0.0 < val < 1.0
     assert val == pytest.approx(trapezoid_average_oracle(30.0, 1.0), abs=1e-6)
@@ -173,20 +174,65 @@ def test_homodyne_correlation_sharp_limit_equals_efficiency_form():
             )
 
 
-def test_homodyne_average_raises_when_integration_stalls(monkeypatch):
-    # no sign flip lies in this window, so it is one piece; a limit of 4
-    # pieces leaves 3 bisections, too few to resolve a Gaussian 24 sigma wide
-    monkeypatch.setattr("coarsebell.ecs._QUAD_LIMIT", 4)
-    with pytest.raises(ConvergenceError, match="did not converge.*estimated error"):
-        homodyne_angle_average(4.321, 0.0777)
+def mpmath_average(alpha: float, Delta: float) -> float:
+    """I(alpha, Delta) at 40 digits, from mpmath's own Bessel values or the square wave.
+
+    Below alpha = 1e150 it sums the odd-harmonic series with
+    ``mpmath.besseli`` until a term falls below 1e-40.  Above, erf(s cos
+    lambda) is sign(cos lambda) to within ~1/alpha^2 < 1e-300, and the
+    average of that square wave is summed directly: over the intervals
+    between sign flips when Delta < 1, else as its Fourier series.
+    """
+    mp = mpmath.mp
+    with mp.workdps(40):
+        a, D = mp.mpf(alpha), mp.mpf(Delta)
+        if alpha < 1e150:
+            x = a * a
+            scale = 2 * mp.sqrt(2) * a / mp.sqrt(mp.pi) * mp.exp(-x)
+            terms, k, low = [], 0, mp.besseli(0, x)
+            while True:
+                high = mp.besseli(k + 1, x)
+                term = scale * (low + high) / (2 * k + 1) * mp.exp(-((2 * k + 1) * D) ** 2 / 2)
+                terms.append(-term if k % 2 else term)
+                if k > 5 and abs(term) < mp.mpf(10) ** -40:
+                    return float(mp.fsum(terms))
+                k, low = k + 1, high
+        if Delta < 1.0:
+            edges = range(-int(40 * D / mp.pi) - 2, int(40 * D / mp.pi) + 2)
+            return float(mp.fsum((-1) ** n * (mp.ncdf((n + 0.5) * mp.pi / D) - mp.ncdf((n - 0.5) * mp.pi / D))
+                                 for n in edges))
+        return float(4 / mp.pi * mp.fsum((-1) ** k * mp.exp(-((2 * k + 1) * D) ** 2 / 2) / (2 * k + 1)
+                                         for k in range(40)))
 
 
-def test_homodyne_average_refuses_a_window_beyond_the_piece_limit():
-    # Delta = 100 puts ~760 sign flips of cos(lambda) in the window
-    for Delta in (100.0, 1e308):
-        with pytest.raises(ConvergenceError, match="did not converge.*more than 2000 pieces"):
-            homodyne_angle_average(10.0, Delta)
-    assert abs(homodyne_angle_average(10.0, 10.0)) < 1e-15  # ~2.5e-22
+# The branches of homodyne_angle_average: Miller's recurrence up to alpha = 25,
+# tiny alpha whose square is subnormal or 0 included, Hankel's expansion above,
+# the saturated region, which returns 1.0, and widths whose average underflows.
+MPMATH_POINTS = [
+    (1e-300, 0.5), (1e-300, 100.0), (1e-160, 0.5), (1e-9, 0.3), (1e-5, 1.0), (0.1, 0.01),
+    (0.5, 0.3), (1.0, 1.0), (2.0, 0.05), (3.0, 1e-3), (5.0, 0.2828), (5.0, 0.8),
+    (10.0, 2.0), (10.0, 10.0), (10.0, 100.0), (10.0, 1e308), (24.0, 0.12), (26.0, 0.12),
+    (30.0, 0.1), (30.0, 0.4899), (100.0, 0.13), (1000.0, 0.5), (1e300, 0.13), (1e300, 1.0),
+    (1e300, 100.0), (1e300, 1e308),
+]
+
+
+@pytest.mark.parametrize("alpha,Delta", MPMATH_POINTS)
+def test_homodyne_average_matches_a_40_digit_reference(alpha, Delta):
+    # relative, so a tiny average is held to its own scale and one that underflows must be 0.0
+    got, ref = homodyne_angle_average(alpha, Delta), mpmath_average(alpha, Delta)
+    assert abs(got - ref) <= 1e-15 * abs(ref), (got, ref)
+
+
+def test_homodyne_average_and_correlation_stay_within_one():
+    # |erf| < 1 bounds both; the quadrature this replaced returned
+    # I = 1 + 2e-16 at alpha = 5, 10 and 30 with V = 1e-4 and 0.01
+    for alpha in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0):
+        for V in (10.0 ** e for e in range(-6, 5)):
+            average = homodyne_angle_average(alpha, math.sqrt(V))
+            assert abs(average) <= 1.0, (alpha, V, average)
+            correlation = corr_ecs_homodyne_angle(0.0, 0.0, EcsParams(alpha=alpha, Delta=math.sqrt(V)))
+            assert abs(correlation) <= 1.0, (alpha, V, correlation)
 
 
 def gauss_legendre_average(alpha: float, Delta: float, order: int = 20) -> float:

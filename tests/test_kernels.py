@@ -55,6 +55,12 @@ def test_discrete_gaussian_weight_ratios_match_exponential():
         assert w.weight(k + 1) / w.weight(k) == pytest.approx(expected, rel=1e-12)
 
 
+def test_discrete_gaussian_weight_includes_both_window_edges():
+    w = discrete_gaussian(1.0, 3)
+    assert w.weight(3) == w.weight(-3) == float(w.weights[0]) > 0.0
+    assert w.weight(4) == w.weight(-4) == 0.0
+
+
 def test_discrete_gaussian_rejects_aggressive_truncation():
     with pytest.raises(ValueError, match="truncation too aggressive"):
         discrete_gaussian(4.0, 11)  # k_max < 3 sigma

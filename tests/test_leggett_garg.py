@@ -123,6 +123,12 @@ def test_times_validation():
         LgTimes(gaps=(0.1, 0.2))
 
 
+def test_times_accept_zero_gaps():
+    # coinciding measurement times are allowed; only a negative gap is refused
+    assert LgTimes(gaps=(0.0, 0.5, 0.0)).gaps == (0.0, 0.5, 0.0)
+    assert LgTimes(gaps=(0.0, 0.0, 0.0)).gaps == (0.0, 0.0, 0.0)
+
+
 def test_spin_params_validation():
     with pytest.raises(ValueError):
         SpinParams(j=0.3)

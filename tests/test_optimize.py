@@ -280,6 +280,14 @@ def test_lg_maximum_of_spin_half_is_the_closed_form(V):
     assert res.converged
 
 
+def test_a_bare_lg_callable_is_searched_over_the_period_two_pi():
+    # a plain function carries no period, so the gaps span [0, 2 pi)
+    res = maximize_lg(lambda tau: math.cos(tau))
+    assert res.value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
+    assert all(0.0 <= g < 2.0 * math.pi for g in res.argmax)
+    assert all(math.cos(g) == pytest.approx(math.sqrt(0.5), abs=1e-6) for g in res.argmax)
+
+
 def test_lg_evaluations_count_every_correlator_call():
     params = SpinParams(j=2.5, Delta=math.sqrt(0.05))
     calls = 0
@@ -916,7 +924,7 @@ def test_importing_the_command_line_does_not_import_scipy():
     code = f"import sys, coarsebell.cli; print({loaded})"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
-    # nor does a whole ecs-homodyne point, whose quadrature is in-house
+    # nor does a whole ecs-homodyne point, whose Bessel series is computed in-house
     code = (
         "import runpy, sys\n"
         "sys.argv = ['coarsebell', 'point', 'ecs-homodyne', '--param', 'V=0.3']\n"

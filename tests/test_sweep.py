@@ -227,6 +227,8 @@ def test_optimized_point_accepts_the_sweep_variable_as_parameter():
 def test_optimized_point_rejects_bad_input():
     with pytest.raises(JobError, match="unknown system"):
         optimized_point("warp", {})
+    with pytest.raises(JobError, match=r"^unknown system \['x'\] \(valid: "):
+        optimized_point(["x"], {})  # a name that cannot be hashed raised TypeError
     with pytest.raises(JobError, match="unknown parameter"):
         optimized_point("photon", {"alpha": 3})
     with pytest.raises(JobError, match=r"eta must lie in \[0, 1\]"):
@@ -237,6 +239,12 @@ def test_optimized_point_rejects_bad_input():
         optimized_point("generic-ref", {"n": True})  # float(True) == int(True), yet no integer
     with pytest.raises(JobError):
         optimized_point("photon", {"n": 0})  # the range comes from the model
+
+
+def test_series_parameters_that_are_not_a_mapping_are_a_job_error():
+    # a list as the parameters raised AttributeError on its missing .items()
+    with pytest.raises(JobError, match=r"^parameters must be a mapping of names to numbers, got \[1\]$"):
+        SweepSpec("ecs-ref", "V", 0.0, 1.0, 3, (SeriesSpec("a", [1]),))
 
 
 @pytest.mark.parametrize(

@@ -23,10 +23,13 @@ measurements runs on both trees back to back, in this order:
 
 It prints, for every number, each side's median and quartiles and in how many
 complete pairs this checkout read lower than the parent.  It judges nothing,
-and a run that exits non-zero is reported and left out of its pair.
+and a run that exits non-zero is reported and left out of its pair.  With
+``--json PATH`` it also writes the same summary as one JSON record (see
+``record``), from which a trajectory of such records can be kept.
 
     python tools/ab.py HEAD~1              # 10 pairs (~20 min on a 2-vCPU Xeon)
     python tools/ab.py HEAD~1 --pairs 20
+    python tools/ab.py HEAD~1 --json ab.json
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import sys
 import tarfile
 import tempfile
 import time
+from datetime import datetime, timezone
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -134,6 +138,15 @@ def change_rev(root: Path) -> str:
     return _git(root, "stash", "create").strip() or "HEAD"
 
 
+def commit_of(root: Path, rev: str) -> str:
+    """The full commit id that ``rev`` names in ``root``; ``RuntimeError`` if it names none."""
+    proc = subprocess.run(["git", "-C", str(root), "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"],
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"not a commit: {rev}")
+    return proc.stdout.strip()
+
+
 def _extract(root: Path, rev: str, dest: Path) -> None:
     data = subprocess.run(["git", "-C", str(root), "archive", "--format=tar", rev],
                           capture_output=True, check=True).stdout
@@ -146,11 +159,33 @@ def _cell(q: tuple[float, float, float]) -> str:
     return f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
 
 
+def summaries(readings: dict[str, list[dict]]) -> dict[str, dict]:
+    """``summarize`` of every number that either side read, in the order first read."""
+    names = dict.fromkeys(k for side in readings.values() for run in side for k in run)
+    return {name: summarize(*([run.get(name) for run in readings[side]] for side in ("parent", "change")))
+            for name in names}
+
+
+def record(revs: dict[str, str], readings: dict[str, list[dict]], date: datetime) -> dict:
+    """The run as one JSON-ready record.
+
+    ``revs`` maps "parent" and "change" to the commit ids compared, ``date`` is
+    the run's start as ISO 8601, ``pairs`` the pairs run, and ``numbers``
+    maps each number to its ``summarize`` result: ``pairs``, and when that
+    is not 0, the ``parent`` and ``change`` quartiles (q1, median, q3) and
+    the ``lower`` count.
+    """
+    return {
+        "revs": dict(revs),
+        "date": date.isoformat(timespec="seconds"),
+        "pairs": len(readings["parent"]),
+        "numbers": summaries(readings),
+    }
+
+
 def _report(readings: dict[str, list[dict]]) -> list[str]:
-    names = list(dict.fromkeys(k for side in readings.values() for run in side for k in run))
     lines = [f"{'number':28} {'pairs':>5}  {'parent median [q1, q3]':32}  {'change median [q1, q3]':32}  lower"]
-    for name in names:
-        s = summarize(*([run.get(name) for run in readings[side]] for side in ("parent", "change")))
+    for name, s in summaries(readings).items():
         if not s["pairs"]:
             lines.append(f"{name:28} {0:>5}")
             continue
@@ -159,40 +194,52 @@ def _report(readings: dict[str, list[dict]]) -> list[str]:
     return lines
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", metavar="PARENT_REV", help="the revision to compare this checkout with")
-    parser.add_argument("--pairs", type=int, default=10, help="alternating pairs (default 10)")
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
-
-    try:
-        revs = {"parent": args.parent, "change": change_rev(ROOT)}
-    except RuntimeError as exc:
-        parser.error(str(exc))
-
+def measure(revs: dict[str, str], pairs: int) -> dict[str, list[dict]]:
+    """Each side's readings, one dict of numbers per pair, from trees of ``revs`` extracted here."""
     readings: dict[str, list[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: Path(tmp) / side for side in revs}
         for side, tree in trees.items():
             _extract(ROOT, revs[side], tree)
             subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree)], check=True)
-        for k in range(args.pairs):
+        for k in range(pairs):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             runs = {side: {} for side in order}
-            for measure in (_jobs, _tier1, _perfbench):
+            for reading in (_jobs, _tier1, _perfbench):
                 for side in order:
                     try:
-                        runs[side].update(measure(trees[side], SEED + k))
+                        runs[side].update(reading(trees[side], SEED + k))
                     except RuntimeError as exc:
-                        print(f"  {side} {measure.__name__[1:]} pair {k}: {exc}", file=sys.stderr)
+                        print(f"  {side} {reading.__name__[1:]} pair {k}: {exc}", file=sys.stderr)
             for side in order:
                 readings[side].append(runs[side])
-            print(f"pair {k + 1} of {args.pairs} done ({order[0]} first)", file=sys.stderr)
+            print(f"pair {k + 1} of {pairs} done ({order[0]} first)", file=sys.stderr)
+    return readings
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", metavar="PARENT_REV", help="the revision to compare this checkout with")
+    parser.add_argument("--pairs", type=int, default=10, help="alternating pairs (default 10)")
+    parser.add_argument("--json", metavar="PATH", type=Path, help="also write the summary as a JSON record")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    if args.json is not None and not args.json.resolve().parent.is_dir():
+        parser.error(f"--json: no directory {args.json.resolve().parent}")
+
+    try:
+        revs = {"parent": commit_of(ROOT, args.parent), "change": commit_of(ROOT, change_rev(ROOT))}
+    except RuntimeError as exc:
+        parser.error(str(exc))
+
+    started = datetime.now(timezone.utc)
+    readings = measure(revs, args.pairs)
     print(f"{args.parent} (parent) against this checkout, {args.pairs} alternating pairs; "
           "'lower' counts the pairs in which this checkout read lower")
     print("\n".join(_report(readings)))
+    if args.json is not None:
+        args.json.write_text(json.dumps(record(revs, readings, started), indent=2) + "\n")
     return 0
 
 
