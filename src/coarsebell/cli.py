@@ -22,7 +22,6 @@ import argparse
 import sys
 from typing import Sequence
 
-from .ecs import ConvergenceError
 from .optimize import NonFiniteObjectiveError
 from .sweep import JobError, SYSTEMS, emit_csv, emit_svg, optimized_point, parse_job, run_sweep
 from .sweep import _parse_number
@@ -80,7 +79,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except JobError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ConvergenceError, NonFiniteObjectiveError) as exc:
+    except NonFiniteObjectiveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except OSError as exc:

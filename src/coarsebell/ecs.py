@@ -20,7 +20,10 @@ with an amplitude A that encodes the imperfection:
 where I(alpha, Delta) is a Gaussian average over the homodyne-angle error
 lambda of the sharp response erf(sqrt(2) alpha cos lambda), which tends to
 erf(sqrt(2) alpha) as Delta -> 0: a damped odd-harmonic series whose Bessel
-coefficients this module computes itself, with no scipy.
+coefficients this module computes itself, with no scipy.  Both smeared
+references damp their harmonics by ``kernels.smear_damping``, the rule of the
+``kernels`` docstring: widths (2 Delta, 2 Delta) for the two reference angles,
+and n Delta for the homodyne phase in odd harmonic n.
 
 Each ``ecs_*_correlator(params)`` computes its amplitude, the average
 included, once and returns ``(theta_a, theta_b) -> E`` as the
@@ -44,11 +47,10 @@ from itertools import accumulate, count
 from math import erf
 from operator import mul
 
-from .kernels import CosineForm, Validated, bound, is_finite, require_finite
+from .kernels import CosineForm, Validated, bound, is_finite, require_finite, smear_damping
 
 __all__ = [
     "EcsParams",
-    "ConvergenceError",
     "ecs_efficiency_correlator",
     "ecs_reference_correlator",
     "ecs_homodyne_correlator",
@@ -59,10 +61,6 @@ __all__ = [
 ]
 
 _SQRT_2 = math.sqrt(2.0)
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when a result misses its accuracy (exit 3 on the command line); none does now."""
 
 
 class EcsParams(Validated, namedtuple("EcsParams", "alpha eta Delta", defaults=(1.0, 0.0))):
@@ -105,7 +103,8 @@ def ecs_reference_correlator(params: EcsParams) -> CosineForm:
     independent of ``alpha`` once the erf factor saturates.
     """
     e = erf(_SQRT_2 * params.alpha)
-    damping = math.exp(-4.0 * params.Delta * params.Delta)
+    width = 2.0 * params.Delta
+    damping = smear_damping(width, width)
     return CosineForm(0.0, damping * e * e / _overlap_denominator(params.alpha), 0.0)
 
 
@@ -122,17 +121,17 @@ def ecs_homodyne_correlator(params: EcsParams) -> CosineForm:
 
 def corr_ecs_efficiency(theta_a: float, theta_b: float, params: EcsParams) -> float:
     """:func:`ecs_efficiency_correlator` of ``params`` at one pair of angles."""
-    return bound(ecs_efficiency_correlator, params)(theta_a, theta_b)
+    return bound(ecs_efficiency_correlator, params).closure(theta_a, theta_b)
 
 
 def corr_ecs_reference(theta_a: float, theta_b: float, params: EcsParams) -> float:
     """:func:`ecs_reference_correlator` of ``params`` at one pair of angles."""
-    return bound(ecs_reference_correlator, params)(theta_a, theta_b)
+    return bound(ecs_reference_correlator, params).closure(theta_a, theta_b)
 
 
 def corr_ecs_homodyne_angle(theta_a: float, theta_b: float, params: EcsParams) -> float:
     """:func:`ecs_homodyne_correlator` of ``params`` at one pair of angles."""
-    return bound(ecs_homodyne_correlator, params)(theta_a, theta_b)
+    return bound(ecs_homodyne_correlator, params).closure(theta_a, theta_b)
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +176,9 @@ def homodyne_angle_average(alpha: float, Delta: float) -> float:
     By the Jacobi-Anger expansion (DLMF 10.35.3) erf(s cos lambda), s = sqrt(2) alpha, is
     sum_k c_k cos((2k + 1) lambda), c_k = (2s / sqrt(pi)) (-1)^k e^-x [I_k + I_(k+1)](x) / (2k + 1)
     with x = alpha^2, and an angle error of Gaussian width ``Delta`` damps harmonic n by
-    e^(-n^2 Delta^2 / 2).  The sum runs to k <= min(sqrt(80 x) + 20, sqrt(80) / (2 Delta) + 2),
-    past which I_k / I_0 ~ e^(-k^2 / 2x) or the damping is below e^-40, and agrees with a
-    40-digit reference within 1e-15.  A non-finite or non-positive ``alpha``, or a non-finite
+    ``smear_damping(n Delta)`` = e^(-n^2 Delta^2 / 2).  The sum runs to
+    k <= min(sqrt(80 x) + 20, sqrt(80) / (2 Delta) + 2), past which I_k / I_0 ~ e^(-k^2 / 2x)
+    or the damping is below e^-40, and agrees with a 40-digit reference within 1e-15.  A non-finite or non-positive ``alpha``, or a non-finite
     or negative ``Delta``, raises ``ValueError``.
     """
     if not (is_finite(alpha) and alpha > 0.0):
@@ -195,8 +194,7 @@ def homodyne_angle_average(alpha: float, Delta: float) -> float:
     # outside that region an alpha > 25 has Delta > 0.1168, so last <= 40
     last = int(min(_SQRT_80 * alpha + 20.0, _SQRT_80 / (2.0 * Delta) + 2.0))
     g = _bessel_terms(alpha, last + 2)
-    n = [(k + k + 1) * Delta for k in range(last + 1)]  # n * n, as n ** 2 raises on overflow
-    total = math.fsum((-1) ** k * (g[k] + g[k + 1]) / (k + k + 1) * math.exp(-0.5 * n[k] * n[k])
-                      for k in range(last + 1))
+    total = math.fsum((-1) ** k * (g[k] + g[k + 1]) / n * smear_damping(n * Delta)
+                      for k, n in enumerate(range(1, last + last + 2, 2)))
     # |erf| < 1 bounds I in [-1, 1]; near saturation the rounded terms can sum an ulp past 1
     return max(-1.0, min(1.0, total))

@@ -31,7 +31,9 @@ Two distinct Gaussian coarsenings of this measurement are modelled:
   reduces to E = -cos 2(ta + tb).
 
 * *reference fuzziness* (``Delta``): the rotation angle itself is smeared by
-  a continuous Gaussian, which damps the sharp correlation uniformly:
+  a continuous Gaussian, which damps the sharp correlation uniformly by
+  ``kernels.smear_damping(2 Delta, 2 Delta)``, the rule of the ``kernels``
+  docstring:
 
       E(ta, tb) = -exp(-4 Delta^2) cos 2(ta + tb),
 
@@ -134,7 +136,7 @@ def fuzzy_detector_correlator(params: GenericParams) -> CosineForm:
 
 def corr_fuzzy_detector(theta_a: float, theta_b: float, params: GenericParams) -> float:
     """:func:`fuzzy_detector_correlator` of ``params`` at one pair of angles."""
-    return bound(fuzzy_detector_correlator, params)(theta_a, theta_b)
+    return bound(fuzzy_detector_correlator, params).closure(theta_a, theta_b)
 
 
 def coarse_reference_correlator(params: GenericParams) -> CosineForm:
@@ -144,12 +146,13 @@ def coarse_reference_correlator(params: GenericParams) -> CosineForm:
     as the ``kernels.CosineForm(0, 0, -exp(-4 Delta^2))``, with the damping
     computed once; note it does not depend on the size ``n``.
     """
-    return CosineForm(0.0, 0.0, -math.exp(-4.0 * params.Delta * params.Delta))
+    width = 2.0 * params.Delta
+    return CosineForm(0.0, 0.0, -kernels.smear_damping(width, width))
 
 
 def corr_coarse_reference(theta_a: float, theta_b: float, params: GenericParams) -> float:
     """:func:`coarse_reference_correlator` of ``params`` at one pair of angles."""
-    return bound(coarse_reference_correlator, params)(theta_a, theta_b)
+    return bound(coarse_reference_correlator, params).closure(theta_a, theta_b)
 
 
 def discrimination_error(n: int, delta: float) -> float:

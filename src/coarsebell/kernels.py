@@ -1,4 +1,5 @@
-"""The discrete Gaussian smearing kernel, the checks shared by the record
+"""The damping of a harmonic by Gaussian references (``smear_damping``), the
+discrete Gaussian smearing kernel, the checks shared by the record
 types (finite fields, integer arguments and sizes, a ``_replace`` that
 re-validates), the cache through which the three-argument ``corr_*``
 wrappers bind a model's correlator once per configuration (``bound``),
@@ -16,6 +17,20 @@ quantity.  Two kernel flavours appear:
 
 * a *continuous* kernel  P_s(x - x0) = exp(-(x - x0)^2 / 2 s^2) / (s sqrt(2 pi)),
   used to smear a measurement-reference angle (``oracles.angle_average``).
+  Averaged over independent Gaussian references x_i of widths s_i, a sharp
+  harmonic cos(phi + sum_i c_i x_i) keeps its shape and is damped by the
+  characteristic function exp(-sum_i w_i^2 / 2), where w_i = c_i s_i is the
+  order c_i of reference i in the harmonic times its width.
+  ``smear_damping(*widths)`` computes that factor for every model:
+
+  - an analyser angle at each party of cos 2(ta +- tb), ``generic-ref``,
+    ``photon`` and ``ecs-ref``: widths (2 Delta, 2 Delta), damping e^(-4 Delta^2);
+  - the rotation between two measurement times of the two-level probe,
+    ``lg-nonclassical``: width Delta, damping e^(-Delta^2 / 2);
+  - that rotation in spin sector m of ``lg-spin``: width 2 m Delta, damping
+    e^(-2 m^2 Delta^2);
+  - the homodyne phase in odd harmonic n = 2k + 1 of ``ecs-homodyne``: width
+    n Delta, damping e^(-n^2 Delta^2 / 2).
 
 * a *discrete* kernel over integer offsets k, w_k ~ exp(-k^2 / 2 s^2),
   renormalised over a finite window |k| <= k_max, used to smear a discrete
@@ -28,7 +43,7 @@ import math
 import operator
 from collections import namedtuple
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 if TYPE_CHECKING:
     import numpy as np
@@ -39,6 +54,7 @@ __all__ = [
     "Harmonic",
     "DiscreteGaussianWeights",
     "discrete_gaussian",
+    "smear_damping",
 ]
 
 # Below this the discrete kernel is numerically a point mass anyway
@@ -100,6 +116,33 @@ def bound(factory: Callable, params: tuple):
     """``factory(params)``, built once per configuration for the ``corr_*``
     wrappers and for ``leggett_garg``'s spin sector terms."""
     return factory(params)
+
+
+def smear_damping(*widths: float | np.ndarray) -> float | np.ndarray:
+    """exp(-(sum of w * w over ``widths``) / 2), the damping of a harmonic whose Gaussian
+    references have the per-reference widths ``widths`` (see the module docstring).
+
+    Python numbers, ints included, give a built-in float through ``math.exp``; an int
+    rounds to a float before it is squared, as in ``-0.5 * Delta * Delta``.  Numpy
+    arrays of widths, one entry per spin sector, give an array through ``np.exp``.
+    """
+    for width in widths:
+        if not isinstance(width, (int, float)):
+            import numpy as np
+
+            with np.errstate(over="ignore"):  # a huge width's damping underflows to 0 through inf
+                return _damping(np.exp, widths)
+    return _damping(math.exp, map(float, widths))
+
+
+# Squaring each per-reference width, not kappa * Delta^2, keeps every model's
+# bits: (2 Delta, 2 Delta) gives those of exp(-4.0 * Delta * Delta), and 2 m Delta
+# those of lg-spin's np.exp(-2.0 * (m * Delta) ** 2) (tests/test_kernels.py).
+def _damping(exp: Callable, widths: Iterable) -> float | np.ndarray:
+    exponent = 0.0
+    for width in widths:
+        exponent = exponent + width * width
+    return exp(-0.5 * exponent)
 
 
 class Validated:

@@ -8,13 +8,16 @@ the dichotomic parity observable
 
 With the rotation reference between consecutive measurements smeared by a
 Gaussian of width ``Delta``, the two-time correlation depends only on the
-gap tau and reduces to the closed sum
+gap tau, and sector m, a harmonic of order 2m in that rotation, is damped by
+``kernels.smear_damping(2 m Delta)``, the rule of the ``kernels`` docstring.
+It reduces to the closed sum
 
     C(tau) = 1/(2j+1) * sum_{m=-j}^{j} exp(-2 m^2 Delta^2) cos(2 m omega tau).
 
 Larger spins dephase faster under the same smearing because the high-m
 terms pick up the exp(-2 m^2 Delta^2) suppression.  An invasion-free
-two-level probe with the same smearing instead gives the j-independent
+two-level probe with the same smearing, damped by ``smear_damping(Delta)``,
+instead gives the j-independent
 
     C(tau) = exp(-Delta^2 / 2) cos(omega tau),
 
@@ -40,7 +43,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
-from .kernels import CosineSeries, Harmonic, Validated, bound, require_finite
+from .kernels import CosineSeries, Harmonic, Validated, bound, require_finite, smear_damping
 
 if TYPE_CHECKING:
     import numpy as np
@@ -100,11 +103,8 @@ class SpinParams(Validated, namedtuple("SpinParams", "j omega Delta", defaults=(
 # The arrays are read-only: every series of one configuration shares them.
 def _spin_terms(params: SpinParams) -> tuple[np.ndarray, np.ndarray]:
     """Per-sector damping exp(-2 m^2 Delta^2) and angular factor 2 m omega."""
-    import numpy as np
-
     m = params.magnetic_numbers()
-    with np.errstate(over="ignore"):  # a huge width's damping underflows to 0 through inf
-        damping = np.exp(-2.0 * (m * params.Delta) ** 2)
+    damping = smear_damping(2.0 * m * params.Delta)
     freq = 2.0 * m * params.omega
     damping.flags.writeable = False
     freq.flags.writeable = False
@@ -138,7 +138,7 @@ def nonclassical_correlator(params: SpinParams) -> Harmonic:
     ``kernels.Harmonic``, whose four-time maximum ``optimize.maximize_lg``
     takes in closed form, with the damping computed once.
     """
-    return Harmonic(math.exp(-0.5 * params.Delta * params.Delta), params.omega)
+    return Harmonic(smear_damping(params.Delta), params.omega)
 
 
 def corr_nonclassical(tau: float, params: SpinParams) -> float:

@@ -20,7 +20,8 @@ fuzziness ``Delta`` smears both rotation angles with independent Gaussians.
 
 Rotation and loss act locally and the readout is diagonal, so with
 m = (1 - eta)^n, the chance that all n photons of one party are lost, and
-an angle average that damps each party by exp(-2 Delta^2), the correlation is
+the angle average's damping ``kernels.smear_damping(2 Delta, 2 Delta)``, the
+rule of the ``kernels`` docstring, the correlation is
 
     E = m^2 - (1 - m)^2 exp(-4 Delta^2) cos 2(theta_a + theta_b).
 
@@ -31,10 +32,9 @@ averages the truncated-Fock density-matrix pipeline over quadrature nodes.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 
-from .kernels import CosineForm, Validated, check_size, require_finite
+from .kernels import CosineForm, Validated, check_size, require_finite, smear_damping
 
 __all__ = [
     "PhotonParams",
@@ -64,5 +64,5 @@ def photon_correlator(params: PhotonParams) -> CosineForm:
     with the loss and damping factors of ``params`` computed once.
     """
     miss = (1.0 - params.eta) ** params.n
-    damping = math.exp(-4.0 * params.Delta * params.Delta)
-    return CosineForm(miss * miss, 0.0, -((1.0 - miss) ** 2 * damping))
+    width = 2.0 * params.Delta
+    return CosineForm(miss * miss, 0.0, -((1.0 - miss) ** 2 * smear_damping(width, width)))

@@ -156,8 +156,12 @@ class SweepSpec(
             raise JobError(f"sweep grid needs sweep.min < sweep.max, got [{vmin}, {vmax}]")
         elif not is_finite(vmax - vmin):
             raise JobError(f"sweep.max - sweep.min overflows a float, got [{vmin}, {vmax}]")
+        if not isinstance(series, tuple):
+            raise JobError(f"series must be a tuple of SeriesSpec, got {series!r}")
         labels: set[str] = set()
         for s in series:
+            if not isinstance(s, SeriesSpec):
+                raise JobError(f"a series must be a SeriesSpec, got {s!r}")
             if not isinstance(s.label, str) or not _xml_text(s.label):
                 raise JobError(f"a series label must be a string XML can carry, got {s.label!r}")
             if s.label in labels:

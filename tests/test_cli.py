@@ -8,7 +8,6 @@ import pytest
 
 import coarsebell.sweep
 from coarsebell.cli import EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_VALIDATION, main
-from coarsebell.ecs import ConvergenceError
 from coarsebell.optimize import OptimizationResult
 from coarsebell.sweep import SYSTEMS
 
@@ -102,10 +101,13 @@ def test_a_job_file_with_a_byte_order_mark_writes_the_bytes_of_the_plain_job(tmp
 )
 def test_a_label_that_would_break_the_output_exits_two(tmp_path, monkeypatch, capsys, labels, needle):
     if labels[0] == "3":  # a job file's labels are strings; a library caller can pass another type
-        series_spec = coarsebell.sweep.SeriesSpec
-        monkeypatch.setattr(
-            coarsebell.sweep, "SeriesSpec", lambda label, params: series_spec(int(label), params)
-        )
+        class IntLabelSpec(coarsebell.sweep.SeriesSpec):  # still a SeriesSpec, as SweepSpec asks
+            __slots__ = ()
+
+            def __new__(cls, label, params):
+                return super().__new__(cls, int(label), params)
+
+        monkeypatch.setattr(coarsebell.sweep, "SeriesSpec", IntLabelSpec)
     text = GOOD_JOB.replace("series[0].label = n=1", f"series[0].label = {labels[0]}")
     text += f"series[1].label = {labels[1]}\nseries[1].params.n = 2\n"
     csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"
@@ -163,16 +165,6 @@ def test_point_non_convergence_exit_code(monkeypatch, capsys):
 
     monkeypatch.setattr(coarsebell.sweep, "maximize_chsh", stuck)
     assert main(["point", "generic-ref"]) == EXIT_NO_CONVERGENCE
-    assert "did not converge" in capsys.readouterr().err
-
-
-def test_integration_failure_maps_to_exit_three(monkeypatch, capsys):
-    def boom(alpha, Delta):
-        raise ConvergenceError("homodyne-angle average did not converge (test)")
-
-    monkeypatch.setattr("coarsebell.ecs.homodyne_angle_average", boom)
-    code = main(["point", "ecs-homodyne", "--param", "V=0.5", "--starts", "16"])
-    assert code == EXIT_NO_CONVERGENCE
     assert "did not converge" in capsys.readouterr().err
 
 

@@ -1,5 +1,6 @@
-"""Tests for the Gaussian-kernel and quadrature primitives, the forms, and the
-cache through which the three-argument wrappers bind their factories.
+"""Tests for the Gaussian-kernel and quadrature primitives, the damping of a
+smeared reference, the forms, and the cache through which the three-argument
+wrappers bind their factories.
 
 The quadrature oracles are closed-form Gaussian moments and the cosine
 characteristic function, both computed without touching the module under
@@ -11,6 +12,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from coarsebell import ecs, generic, kernels, leggett_garg, photon
 from coarsebell.ecs import EcsParams
@@ -21,6 +23,7 @@ from coarsebell.kernels import (
     DiscreteGaussianWeights,
     Harmonic,
     discrete_gaussian,
+    smear_damping,
 )
 from coarsebell.leggett_garg import SpinParams
 from coarsebell.photon import PhotonParams
@@ -219,6 +222,51 @@ def test_cosine_series_evaluates_its_expression_bit_for_bit():
     assert np.array_equal(form.sample(taus), [form(tau) for tau in taus.tolist()])
     with pytest.raises(AttributeError, match="frozen"):
         form.norm = 1.0
+
+
+# ---------------------------------------------------------------------------
+# the damping of a smeared reference
+
+# every spin sector m of lg-spin up to J_MAX = 256, integer and half-integer
+SECTORS = np.arange(-256.0, 256.5, 0.5)
+# the odd harmonics n = 2k + 1 of the homodyne series, k up to its largest cut
+HARMONICS = range(1, 2 * 244, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    Delta=st.one_of(
+        st.floats(0.0, 3.0),
+        st.floats(1e-170, 1e160),
+        st.sampled_from([0.0, 5e-324, 1e-160, 1.3e154, 1e300]),
+        st.integers(0, 40),
+        st.just(10**300),
+    )
+)
+@example(Delta=0.0)
+@example(Delta=5e-324)  # the smallest subnormal: every square underflows to 0
+@example(Delta=1e-160)  # squares in the subnormal range
+@example(Delta=1.3e154)  # Delta^2 is finite, (2 Delta)^2 overflows
+@example(Delta=1e300)
+@example(Delta=3)  # an int width rounds to a float first
+@example(Delta=0)  # the built-in float 1.0
+def test_smear_damping_has_the_bits_of_each_models_own_damping(Delta):
+    # generic-ref, photon and ecs-ref: one analyser angle at each party of cos 2(a +- b)
+    width = 2.0 * Delta
+    got = smear_damping(width, width)
+    assert type(got) is float and got.hex() == math.exp(-4.0 * Delta * Delta).hex()
+    # lg-nonclassical: the rotation between two times of the two-level probe
+    got = smear_damping(Delta)
+    assert type(got) is float and got.hex() == math.exp(-0.5 * Delta * Delta).hex()
+    # lg-spin: sector m is a harmonic of order 2m in that rotation
+    with np.errstate(over="ignore"):
+        want = np.exp(-2.0 * (SECTORS * Delta) ** 2)
+    got = smear_damping(2.0 * SECTORS * Delta)
+    assert type(got) is np.ndarray and got.tobytes() == want.tobytes()
+    # ecs-homodyne: odd harmonic n of the homodyne phase
+    for n in (n * Delta for n in HARMONICS):
+        got = smear_damping(n)
+        assert type(got) is float and got.hex() == math.exp(-0.5 * n * n).hex(), n
 
 
 # ---------------------------------------------------------------------------

@@ -241,10 +241,21 @@ def test_optimized_point_rejects_bad_input():
         optimized_point("photon", {"n": 0})  # the range comes from the model
 
 
-def test_series_parameters_that_are_not_a_mapping_are_a_job_error():
-    # a list as the parameters raised AttributeError on its missing .items()
-    with pytest.raises(JobError, match=r"^parameters must be a mapping of names to numbers, got \[1\]$"):
-        SweepSpec("ecs-ref", "V", 0.0, 1.0, 3, (SeriesSpec("a", [1]),))
+@pytest.mark.parametrize(
+    "series,message",
+    [
+        # a list as the parameters raised AttributeError on its missing .items()
+        ((SeriesSpec("a", [1]),), "parameters must be a mapping of names to numbers, got [1]"),
+        # a plain tuple as a series raised AttributeError on its missing .label
+        ((("a", {}),), "a series must be a SeriesSpec, got ('a', {})"),
+        # None as the series raised TypeError: it is not iterable
+        (None, "series must be a tuple of SeriesSpec, got None"),
+    ],
+    ids=["list-parameters", "plain-tuple-series", "no-series"],
+)
+def test_series_parameters_that_are_not_a_mapping_are_a_job_error(series, message):
+    with pytest.raises(JobError, match=f"^{re.escape(message)}$"):
+        SweepSpec("ecs-ref", "V", 0.0, 1.0, 3, series)
 
 
 @pytest.mark.parametrize(
