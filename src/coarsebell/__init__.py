@@ -8,10 +8,13 @@ loss) degrades the optimized violation of the CHSH and Leggett-Garg
 inequalities.
 
 A public name is written once, in its module's ``__all__``.  The package
-exports the union of those lists: the seven modules below are re-exported as
-they load, and the names of ``oracles`` load that module (and the numpy it
-needs) on first use, so that importing the package or its CLI stays light.
-A wildcard import fetches every listed name, and so loads ``oracles`` too.
+exports the union of the seven program modules' lists, re-exported as they
+load.  The oracles' names are written once, below, as ``_ORACLE_NAMES``,
+which ``oracles.__all__`` copies: each loads that module (and the numpy it
+needs) on first use as ``coarsebell.<name>`` or ``from coarsebell import
+<name>``, so that importing the package or its CLI stays light.  They are
+left out of ``__all__``, so a wildcard import loads neither the oracles nor
+numpy.
 """
 
 from . import kernels, generic, photon, ecs, leggett_garg, optimize, sweep
@@ -25,7 +28,7 @@ from .sweep import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-# oracles.__all__, copied, since reading it would load the module; a test holds them equal
+# the oracles' public names, here since reading oracles.__all__ would load the module
 _ORACLE_NAMES = (
     "QuadratureRule", "gauss_hermite", "angle_average", "f_delta", "g_delta",
     "corr_coarse_reference_quad", "corr_combined", "FockDensityMatrix", "mode_observable",
@@ -33,7 +36,7 @@ _ORACLE_NAMES = (
     "corr_photon", "oracle_ecs_quadrature", "parity_operator", "corr_spin_parity_quad",
 )
 
-__all__ = ["__version__", *_ORACLE_NAMES]
+__all__ = ["__version__"]
 __all__ += kernels.__all__
 __all__ += generic.__all__
 __all__ += photon.__all__

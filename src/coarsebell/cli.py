@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .optimize import NonFiniteObjectiveError
 from .sweep import JobError, SYSTEMS, emit_csv, emit_svg, optimized_point, parse_job, run_sweep
-from .sweep import _parse_number
+from .sweep import _fmt, _parse_number
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -110,9 +110,8 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
 def _run_point_command(args: argparse.Namespace) -> int:
     params = _parse_param_args(args.param)
     result = optimized_point(args.system, params, starts=args.starts)
-    angles = ", ".join(f"{a:.12g}" for a in result.argmax)
-    print(f"value = {result.value:.12g}")
-    print(f"argmax = ({angles})")
+    print(f"value = {_fmt(result.value)}")
+    print(f"argmax = ({', '.join(map(_fmt, result.argmax))})")
     if not result.converged:
         print("error: optimizer did not converge", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -112,7 +112,8 @@ def _smeared_sign(m: int, delta: float) -> float:
     total = 0.0
     for k, w in zip(kern.offsets.tolist(), kern.weights.tolist()):
         total += w * chi(m - k)
-    return total
+    # a mean of signs lies in [-1, 1]; the renormalised weights can sum an ulp past 1
+    return max(-1.0, min(1.0, total))
 
 
 def fuzzy_detector_correlator(params: GenericParams) -> CosineForm:

@@ -2,15 +2,16 @@
 
 Every coarsened correlation in this package is a Gaussian average of a
 sharp one over the measurement reference.  The model modules compute it in
-closed form (or, for the ECS homodyne angle, by one 1-D adaptive
-quadrature); the oracles here compute it the long way, through the one
+closed form (or, for the ECS homodyne angle, by its odd-harmonic Bessel
+series); the oracles here compute it the long way, through the one
 tensor-product Gauss-Hermite average ``angle_average`` (the Hermite roots
 are the package's only use of scipy), the four-mode Fock density-matrix
 pipeline behind ``corr_photon`` (a rotation rewrites only the two rows and
 columns it couples; loss is one contraction per mode with that mode's
 cached channel map), and the first-principles rebuild
 ``oracle_ecs_quadrature``.  Only ``__init__`` imports this module, on first
-use of one of the public names it re-exports.
+use of one of its public names, which ``__init__`` lists once as
+``_ORACLE_NAMES``.
 """
 
 from __future__ import annotations
@@ -24,30 +25,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _ORACLE_NAMES
 from .generic import GenericParams, _smeared_sign, fuzzy_detector_correlator
 from .kernels import as_int, check_size, is_finite
 from .leggett_garg import SpinParams, _check_spin
 from .photon import PhotonParams
 
-__all__ = [
-    "QuadratureRule",
-    "gauss_hermite",
-    "angle_average",
-    "f_delta",
-    "g_delta",
-    "corr_coarse_reference_quad",
-    "corr_combined",
-    "FockDensityMatrix",
-    "mode_observable",
-    "build_psi_n",
-    "rotate_polarization",
-    "loss_channel",
-    "dichotomic_expectation",
-    "corr_photon",
-    "oracle_ecs_quadrature",
-    "parity_operator",
-    "corr_spin_parity_quad",
-]
+__all__ = list(_ORACLE_NAMES)
 
 _SQRT_2 = math.sqrt(2.0)
 

@@ -1,10 +1,10 @@
 """``tools/ab.py``: its summary arithmetic and the source of its change tree.
 
 The harness itself runs for minutes and stays out of this suite; these tests
-load the module, check its reductions and its JSON record against
-hand-computed values, write that record through ``--json`` with the
-measurement stubbed out, and extract a change tree from a throwaway git
-repository.
+load the module, check its reductions, its reading of a benchmark report and
+its JSON record against hand-computed values, write that record through
+``--json`` with the measurement stubbed out, and extract a change tree from
+a throwaway git repository.
 """
 
 import importlib.util
@@ -62,6 +62,52 @@ def test_the_json_record_holds_the_revs_the_date_and_every_numbers_summary():
         "pairs": 1, "parent": [779.0] * 3, "change": [779.0] * 3, "lower": 0,
     }
     assert rec["numbers"]["lg-sweep.sweep_s"] == {"pairs": 0}
+
+
+def _unit(interp: int, dense: int) -> dict:
+    return {"raw": 0.01, "wall": 0.01, "interp": [3e-4] * interp, "dense": [2e-3] * dense}
+
+
+# two rounds of two jobs; the second job of round 1 raised, so it has no emit unit
+REPORT = {
+    "rounds": [
+        [
+            {"parse": _unit(0, 0), "sweep": _unit(4, 3), "emit": _unit(1, 0), "points": []},
+            {"parse": _unit(0, 1), "sweep": _unit(2, 2), "emit": _unit(0, 0), "points": []},
+        ],
+        [
+            {"parse": _unit(0, 0), "sweep": _unit(3, 1), "emit": _unit(0, 1), "points": []},
+            {"parse": _unit(1, 0), "sweep": _unit(1, 0), "points": []},
+        ],
+    ],
+    "peak_rss_mb": 50.0,
+}
+
+
+def test_a_runs_thinnest_round_is_its_fewest_passes_of_either_kind():
+    # round 0 holds 7 interp and 6 dense passes, round 1 holds 5 and 2
+    assert ab.min_round_passes(REPORT) == 2
+    thin = {"rounds": [REPORT["rounds"][0], [{"parse": _unit(0, 0), "sweep": _unit(2, 0), "points": []}]]}
+    assert ab.min_round_passes(thin) == 0  # the round whose rescaling fails on no dense pass
+
+
+def test_the_thinnest_round_is_read_also_from_a_run_that_exited_non_zero(monkeypatch, tmp_path, capsys):
+    stale = tmp_path / "perfbench" / "out" / "lg-sweep" / "plain" / "report.json"
+    stale.parent.mkdir(parents=True)
+    stale.write_text(json.dumps(REPORT))
+
+    def run(tree, args, env=None):
+        workload = args[args.index("--workload") + 1]
+        if workload == "chsh-sweep":  # it writes its report, then its checks fail
+            report = tree / "perfbench" / "out" / workload / "plain" / "report.json"
+            report.parent.mkdir(parents=True)
+            report.write_text(json.dumps(REPORT))
+        return subprocess.CompletedProcess(args, 1, "", "StatisticsError"), 1.0, 1.0
+
+    monkeypatch.setattr(ab, "_run", run)
+    # lg-sweep's report is from an earlier run, and photon-fock wrote none
+    assert ab._perfbench(tmp_path, 3001) == {"chsh-sweep.min_round_passes": 2.0}
+    assert capsys.readouterr().err.count("exit 1") == 3
 
 
 def test_the_json_flag_writes_that_record_after_the_table(monkeypatch, tmp_path, capsys):

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from coarsebell import kernels
 from coarsebell.generic import (
@@ -210,6 +211,16 @@ def test_discrimination_error_against_brute_sum():
     for n, delta in ((1, 0.7), (3, 2.0)):
         want = 1.0 - smeared_sign_oracle(n, delta) ** 2
         assert discrimination_error(n, delta) == pytest.approx(want, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 50), delta=st.floats(0.0, 10.0))
+@example(n=2, delta=math.sqrt(0.050905806377099516))  # unclamped, E = 1.0000000000000004
+@example(n=3, delta=0.2032293670790033)  # unclamped, the error is -4.4e-16
+def test_smeared_signs_keep_correlations_and_errors_within_their_bounds(n, delta):
+    # the renormalised weights can sum an ulp past 1; at a + b = pi/2, E = S^2 + A^2
+    assert abs(corr_fuzzy_detector(math.pi / 4, math.pi / 4, GenericParams(n, delta))) <= 1.0
+    assert 0.0 <= discrimination_error(n, delta) <= 1.0
 
 
 def test_params_validation():

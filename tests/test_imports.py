@@ -1,4 +1,5 @@
-"""The import contract: the CLI loads neither numpy nor the oracles, and scipy is optional.
+"""The import contract: neither the CLI nor a wildcard import loads numpy or the oracles,
+and scipy is optional.
 
 Each check runs in a fresh interpreter, because this test process has
 imported numpy, scipy and the oracles already.
@@ -14,8 +15,10 @@ import pytest
 import coarsebell
 from coarsebell import ecs, generic, kernels, leggett_garg, optimize, oracles, photon, sweep
 
-# the modules whose __all__ lists the package exports
-MODULES = (kernels, generic, photon, ecs, leggett_garg, optimize, sweep, oracles)
+# the program modules, whose __all__ lists the package exports
+PROGRAM = (kernels, generic, photon, ecs, leggett_garg, optimize, sweep)
+# every module whose public names the package resolves, the lazily loaded oracles included
+MODULES = (*PROGRAM, oracles)
 
 SRC = Path(coarsebell.__file__).resolve().parents[1]
 JOBS = SRC.parent / "jobs"
@@ -54,6 +57,16 @@ def test_importing_the_cli_loads_neither_numpy_nor_scipy_nor_the_oracles():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_a_wildcard_import_loads_neither_numpy_nor_the_oracles():
+    proc = run_python(
+        "import sys\n"
+        "from coarsebell import *\n"
+        "print(run_sweep.__module__, *sorted({'numpy', 'coarsebell.oracles'} & set(sys.modules)))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["coarsebell.sweep"]
 
 
 @pytest.mark.parametrize(
@@ -102,7 +115,7 @@ def test_the_oracle_names_load_the_oracles_on_first_use():
 
 def test_every_exported_name_resolves_and_is_listed():
     assert all(getattr(coarsebell, name) is not None for name in coarsebell.__all__)
-    assert set(coarsebell.__all__) <= set(dir(coarsebell))
+    assert set(coarsebell.__all__) | set(oracles.__all__) <= set(dir(coarsebell))
     assert coarsebell.corr_photon is oracles.corr_photon
     with pytest.raises(AttributeError, match="no attribute 'corr_nothing'"):
         coarsebell.corr_nothing  # noqa: B018
@@ -111,12 +124,8 @@ def test_every_exported_name_resolves_and_is_listed():
 def test_the_package_exports_exactly_the_modules_lists_with_no_name_twice():
     # a repeat would mean that one module's wildcard import shadows another's name
     assert len(set(coarsebell.__all__)) == len(coarsebell.__all__)
-    listed = ["__version__", *(name for module in MODULES for name in module.__all__)]
+    listed = ["__version__", *(name for module in PROGRAM for name in module.__all__)]
     assert sorted(coarsebell.__all__) == sorted(listed)
-
-
-def test_the_lazy_oracle_names_are_the_oracles_own_list():
-    assert list(coarsebell._ORACLE_NAMES) == oracles.__all__
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

@@ -356,8 +356,20 @@ def test_lg_correlator_without_finite_bandwidth_stops_at_the_grid_cap():
     res = maximize_lg(Correlator(fn=lambda tau: abs(math.cos(tau)), period=2.0 * math.pi, kind="lg"))
     assert not res.converged
     assert res.evaluations >= 8192
+    c, resolved = optimize._lg_samples(lambda tau: abs(math.cos(tau)), 2.0 * math.pi)
+    assert (len(c), resolved) == (optimize._LG_GRID_MAX, False)
     # the kink of |cos 3g| at g = pi/6 is the maximum: K = 3 cos(pi/6)
     assert res.value == pytest.approx(1.5 * math.sqrt(3.0), abs=1e-9)
+
+
+def test_lg_grid_ignores_a_harmonic_below_its_floor_relative_to_max_abs_c():
+    # the floor is 1e-14 * max(1, max|C|) ~ 1e-12, above the 5e-14 coefficient of the
+    # cos 200t term, so the first grid resolves C; an absolute 1e-14 floor would not
+    def fn(tau):
+        return 100.0 * math.cos(tau) + 1e-13 * math.cos(200.0 * tau)
+
+    c, resolved = optimize._lg_samples(fn, 2.0 * math.pi)
+    assert (len(c), resolved) == (optimize._LG_GRID_MIN, True)
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,9 @@ measurements runs on both trees back to back, in this order:
   seconds and its passed count.  A parent older than that policy runs with
   whatever the caller's environment sets;
 - ``perfbench``: ``perfbench/run.py --trace 0`` of each workload at seed
-  3001 + k, its end-to-end metrics and failed-point count.
+  3001 + k, its end-to-end metrics and failed-point count, and, read from
+  the run's ``report.json`` even when the run exited non-zero, its
+  ``min_round_passes`` (see ``min_round_passes``).
 
 It prints, for every number, each side's median and quartiles and in how many
 complete pairs this checkout read lower than the parent.  It judges nothing,
@@ -105,11 +107,29 @@ def _tier1(tree: Path, seed: int) -> dict:
     return {"tier1.wall_s": wall, "tier1.cpu_s": cpu, "tier1.passed": float(passed[1])}
 
 
+def min_round_passes(report: dict) -> int:
+    """The fewest sampler passes of either kind that any round's parse, sweep and emit units collected.
+
+    A round rescales a unit too short to hold passes of its own by all the
+    passes of its round, so 0 is a run whose rescaling fails on an empty list
+    (``statistics.StatisticsError``).
+    """
+    return min(
+        sum(len(job[unit][kind]) for job in rnd for unit in ("parse", "sweep", "emit") if unit in job)
+        for rnd in report["rounds"]
+        for kind in ("interp", "dense")
+    )
+
+
 def _perfbench(tree: Path, seed: int) -> dict:
     out = {}
     for workload in WORKLOADS:
+        report = tree / "perfbench" / "out" / workload / "plain" / "report.json"
+        report.unlink(missing_ok=True)  # so that a run which writes none is not read as the last one
         proc, _, _ = _run(tree, ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
                                  "--seconds", "20", "--trace", "0"])
+        if report.is_file():
+            out[f"{workload}.min_round_passes"] = float(min_round_passes(json.loads(report.read_text())))
         if proc.returncode != 0:
             print(f"  {tree} {workload} seed {seed}: exit {proc.returncode}: {proc.stderr.strip()[-200:]}",
                   file=sys.stderr)
