@@ -76,15 +76,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "sweep":
             return _run_sweep_command(args)
         return _run_point_command(args)
-    except JobError as exc:
+    except (JobError, NonFiniteObjectiveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except NonFiniteObjectiveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_NO_CONVERGENCE if isinstance(exc, NonFiniteObjectiveError) else EXIT_VALIDATION
 
 
 def _run_sweep_command(args: argparse.Namespace) -> int:

@@ -96,24 +96,26 @@ def chi(j: int) -> int:
     return 1 if j >= 1 else -1
 
 
-def _smeared_sign(m: int, delta: float) -> float:
-    """sum_k w_k chi_{m-k} over the truncated, renormalised kernel, as a built-in float.
+def _smeared_signs(n: int, delta: float) -> tuple[float, float]:
+    """The smeared signs sum_k w_k chi_{+-n-k} of +n and -n, as built-in floats.
 
-    The window spans the kernel alone, max(1, ceil(8 delta)) integers either
-    side of zero, whatever ``m``: once |m| exceeds it every chi_{m-k} equals
-    chi(m), so neither the sum nor its cost grows with |m|.
+    One truncated, renormalised kernel serves both sums.  Its window spans
+    the kernel alone, max(1, ceil(8 delta)) integers either side of zero,
+    whatever ``n``: once |n| exceeds it every chi_{+-n-k} equals chi(+-n),
+    so neither the sums nor their cost grow with |n|.
 
-    Summed in Python floats, so the forms built from it compute on built-in
-    floats too; numpy scalars made each call ~2.4x slower.
+    Summed in Python floats, so the forms built from them compute on
+    built-in floats too; numpy scalars made each call ~2.4x slower.
     """
     if delta == 0.0:
-        return float(chi(m))
+        return float(chi(n)), float(chi(-n))
     kern = kernels.discrete_gaussian(delta, max(1, math.ceil(8.0 * delta)))
-    total = 0.0
+    up = down = 0.0
     for k, w in zip(kern.offsets.tolist(), kern.weights.tolist()):
-        total += w * chi(m - k)
+        up += w * chi(n - k)
+        down += w * chi(-n - k)
     # a mean of signs lies in [-1, 1]; the renormalised weights can sum an ulp past 1
-    return max(-1.0, min(1.0, total))
+    return max(-1.0, min(1.0, up)), max(-1.0, min(1.0, down))
 
 
 def fuzzy_detector_correlator(params: GenericParams) -> CosineForm:
@@ -129,8 +131,7 @@ def fuzzy_detector_correlator(params: GenericParams) -> CosineForm:
     ``oracles.g_delta`` in the module docstring within 1e-14.
     """
     n, delta = params.n, params.delta
-    up = _smeared_sign(n, delta)
-    down = _smeared_sign(-n, delta)
+    up, down = _smeared_signs(n, delta)
     even, odd = 0.5 * (up + down), 0.5 * (up - down)
     return CosineForm(even * even, 0.0, -(odd * odd))
 
@@ -165,5 +166,5 @@ def discrimination_error(n: int, delta: float) -> float:
     """
     check_size(n)
     _check_delta(delta)
-    bracket = _smeared_sign(n, delta)
+    bracket = _smeared_signs(n, delta)[0]
     return 1.0 - bracket * bracket

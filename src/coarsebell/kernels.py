@@ -174,8 +174,9 @@ class CosineForm(_Frozen):
 
     The correlation shape of all six CHSH systems: the ECS rows are
     ``(0, amp, 0)``, and generic-delta, generic-ref and photon
-    ``(floor, 0, -scale)``.  The fields are finite, ``p >= 0 >= q``, and at
-    most one of ``p`` and ``q`` is nonzero.  The one term is bound once, as
+    ``(floor, 0, -scale)``.  The fields are finite, ``p >= 0 >= q``, at most
+    one of ``p`` and ``q`` is nonzero, and ``|floor| + p - q <= 1``, so that
+    ``|E| <= 1`` holds by construction.  The one term is bound once, as
     ``closure``: ``floor + q * cos(2.0 * (a + b))`` if ``q`` is nonzero,
     else ``floor + p * cos(2.0 * (a - b))``; a call delegates to it.  A
     frozen type of its own, so that ``optimize.maximize_chsh`` can recognise
@@ -185,8 +186,10 @@ class CosineForm(_Frozen):
     __slots__ = ("floor", "p", "q", "closure")
 
     def __init__(self, floor: float, p: float, q: float) -> None:
-        if not (all(map(is_finite, (floor, p, q))) and p >= 0.0 >= q and 0.0 in (p, q)):
-            raise ValueError(f"need finite fields, p >= 0 >= q, p or q 0, got {(floor, p, q)!r}")
+        if not (all(map(is_finite, (floor, p, q))) and p >= 0.0 >= q and 0.0 in (p, q)
+                and abs(floor) + p - q <= 1.0):
+            raise ValueError(f"need finite fields, p >= 0 >= q, p or q 0, |floor| + p - q <= 1, "
+                             f"got {(floor, p, q)!r}")
         cos = math.cos
         if q == 0.0:
             def closure(theta_a: float, theta_b: float) -> float:

@@ -454,7 +454,9 @@ def maximize_chsh(correlator, starts: int | None = None) -> OptimizationResult:
     number per angle being the fourth root of ``starts`` (default 81)
     rounded to the nearest integer; the runs from every start and one more
     from the winner count in ``evaluations``, and ``argmax`` is reduced
-    into ``[0, period)``.
+    into ``[0, period)``.  Its ``value`` can read a few ulps above the
+    closed maximum, from the rounding of the four-term sum: the sharp
+    singlet form gives 2.8284271247461916, not the float 2 sqrt(2).
     """
     period = getattr(correlator, "period", math.pi)
     starts = _check_search(period, starts)

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _ORACLE_NAMES
-from .generic import GenericParams, _smeared_sign, fuzzy_detector_correlator
+from .generic import GenericParams, _smeared_signs, fuzzy_detector_correlator
 from .kernels import as_int, check_size, is_finite
 from .leggett_garg import SpinParams, _check_spin
 from .photon import PhotonParams
@@ -115,8 +115,7 @@ def f_delta(n: int, theta: float, params: GenericParams) -> float:
     """Even part of the single-party response for carried value ``n`` (may be negative)."""
     if n == 0:
         raise ValueError("n must be a nonzero integer")
-    s_pos = _smeared_sign(n, params.delta)
-    s_neg = _smeared_sign(-n, params.delta)
+    s_pos, s_neg = _smeared_signs(n, params.delta)
     c, s = math.cos(theta), math.sin(theta)
     return c * c * s_pos + s * s * s_neg
 
@@ -125,8 +124,7 @@ def g_delta(n: int, theta: float, params: GenericParams) -> float:
     """Odd (interference) part of the single-party response, n >= 1."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    s_pos = _smeared_sign(n, params.delta)
-    s_neg = _smeared_sign(-n, params.delta)
+    s_pos, s_neg = _smeared_signs(n, params.delta)
     return math.sin(theta) * math.cos(theta) * (s_pos - s_neg)
 
 

@@ -3,8 +3,8 @@
 The harness itself runs for minutes and stays out of this suite; these tests
 load the module, check its reductions, its reading of a benchmark report and
 its JSON record against hand-computed values, write that record through
-``--json`` with the measurement stubbed out, and extract a change tree from
-a throwaway git repository.
+``--json`` with the measurement stubbed out, extract a change tree from a
+throwaway git repository, and check the records of ``BENCH_trajectory.json``.
 """
 
 import importlib.util
@@ -108,6 +108,51 @@ def test_the_thinnest_round_is_read_also_from_a_run_that_exited_non_zero(monkeyp
     # lg-sweep's report is from an earlier run, and photon-fock wrote none
     assert ab._perfbench(tmp_path, 3001) == {"chsh-sweep.min_round_passes": 2.0}
     assert capsys.readouterr().err.count("exit 1") == 3
+
+
+def test_a_run_that_exits_zero_gives_its_metrics_failed_count_and_host_fast_share(monkeypatch, tmp_path):
+    result = {"correct": True, "attempted": 9, "failed": 0,
+              "metrics": {"sweep_s": {"value": 0.06, "unit": "s"}, "peak_rss_mb": {"value": 50.0, "unit": "MB"}}}
+    stdout = "\n".join(['raw {"sweep_s": 0.07}', 'wall {"sweep_s": 0.08}', 'host {"fast_share": 0.4375}',
+                        json.dumps(result)]) + "\n"
+
+    def run(tree, args, env=None):
+        report = tree / "perfbench" / "out" / args[args.index("--workload") + 1] / "plain" / "report.json"
+        report.parent.mkdir(parents=True, exist_ok=True)
+        report.write_text(json.dumps(REPORT))
+        return subprocess.CompletedProcess(args, 0, stdout, ""), 1.0, 1.0
+
+    monkeypatch.setattr(ab, "_run", run)
+    out = ab._perfbench(tmp_path, 3001)
+    assert out["lg-sweep.min_round_passes"] == 2.0
+    assert out["lg-sweep.failed"] == 0.0
+    assert out["lg-sweep.fast_share"] == 0.4375
+    assert out["lg-sweep.sweep_s"] == 0.06
+    assert out["lg-sweep.peak_rss_mb"] == 50.0
+    assert len(out) == 5 * len(ab.WORKLOADS)
+
+
+def test_the_trajectory_file_is_a_dated_list_of_ab_records():
+    # one record per change, each as ``tools/ab.py --json`` wrote it; nothing is run here
+    records = json.loads((PATH.parents[1] / "BENCH_trajectory.json").read_text())
+    assert isinstance(records, list)
+    for rec in records:
+        assert set(rec) == {"revs", "date", "pairs", "numbers"}
+        assert set(rec["revs"]) == {"parent", "change"}
+        assert all(re.fullmatch(r"[0-9a-f]{40}", rev) for rev in rec["revs"].values())
+        assert datetime.fromisoformat(rec["date"]).tzinfo is not None
+        assert rec["pairs"] >= 1
+        wanted = {"jobs.wall_s", "jobs.cpu_s", "tier1.wall_s", "tier1.cpu_s", "tier1.passed"}
+        wanted |= {f"{w}.{m}" for w in ab.WORKLOADS for m in ("fast_share", "failed", "sweep_s")}
+        assert wanted <= set(rec["numbers"])
+        for summary in rec["numbers"].values():
+            assert 0 <= summary["pairs"] <= rec["pairs"]
+            if summary["pairs"]:
+                assert set(summary) == {"pairs", "parent", "change", "lower"}
+                for side in ("parent", "change"):
+                    assert len(summary[side]) == 3 and summary[side] == sorted(summary[side])
+                assert 0 <= summary["lower"] <= summary["pairs"]
+    assert [rec["date"] for rec in records] == sorted(rec["date"] for rec in records)
 
 
 def test_the_json_flag_writes_that_record_after_the_table(monkeypatch, tmp_path, capsys):

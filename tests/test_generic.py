@@ -15,7 +15,7 @@ from coarsebell import kernels
 from coarsebell.generic import (
     DELTA_MAX,
     GenericParams,
-    _smeared_sign,
+    _smeared_signs,
     chi,
     corr_coarse_reference,
     corr_fuzzy_detector,
@@ -72,13 +72,36 @@ def test_chi_is_the_unit_step_sign():
 
 @pytest.mark.parametrize("delta", [0.3, 1.0, 2.0, 3.0])
 def test_smeared_sign_matches_brute_force(delta):
-    for m in range(-6, 7):
-        got = _smeared_sign(m, delta)
-        assert got == pytest.approx(smeared_sign_oracle(m, delta), abs=1e-12)
+    for n in range(7):
+        up, down = _smeared_signs(n, delta)
+        assert up == pytest.approx(smeared_sign_oracle(n, delta), abs=1e-12)
+        assert down == pytest.approx(smeared_sign_oracle(-n, delta), abs=1e-12)
+
+
+def per_m_smeared_sign(m: int, delta: float) -> float:
+    """One smeared sign at a time: the kernel's weights times chi_{m-k} in the kernel's order, clamped."""
+    if delta == 0.0:
+        return float(chi(m))
+    kern = kernels.discrete_gaussian(delta, max(1, math.ceil(8.0 * delta)))
+    total = 0.0
+    for k, w in zip(kern.offsets.tolist(), kern.weights.tolist()):
+        total += w * chi(m - k)
+    return max(-1.0, min(1.0, total))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 60), delta=st.floats(0.0, 6.0))
+@example(n=0, delta=0.0)
+@example(n=2, delta=math.sqrt(0.050905806377099516))  # the clamp acts on +n
+@example(n=3, delta=0.2032293670790033)
+def test_both_smeared_signs_keep_the_bits_of_a_per_m_loop(n, delta):
+    up, down = _smeared_signs(n, delta)
+    assert (up.hex(), down.hex()) == (per_m_smeared_sign(n, delta).hex(), per_m_smeared_sign(-n, delta).hex())
+    assert type(up) is type(down) is float
 
 
 def test_window_follows_the_kernel_alone_so_a_huge_size_costs_nothing(monkeypatch):
-    # past the 8-delta window every chi_{m-k} is chi(m): a huge n reads the same
+    # past the 8-delta window every chi_{+-n-k} is chi(+-n): a huge n reads the same
     # kernel, 16 either side of zero, and gives the same bits as n = ceil(8 delta) + 1
     delta, n = 2.0, 10**12
     windows = []
@@ -90,11 +113,11 @@ def test_window_follows_the_kernel_alone_so_a_huge_size_costs_nothing(monkeypatc
 
     monkeypatch.setattr(kernels, "discrete_gaussian", recording)
     edge = math.ceil(8.0 * delta) + 1
-    for sign in (1, -1):
-        assert _smeared_sign(sign * n, delta) == _smeared_sign(sign * edge, delta)
-    assert windows == [16, 16, 16, 16]
+    assert _smeared_signs(n, delta) == _smeared_signs(edge, delta)
+    assert windows == [16, 16]  # one kernel per configuration, for both signs
     # the kernel's weights sum to 1 only within rounding, so this is not bit-equal
     corr = fuzzy_detector_correlator(GenericParams(n=n, delta=delta))
+    assert windows == [16, 16, 16]
     for ta, tb in ((0.0, 0.0), (0.3, 1.1), (-2.0, 0.785), (1.3, 2.9)):
         assert corr(ta, tb) == pytest.approx(-math.cos(2.0 * (ta + tb)), abs=1e-15)
 

@@ -127,8 +127,8 @@ def test_cosine_difference_rejects_a_negative_or_non_finite_amplitude(amp):
 
 
 def test_cosine_form_evaluates_its_expression_bit_for_bit():
-    for floor, p, q in [(0.0, 0.0, 0.0), (0.25, 1.0, -0.0), (0.0, 0.0, -0.37),
-                        (0.25, -0.0, -1.0), (1.0, 0.0, -5e-324)]:
+    for floor, p, q in [(0.0, 0.0, 0.0), (0.25, 0.75, -0.0), (0.0, 0.0, -0.37),
+                        (-0.25, -0.0, -0.75), (1.0, 0.0, -5e-324)]:
         form = CosineForm(floor, p, q)
         for a, b in FORM_ANGLES:
             if q == 0.0:
@@ -143,9 +143,10 @@ def test_cosine_form_evaluates_its_expression_bit_for_bit():
 @pytest.mark.parametrize(
     "floor,p,q",
     [(0.0, 0.0, 5e-324), (0.0, 0.0, math.nan), (0.0, 0.0, -math.inf), (math.nan, 1.0, 0.0),
-     (-math.inf, 0.0, -1.0), (0.0, 0.5, -0.5), (0.0, 5e-324, -5e-324), (10**400, 0.0, 0.0)],
+     (-math.inf, 0.0, -1.0), (0.0, 0.5, -0.5), (0.0, 5e-324, -5e-324), (10**400, 0.0, 0.0),
+     (0.25, 1.0, 0.0), (-0.25, 0.0, -1.0), (0.0, 1.0000000000000002, 0.0)],
     ids=["q=5e-324", "q=nan", "q=-inf", "floor=nan", "floor=-inf", "p-and-q", "p-and-q-subnormal",
-         "floor=10**400"],
+         "floor=10**400", "sum=1.25", "negative-floor-sum=1.25", "p=1+ulp"],
 )
 def test_cosine_form_rejects_a_field_out_of_range(floor, p, q):
     with pytest.raises(ValueError, match=r"^need finite fields, p >= 0 >= q, p or q 0"):

@@ -177,6 +177,39 @@ def test_equal_values_go_to_the_lexicographically_smallest_argmax(monkeypatch):
     assert res.argmax < first
 
 
+@pytest.mark.parametrize("j,V", [(1.0, 0.45), (2.5, 0.2), (7.5, 0.2)])
+def test_the_lg_polish_starts_from_a_grid_triple_at_the_grid_maximum_of_k(j, V, monkeypatch):
+    series = leggett_garg.spin_parity_correlator(SpinParams(j=j, Delta=math.sqrt(V)))
+    runs = stub_simplex(monkeypatch, lambda x0: x0)
+    res = maximize_lg(series)
+    n, period = optimize._LG_GRID_MIN, series.period  # these series resolve on the first grid
+    assert res.evaluations == n + 8 * len(runs)  # each stub run and re-evaluation is 4 calls of C
+    c = np.array([series(g * period / n) for g in range(n)])
+    # the grid maximum of K = C(g1) + C(g2) + C(g3) - C(g1 + g2 + g3), written out
+    g = np.arange(n)
+    pairs = np.max(c[:, None] + c[(g[None, :] - g[:, None]) % n], axis=0)  # pairs[k], g1 + g2 = k
+    k_max = np.max(pairs[:, None] + c[None, :] - c[(g[:, None] + g[None, :]) % n])
+    steps = [gap * n / period for gap in runs[0]]
+    assert steps == [round(step) for step in steps]
+    i1, i2, i3 = map(round, steps)
+    assert c[i1] + c[i2] + c[i3] - c[(i1 + i2 + i3) % n] == pytest.approx(k_max, abs=1e-12)
+
+
+def test_each_simplex_run_is_capped_at_4000_iterations_and_8000_evaluations_a_dimension(monkeypatch):
+    caps = []
+
+    def stub(f, x0, maxiter, maxfev, chsh):
+        caps.append((maxiter, maxfev))
+        return x0, True, 1
+
+    monkeypatch.setattr(optimize, "_nelder_mead", stub)
+    maximize_chsh(generic.fuzzy_detector_correlator(GenericParams(2, 0.5)))
+    assert caps == [(16_000, 32_000)] * 82  # the 81 lattice starts and the polish
+    caps.clear()
+    maximize_lg(leggett_garg.spin_parity_correlator(SpinParams(j=2.5, Delta=0.3)))
+    assert caps == [(12_000, 24_000)] * optimize._LG_POLISHED
+
+
 def test_validation_errors():
     for period in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="^period must be finite and > 0, got "):

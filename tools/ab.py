@@ -19,15 +19,16 @@ measurements runs on both trees back to back, in this order:
   seconds and its passed count.  A parent older than that policy runs with
   whatever the caller's environment sets;
 - ``perfbench``: ``perfbench/run.py --trace 0`` of each workload at seed
-  3001 + k, its end-to-end metrics and failed-point count, and, read from
-  the run's ``report.json`` even when the run exited non-zero, its
-  ``min_round_passes`` (see ``min_round_passes``).
+  3001 + k, its end-to-end metrics, failed-point count and ``fast_share``
+  (the share of its sampler passes taken at the host's fast level, from its
+  ``host`` line), and, read from the run's ``report.json`` even when the
+  run exited non-zero, its ``min_round_passes`` (see ``min_round_passes``).
 
 It prints, for every number, each side's median and quartiles and in how many
 complete pairs this checkout read lower than the parent.  It judges nothing,
 and a run that exits non-zero is reported and left out of its pair.  With
 ``--json PATH`` it also writes the same summary as one JSON record (see
-``record``), from which a trajectory of such records can be kept.
+``record``); ``BENCH_trajectory.json`` keeps a list of such records.
 
     python tools/ab.py HEAD~1              # 10 pairs (~20 min on a 2-vCPU Xeon)
     python tools/ab.py HEAD~1 --pairs 20
@@ -134,8 +135,12 @@ def _perfbench(tree: Path, seed: int) -> dict:
             print(f"  {tree} {workload} seed {seed}: exit {proc.returncode}: {proc.stderr.strip()[-200:]}",
                   file=sys.stderr)
             continue
-        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        lines = proc.stdout.strip().splitlines()
+        result = json.loads(lines[-1])
         out[f"{workload}.failed"] = float(result["failed"])
+        for line in lines:
+            if line.startswith("host "):
+                out[f"{workload}.fast_share"] = json.loads(line[5:])["fast_share"]
         for name, metric in result["metrics"].items():
             out[f"{workload}.{name}"] = metric["value"]
     return out
