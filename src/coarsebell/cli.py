@@ -94,8 +94,8 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
     emit_csv(result, args.csv)
     if args.svg is not None:
         emit_svg(result, args.svg, title=spec.system)
-    if not all(row.converged for row in result.rows):
-        bad = sum(1 for row in result.rows if not row.converged)
+    bad = sum(not row.converged for row in result.rows)
+    if bad:
         print(f"error: {bad} sweep point(s) did not converge", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK

@@ -22,8 +22,8 @@ the same float expressions, so it evaluates the same points.  The one
 deliberate difference is the tie rule: the simplex is ordered by a stable
 sort, so vertices with equal values keep their order, where scipy's
 ``numpy.argsort`` is unstable and its tie order depends on the numpy build.
-Each run is straight-line code compiled per dimension from one template
-(``_compiled_nelder_mead``); ``maximize_chsh`` has the CHSH sum of the bare
+Each run is straight-line code that ``_compiled_nelder_mead`` writes out
+per dimension; ``maximize_chsh`` has the CHSH sum of the bare
 correlator compiled in, so no wrapper frame sits between the simplex and
 the correlator.  Every value the run computes, and the re-evaluation at
 each run's best vertex, counts as one evaluation.
@@ -103,15 +103,21 @@ _LG_FFT_TOL = 1e-14
 _LG_BLOCK_BYTES = 1 << 20
 _LG_POLISHED = 3
 
-class Correlator(namedtuple("Correlator", "fn period kind", defaults=(math.pi, "chsh"))):
+class Correlator(namedtuple("Correlator", "fn period kind")):
     """An evaluable correlation function bundled with its search metadata.
 
     ``period`` is the periodicity of the function per argument, which bounds
-    the search box.  ``kind``, "chsh" for E(theta_a, theta_b) or "lg" for
-    C(tau), stays for existing callers: no maximiser reads it.
+    the search box.  ``kind`` is "chsh" (the default) for E(theta_a,
+    theta_b) or "lg" for C(tau); no maximiser reads it, but it sets the
+    default period: pi for "chsh", 2 pi for "lg".
     """
 
     __slots__ = ()
+
+    def __new__(cls, fn, period: float | None = None, kind: str = "chsh"):
+        if period is None:
+            period = 2.0 * math.pi if kind == "lg" else math.pi
+        return super().__new__(cls, fn, period, kind)
 
     def __call__(self, *args: float) -> float:
         return self.fn(*args)
@@ -206,87 +212,30 @@ def _reorder(sim: list, fsim: list) -> None:
     fsim[:] = [fsim[i] for i in rank]
 
 
-# One Nelder-Mead run in d dimensions, which maximises the objective by
-# minimising its negation as scipy would.  ``_compiled_nelder_mead`` fills the
-# fields for one d and one form of the objective's value and compiles the
-# result.  The sorted simplex lives in float locals from one iteration to the
-# next: vertex j is s{j}_0 .. s{j}_{d-1} with negated value f{j} (the worst
-# is j = d); the centroid is c0 .. c{d-1}, and the trial points xr (reflect),
-# xe (expand), xc (contract) and p (initial or shrunk vertex).  An accepted
-# point y replaces the worst vertex and moves up past every vertex whose
-# value is strictly greater, so ties keep the earlier vertex.  The initial
-# simplex and the rare shrink step are lists, sorted by ``_reorder``; a cap
-# that cuts a shrink leaves the vertex it just moved with its old value, as
-# scipy's run does.  Each ``evaluate`` field caps and counts one call inline,
-# makes its value a float, negates it and checks that it is finite.
-_NELDER_MEAD_TEMPLATE = """\
-def nelder_mead(f, x0, maxiter, maxfev):
-    isfinite = math.isfinite
-    {x0}, = x0
-    sim = [{initial}]
-    fsim = [math.inf] * ({d} + 1)
-    calls = 0
-    for j, ({p},) in enumerate(sim):
-        {evaluate_p}
-    _reorder(sim, fsim)
-    {vertices}, = sim
-    {values}, = fsim
-    xatol, fatol = _XATOL, _FATOL
-
-    iterations = 1
-    while calls < maxfev and iterations < maxiter:
-        if f{d} - f0 <= fatol and {close}:
-            break
-        {centroid}
-        {reflect}
-        {evaluate_xr}
-        if fxr < f0:
-            {expand}
-            {evaluate_xe}
-            if fxe < fxr:
-                {y_xe}; fy = fxe
-            else:
-                {y_xr}; fy = fxr
-        elif fxr < f{second}:
-            {y_xr}; fy = fxr
-        else:
-            if fxr < f{d}:
-                {contract_out}
-            else:
-                {contract_in}
-            {evaluate_xc}
-            if fxc <= fxr if fxr < f{d} else fxc < f{d}:
-                {y_xc}; fy = fxc
-            else:  # shrink towards the best vertex
-                sim = [{vertices}]
-                fsim = [{values}]
-                for j, ({v},) in enumerate(sim[1:], 1):
-                    {shrink}
-                    sim[j] = ({p},)
-                    {evaluate_shrunk}
-                _reorder(sim, fsim)
-                {vertices}, = sim
-                {values}, = fsim
-                iterations += 1
-                continue
-        {insert}
-        iterations += 1
-    return ({s0},), calls < maxfev and iterations < maxiter, calls
-"""
-
-
 @functools.cache
 def _compiled_nelder_mead(d: int, chsh: bool) -> Callable:
-    """The Nelder-Mead run of ``_NELDER_MEAD_TEMPLATE`` for dimension ``d``, compiled once.
+    """One Nelder-Mead run in dimension ``d``, written out as source and compiled once.
 
-    Each field spells one per-coordinate expression out for k = 0 .. d-1,
-    in the operation order of scipy's array expression.  The two forms
-    differ only in ``evaluate``'s value of a point p.  The point form calls
-    the objective on the point's tuple, ``f((p0, ..., p{d-1},))``.  The CHSH
-    form (``chsh``, d = 4) sums the bare correlator ``f`` as
-    ``_chsh_objective`` does, ``f(p0, p2) + f(p1, p2) + f(p0, p3) - f(p1, p3)``.
-    Each (d, form) pair is built on first use, never at import (as
-    ``collections.namedtuple`` builds its classes).  The code's file name is
+    The run minimises the objective's negation as scipy would.  The sorted
+    simplex lives in float locals from one iteration to the next: vertex j
+    is s{j}_0 .. s{j}_{d-1} with negated value f{j} (the worst is j = d);
+    the centroid is c0 .. c{d-1}, and the trial points xr (reflect), xe
+    (expand), xc (contract) and p (initial or shrunk vertex).  An accepted
+    point y replaces the worst vertex and moves up past every vertex whose
+    value is strictly greater, so ties keep the earlier vertex.  The initial
+    simplex and the rare shrink step are lists, sorted by ``_reorder``; a
+    cap that cuts a shrink leaves the vertex it just moved with its old
+    value, as scipy's run does.
+
+    Each expansion spells one per-coordinate expression out for k = 0 ..
+    d-1, in the operation order of scipy's array expression.  Each
+    ``evaluate`` caps and counts one call inline, makes its value a float,
+    negates it and checks that it is finite.  That value is all the two
+    forms differ in: the point form calls the objective on the point's
+    tuple, ``f((p0, ..., p{d-1},))``, and the CHSH form (``chsh``, d = 4)
+    sums the bare correlator ``f`` as ``_chsh_objective`` does.  Each
+    (d, form) pair is built on first use, never at import (as
+    ``collections.namedtuple`` builds its classes).  Its file name is
     ``<nelder-mead d=...>`` (``<nelder-mead d=4 chsh>``), and its source is
     put in ``linecache`` so that tracebacks through it show their lines.
     """
@@ -320,6 +269,9 @@ def _compiled_nelder_mead(d: int, chsh: bool) -> Callable:
             total = "(" + total + " + s{}_{{k}})".format(j)
         return total.format(k=k)
 
+    vertices = ", ".join("(" + each("s{j}_{k}", j=j) + ",)" for j in range(d + 1))
+    values = ", ".join("f" + str(j) for j in range(d + 1))
+    close = " and ".join(each("abs(s{i}_{k} - s0_{k}) <= xatol", " and ", j) for j in range(d))
     # the accepted point y moves up past vertex j = d-1 .. 0 while fy < f{j}
     insert = ["    " * d + each("s0_{k} = y{k}", "; ") + "; f0 = fy"]
     for j in range(d):  # from the innermost branch out
@@ -328,34 +280,62 @@ def _compiled_nelder_mead(d: int, chsh: bool) -> Callable:
         put = each("s{i}_{k} = y{k}", "; ", j) + "; f{} = fy".format(j + 1)
         insert = [pad + "if fy < f{}:".format(j), pad + "    " + shift, *insert]
         insert += [pad + "else:", pad + "    " + put]
+    insert = ("\n" + " " * 8).join(insert)
 
-    source = _NELDER_MEAD_TEMPLATE.format(
-        d=d,
-        second=d - 1,
-        x0=each("x0_{k}"),
-        s0=each("s0_{k}"),
-        p=each("p{k}"),
-        v=each("v{k}"),
-        initial=", ".join(start(j) for j in [d, *range(d)]),
-        vertices=", ".join("(" + each("s{j}_{k}", j=j) + ",)" for j in range(d + 1)),
-        values=", ".join("f" + str(j) for j in range(d + 1)),
-        close=" and ".join(each("abs(s{i}_{k} - s0_{k}) <= xatol", " and ", j) for j in range(d)),
-        centroid="; ".join("c{} = {} / {}".format(k, vertex_sum(k), d) for k in range(d)),
-        reflect=each("xr{k} = 2 * c{k} - s{d}_{k}", "; "),
-        expand=each("xe{k} = 3 * c{k} - 2 * s{d}_{k}", "; "),
-        contract_out=each("xc{k} = 1.5 * c{k} - 0.5 * s{d}_{k}", "; "),
-        contract_in=each("xc{k} = 0.5 * c{k} + 0.5 * s{d}_{k}", "; "),
-        shrink=each("p{k} = s0_{k} + 0.5 * (v{k} - s0_{k})", "; "),
-        y_xr=each("y{k} = xr{k}", "; "),
-        y_xe=each("y{k} = xe{k}", "; "),
-        y_xc=each("y{k} = xc{k}", "; "),
-        evaluate_p=evaluate("p", 8, "fsim[j] = "),
-        evaluate_xr=evaluate("xr", 8),
-        evaluate_xe=evaluate("xe", 12),
-        evaluate_xc=evaluate("xc", 12),
-        evaluate_shrunk=evaluate("p", 20, "fsim[j] = "),
-        insert=("\n" + " " * 8).join(insert),
-    )
+    source = f"""\
+def nelder_mead(f, x0, maxiter, maxfev):
+    isfinite = math.isfinite
+    {each("x0_{k}")}, = x0
+    sim = [{", ".join(start(j) for j in [d, *range(d)])}]
+    fsim = [math.inf] * ({d} + 1)
+    calls = 0
+    for j, ({each("p{k}")},) in enumerate(sim):
+        {evaluate("p", 8, "fsim[j] = ")}
+    _reorder(sim, fsim)
+    {vertices}, = sim
+    {values}, = fsim
+    xatol, fatol = _XATOL, _FATOL
+
+    iterations = 1
+    while calls < maxfev and iterations < maxiter:
+        if f{d} - f0 <= fatol and {close}:
+            break
+        {"; ".join("c{} = {} / {}".format(k, vertex_sum(k), d) for k in range(d))}
+        {each("xr{k} = 2 * c{k} - s{d}_{k}", "; ")}
+        {evaluate("xr", 8)}
+        if fxr < f0:
+            {each("xe{k} = 3 * c{k} - 2 * s{d}_{k}", "; ")}
+            {evaluate("xe", 12)}
+            if fxe < fxr:
+                {each("y{k} = xe{k}", "; ")}; fy = fxe
+            else:
+                {each("y{k} = xr{k}", "; ")}; fy = fxr
+        elif fxr < f{d - 1}:
+            {each("y{k} = xr{k}", "; ")}; fy = fxr
+        else:
+            if fxr < f{d}:
+                {each("xc{k} = 1.5 * c{k} - 0.5 * s{d}_{k}", "; ")}
+            else:
+                {each("xc{k} = 0.5 * c{k} + 0.5 * s{d}_{k}", "; ")}
+            {evaluate("xc", 12)}
+            if fxc <= fxr if fxr < f{d} else fxc < f{d}:
+                {each("y{k} = xc{k}", "; ")}; fy = fxc
+            else:  # shrink towards the best vertex
+                sim = [{vertices}]
+                fsim = [{values}]
+                for j, ({each("v{k}")},) in enumerate(sim[1:], 1):
+                    {each("p{k} = s0_{k} + 0.5 * (v{k} - s0_{k})", "; ")}
+                    sim[j] = ({each("p{k}")},)
+                    {evaluate("p", 20, "fsim[j] = ")}
+                _reorder(sim, fsim)
+                {vertices}, = sim
+                {values}, = fsim
+                iterations += 1
+                continue
+        {insert}
+        iterations += 1
+    return ({each("s0_{k}")},), calls < maxfev and iterations < maxiter, calls
+"""
     import linecache
 
     filename = "<nelder-mead d={}{}>".format(d, " chsh" if chsh else "")

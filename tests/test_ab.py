@@ -3,8 +3,8 @@
 The harness itself runs for minutes and stays out of this suite; these tests
 load the module, check its reductions, its reading of a benchmark report and
 its JSON record against hand-computed values, write that record through
-``--json`` with the measurement stubbed out, extract a change tree from a
-throwaway git repository, and check the records of ``BENCH_trajectory.json``.
+``--json`` with the measurement stubbed out, refuse or extract a change tree
+in a throwaway git repository, and check the records of ``BENCH_trajectory.json``.
 """
 
 import importlib.util
@@ -190,17 +190,19 @@ def repo(tmp_path):
     return root
 
 
-def test_the_change_tree_holds_the_tracked_files_as_they_stand(repo, tmp_path):
+def test_a_modified_tracked_file_makes_the_tool_refuse_and_name_it(repo, tmp_path):
     (repo / "run.log").write_text("ignored, so no reason to refuse\n")
     assert ab.change_rev(repo) == "HEAD"
     (repo / "kept.py").write_text("X = 2\n")
     (repo / "staged.py").write_text("Y = 3\n")
     _git(repo, "add", "staged.py")
+    with pytest.raises(RuntimeError, match=r"left out of the change tree: kept\.py, staged\.py$"):
+        ab.change_rev(repo)
+    _git(repo, "commit", "-q", "-a", "-m", "change")
     ab._extract(repo, ab.change_rev(repo), tmp_path / "change")
     assert (tmp_path / "change" / "kept.py").read_text() == "X = 2\n"
     assert (tmp_path / "change" / "staged.py").read_text() == "Y = 3\n"
     assert not (tmp_path / "change" / "run.log").exists()
-    assert (repo / "kept.py").read_text() == "X = 2\n"  # the checkout itself is left as it was
 
 
 def test_an_untracked_file_makes_the_tool_refuse_and_name_it(repo):

@@ -129,7 +129,7 @@ def test_sweep_reports_non_convergence(tmp_path, monkeypatch, capsys):
     csv_path = tmp_path / "out.csv"
     code = main(["sweep", job, "--csv", str(csv_path), "--starts", "16"])
     assert code == EXIT_NO_CONVERGENCE
-    assert "did not converge" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: 2 sweep point(s) did not converge\n"
     # the rows are still written, flagged as unconverged
     assert csv_path.read_text().count("false") == 2
 
@@ -194,7 +194,7 @@ def test_sweep_with_a_non_finite_objective_exits_three(tmp_path, monkeypatch, ca
     assert not csv_path.exists()
 
 
-def test_quadrature_order_flag_reaches_the_photon_model(tmp_path):
+def test_a_photon_sweep_reaches_its_closed_values(tmp_path):
     job = write_job(
         tmp_path,
         "system = photon\nsweep.min = 0.0\nsweep.max = 0.25\nsweep.steps = 2\n"
@@ -369,7 +369,7 @@ def _expected_digests():
 @pytest.mark.parametrize(
     "name", ["lg_spin", "lg_nonclassical", "ecs_efficiency", "ecs_reference", "ecs_homodyne_angle"]
 )
-def test_shipped_lg_jobs_write_their_committed_bytes(tmp_path, name):
+def test_shipped_lg_and_ecs_jobs_write_their_committed_bytes(tmp_path, name):
     csv_path, svg_path = tmp_path / f"{name}.csv", tmp_path / f"{name}.svg"
     argv = ["sweep", str(JOBS / f"{name}.job"), "--csv", str(csv_path), "--svg", str(svg_path)]
     assert main(argv) == EXIT_OK

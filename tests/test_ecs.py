@@ -60,6 +60,11 @@ def test_params_validation():
         EcsParams(alpha=2.0, Delta=-0.1)
 
 
+def test_the_homodyne_average_refuses_a_zero_amplitude():
+    with pytest.raises(ValueError, match=r"^alpha must be finite and > 0, got 0\.0$"):
+        homodyne_angle_average(0.0, 0.3)
+
+
 def test_half_line_moments_resolve_the_overlap_structure():
     alpha = 1.2
     sign_m, overlap_m = _half_line_moments(alpha)

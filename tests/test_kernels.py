@@ -69,6 +69,11 @@ def test_discrete_gaussian_rejects_aggressive_truncation():
         discrete_gaussian(4.0, 11)  # k_max < 3 sigma
 
 
+def test_discrete_gaussian_rejects_a_negative_width():
+    with pytest.raises(ValueError, match=r"^sigma must be >= 0, got -0\.5$"):
+        discrete_gaussian(-0.5, 5)
+
+
 def test_discrete_gaussian_point_mass():
     # widths below the degeneracy threshold put all mass on offset 0
     for sigma in (0.0, 1e-12):

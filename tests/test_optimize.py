@@ -1,5 +1,6 @@
 """Tests for the deterministic multistart maximiser and the CHSH helpers."""
 
+import ast
 import itertools
 import math
 import os
@@ -321,6 +322,15 @@ def test_a_bare_lg_callable_is_searched_over_the_period_two_pi():
     assert all(math.cos(g) == pytest.approx(math.sqrt(0.5), abs=1e-6) for g in res.argmax)
 
 
+def test_an_lg_correlator_without_a_period_is_searched_over_two_pi():
+    # the default period follows kind; sampled over pi, cos is not periodic and no grid resolves it
+    assert Correlator(fn=math.cos).period == math.pi
+    assert Correlator(fn=math.cos, kind="lg").period == 2.0 * math.pi
+    res = maximize_lg(Correlator(fn=math.cos, kind="lg"))
+    assert res == maximize_lg(math.cos)
+    assert (res.converged, res.evaluations) == (True, 2064)
+
+
 def test_lg_evaluations_count_every_correlator_call():
     params = SpinParams(j=2.5, Delta=math.sqrt(0.05))
     calls = 0
@@ -420,6 +430,19 @@ def test_lg_grid_ignores_a_harmonic_below_its_floor_relative_to_max_abs_c():
 def test_non_finite_objective_values_raise_a_value_error(call):
     with pytest.raises(ValueError, match=r"not finite: (nan|inf|-inf)"):
         call()
+
+
+def test_a_run_whose_reduced_point_is_not_finite_raises():
+    # the run climbs to a = 4.1, where E is finite; reduced into [0, pi) its point
+    # sits at a = 4.1 - pi, inside the NaN band, so the re-evaluation raises
+    def corr(a, b):
+        return math.nan if 0.9583 < a < 0.9585 else -0.01 * (a - 4.1) ** 2
+
+    with pytest.raises(NonFiniteObjectiveError, match=r"^objective value is not finite: nan at ") as excinfo:
+        maximize_chsh(corr, starts=1)
+    point = ast.literal_eval(str(excinfo.value).rpartition(" at ")[2])
+    assert point[0] == pytest.approx(4.1 - math.pi, abs=1e-4)
+    assert all(0.0 <= x < math.pi for x in point)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])

@@ -98,14 +98,26 @@ def test_parse_job_defaults_variable_and_labels():
         ((SeriesSpec(3, {"alpha": 2.0}),), "must be a string XML can carry, got 3"),
         ((SeriesSpec("same", {"alpha": 2.0}), SeriesSpec("same", {"alpha": 3.0})), "two series"),
         ((SeriesSpec("a\x01b", {"alpha": 2.0}),), "XML can carry, got 'a\\x01b'"),
+        ((SeriesSpec("a\x1f", {"alpha": 2.0}),), "XML can carry, got 'a\\x1f'"),
+        ((SeriesSpec("a\ud800", {"alpha": 2.0}),), "XML can carry, got 'a\\ud800'"),
+        ((SeriesSpec("a\ufffe", {"alpha": 2.0}),), "XML can carry, got 'a\\ufffe'"),
+        ((SeriesSpec("a\uffff", {"alpha": 2.0}),), "XML can carry, got 'a\\uffff'"),
     ],
-    ids=["not-a-str", "repeated", "not-an-xml-char"],
+    ids=["not-a-str", "repeated", "not-an-xml-char", "U+001F", "U+D800", "U+FFFE", "U+FFFF"],
 )
 def test_a_label_that_would_break_the_output_is_refused(series, needle):
     # emit_svg cannot escape an int, two series under one label merge in the CSV and the SVG,
-    # and no XML document may hold \x01
+    # and no XML document may hold \x01 or a code point just outside XML 1.0's Char ranges
     with pytest.raises(JobError, match=re.escape(needle)):
         SweepSpec(system="ecs-ref", variable="V", vmin=0.0, vmax=0.5, steps=2, series=series)
+
+
+@pytest.mark.parametrize("char", ["\x20", "\ud7ff", "\ue000", "\ufffd", "\U00010000"],
+                         ids=["U+0020", "U+D7FF", "U+E000", "U+FFFD", "U+10000"])
+def test_a_label_at_the_edge_of_xml_chars_is_kept(char):
+    spec = SweepSpec(system="ecs-ref", variable="V", vmin=0.0, vmax=0.5, steps=2,
+                     series=(SeriesSpec("a" + char, {"alpha": 2.0}),))
+    assert spec.series[0].label == "a" + char
 
 
 def test_a_label_that_repeats_a_default_label_is_refused(tmp_path, capsys):
@@ -150,10 +162,32 @@ def test_a_label_that_repeats_a_default_label_is_refused(tmp_path, capsys):
         ),
         ("system = photon\nnot a key value line\n", "expected 'key = value'"),
         ("system = photon\nsweep.min =\nsweep.max=1\nsweep.steps=2\n", "empty value"),
+        pytest.param(
+            "system = photon\nsweep.min=0.5\nsweep.max=0.5\nsweep.steps=2\n",
+            "sweep grid needs sweep.min < sweep.max, got [0.5, 0.5]",
+            id="equal-ends",
+        ),
+        pytest.param(
+            "system = photon\nsweep.min=0\nsweep.max=1\nsweep.steps=2\n"
+            "series[0].label = a\nseries[0].label = b\n",
+            "line 6: duplicate key 'series[0].label'",
+            id="repeated-label",
+        ),
+        pytest.param(
+            "system = photon\nsweep.min=0\nsweep.max=1\nsweep.steps=2\n"
+            "series[0].params.n = 1\nseries[0].params.n = 2\n",
+            "line 6: duplicate key 'series[0].params.n'",
+            id="repeated-parameter",
+        ),
+        pytest.param(
+            "system = photon\nsweep.min=0\nsweep.max=1\nsweep.steps=2\nseries[0].params.n = x\n",
+            "line 5: value for 'series[0].params.n' is not a number: 'x'",
+            id="parameter-not-a-number",
+        ),
     ],
 )
 def test_parse_job_diagnostics(text, needle):
-    with pytest.raises(JobError, match=needle):
+    with pytest.raises(JobError, match=re.escape(needle)):
         parse_job(text)
 
 
@@ -736,3 +770,28 @@ def test_svg_escapes_markup_in_labels(tmp_path):
     emit_svg(SweepResult(spec=spec, rows=rows), str(path))
     root = ET.fromstring(path.read_text())
     assert any((e.text or "") == "a<b>&" for e in root.iter())
+
+
+def _svg_columns(tmp_path, vmin, vmax, steps):
+    """The polyline's pixel columns and the x-axis tick labels of a one-series sweep."""
+    spec = SweepSpec(system="generic-ref", variable="V", vmin=vmin, vmax=vmax, steps=steps)
+    rows = tuple(SweepRow(series="a", sweep_value=v, value=2.5, converged=True) for v in spec.grid())
+    path = tmp_path / "cols.svg"
+    emit_svg(SweepResult(spec=spec, rows=rows), str(path))
+    text = path.read_text()
+    columns = [p.split(",")[0] for p in re.search(r'<polyline points="([^"]*)"', text)[1].split()]
+    ticks = re.findall(r'font-size="12" text-anchor="middle">([^<]*)</text>', text)
+    return columns, ticks
+
+
+def test_svg_columns_span_the_frame_from_the_first_sweep_value_to_the_last(tmp_path):
+    # a sweep that does not start at 0 pins the offset in the pixel column and the tick values
+    columns, ticks = _svg_columns(tmp_path, 0.5, 1.5, 3)
+    assert columns == ["70.000", "315.000", "560.000"]
+    assert ticks == ["0.5", "0.7", "0.9", "1.1", "1.3", "1.5"]
+
+
+def test_a_one_point_svg_is_centred_in_a_unit_wide_axis(tmp_path):
+    columns, ticks = _svg_columns(tmp_path, 0.25, 0.25, 1)
+    assert columns == ["315.000"]
+    assert ticks == ["-0.25", "-0.05", "0.15", "0.35", "0.55", "0.75"]

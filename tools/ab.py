@@ -1,12 +1,12 @@
 """A/B harness: alternate a parent revision and this checkout on the end-to-end numbers.
 
-Extracts two trees the same way, each with ``git archive`` into a temporary
-directory (no worktree is registered, and the directory is removed at the
-end): ``PARENT_REV``, and this checkout's tracked files as they stand, staged
-or not (``git stash create``, or ``HEAD`` when nothing is modified).  So
-neither side carries the checkout's caches.  It refuses to run, naming them,
-while there are untracked files that are not ignored, which the change tree
-would silently leave out; ``git add`` them first.  It byte-compiles both
+Extracts two commits the same way, each with ``git archive`` into a
+temporary directory (no worktree is registered, and the directory is removed
+at the end): ``PARENT_REV`` and this checkout's ``HEAD``.  So neither side
+carries the checkout's caches, and both ids that it reports name commits.
+It refuses to run, naming them, while there are untracked files that are not
+ignored or tracked files that differ from ``HEAD``, staged or not, which the
+change tree would silently leave out; commit them first.  It byte-compiles both
 trees, so that neither pays for compiling at each import when
 ``PYTHONDONTWRITEBYTECODE`` is set.  Then it runs ``--pairs``
 alternating pairs; pair k runs the parent first when k is even
@@ -152,15 +152,18 @@ def _git(root: Path, *args: str) -> str:
 
 
 def change_rev(root: Path) -> str:
-    """A revision that holds ``root``'s tracked files as they stand, staged or not.
+    """``HEAD``, once ``root`` holds nothing that it leaves out.
 
     Raises ``RuntimeError`` naming the untracked files that are not ignored,
-    since no revision would hold them.
+    else the tracked files that differ from ``HEAD``, staged or not.
     """
     untracked = _git(root, "ls-files", "--others", "--exclude-standard").splitlines()
     if untracked:
         raise RuntimeError("untracked files would be left out of the change tree: " + ", ".join(untracked))
-    return _git(root, "stash", "create").strip() or "HEAD"
+    modified = _git(root, "diff", "--name-only", "HEAD").splitlines()
+    if modified:
+        raise RuntimeError("uncommitted changes would be left out of the change tree: " + ", ".join(modified))
+    return "HEAD"
 
 
 def commit_of(root: Path, rev: str) -> str:
