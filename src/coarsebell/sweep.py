@@ -382,13 +382,18 @@ def optimized_point(
 # job files
 
 
-_SERIES_KEY = re.compile(r"^series\[(\d+)\]\.(label|params\.([A-Za-z_][A-Za-z0-9_]*))$")
+_SERIES_KEY = re.compile(r"^series\[(\d+)\]\.(label|params\.[A-Za-z_][A-Za-z0-9_]*)$")
 
 
 def parse_job(text: str) -> SweepSpec:
-    """Parse the flat ``key = value`` job format into a validated SweepSpec."""
-    top: dict[str, str] = {}
-    series_raw: dict[int, dict] = {}
+    """Parse the flat ``key = value`` job format into a validated SweepSpec.
+
+    Each line's key picks its slot: the top-level table, or series i's
+    entries keyed ``label`` or ``params.NAME``.  A slot is filled once, and
+    every value but a name or a label is parsed as a number at its line.
+    """
+    top: dict[str, str | float] = {}
+    series_raw: dict[int, dict[str, str | float]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -402,23 +407,15 @@ def parse_job(text: str) -> SweepSpec:
             raise JobError(f"line {lineno}: empty value for key {key!r}")
         m = _SERIES_KEY.match(key)
         if m:
-            idx = int(m.group(1))
-            entry = series_raw.setdefault(idx, {"label": None, "params": {}})
-            if m.group(2) == "label":
-                if entry["label"] is not None:
-                    raise JobError(f"line {lineno}: duplicate key {key!r}")
-                entry["label"] = value
-            else:
-                pname = m.group(3)
-                if pname in entry["params"]:
-                    raise JobError(f"line {lineno}: duplicate key {key!r}")
-                entry["params"][pname] = _parse_number(value, key, lineno)
+            slot, name = series_raw.setdefault(int(m.group(1)), {}), m.group(2)
         elif key in ("system", "sweep.variable", "sweep.min", "sweep.max", "sweep.steps"):
-            if key in top:
-                raise JobError(f"line {lineno}: duplicate key {key!r}")
-            top[key] = value
+            slot, name = top, key
         else:
             raise JobError(f"line {lineno}: unrecognized key {key!r}")
+        if name in slot:
+            raise JobError(f"line {lineno}: duplicate key {key!r}")
+        textual = name in ("system", "sweep.variable", "label")
+        slot[name] = value if textual else _parse_number(value, key, lineno)
 
     if "system" not in top:
         raise JobError("job file is missing the 'system' key")
@@ -428,31 +425,23 @@ def parse_job(text: str) -> SweepSpec:
     missing = [k for k in ("sweep.min", "sweep.max", "sweep.steps") if k not in top]
     if missing:
         raise JobError(f"job file is missing {', '.join(repr(m) for m in missing)}")
-    vmin = _parse_number(top["sweep.min"], "sweep.min", None)
-    vmax = _parse_number(top["sweep.max"], "sweep.max", None)
-    steps_f = _parse_number(top["sweep.steps"], "sweep.steps", None)
-    if steps_f != int(steps_f):
-        raise JobError(f"sweep.steps must be an integer, got {top['sweep.steps']!r}")
+    steps = top["sweep.steps"]
+    if steps != int(steps):
+        raise JobError(f"sweep.steps must be an integer, got {steps!r}")
 
     series = []
-    given = {entry["label"] for entry in series_raw.values()}
+    given = {entry.get("label") for entry in series_raw.values()}
     for idx in sorted(series_raw):
         entry = series_raw[idx]
-        label = entry["label"]
+        label = entry.pop("label", None)
         if label is None:
             label = f"series{idx}"
             if label in given:
                 raise JobError(f"series label {label!r} is given to two series: "
                                f"series[{idx}] has no label and defaults to {label!r}")
-        series.append(SeriesSpec(label=label, params=entry["params"]))
-    return SweepSpec(
-        system=system,
-        variable=variable,
-        vmin=vmin,
-        vmax=vmax,
-        steps=int(steps_f),
-        series=tuple(series),
-    )
+        params = {name.removeprefix("params."): number for name, number in entry.items()}
+        series.append(SeriesSpec(label=label, params=params))
+    return SweepSpec(system, variable, top["sweep.min"], top["sweep.max"], int(steps), tuple(series))
 
 
 def _parse_number(text: str, key: str, lineno: int | None) -> float:

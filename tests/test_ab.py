@@ -48,10 +48,12 @@ def test_the_json_record_holds_the_revs_the_date_and_every_numbers_summary():
         "change": [{"jobs.wall_s": 1.0, "tier1.passed": 779.0}, {"jobs.wall_s": 3.0, "lg-sweep.sweep_s": 0.1}],
     }
     revs = {"parent": "a" * 40, "change": "b" * 40}
+    trees = {"parent": "c" * 40, "change": "d" * 40}
     start = datetime(2026, 1, 2, 3, 4, 5, tzinfo=timezone.utc)
-    rec = json.loads(json.dumps(ab.record(revs, readings, start)))
-    assert set(rec) == {"revs", "date", "pairs", "numbers"}
+    rec = json.loads(json.dumps(ab.record(revs, trees, readings, start)))
+    assert set(rec) == {"revs", "trees", "date", "pairs", "numbers"}
     assert rec["revs"] == revs
+    assert rec["trees"] == trees
     assert rec["date"] == "2026-01-02T03:04:05+00:00"
     assert rec["pairs"] == 2
     assert list(rec["numbers"]) == ["jobs.wall_s", "tier1.passed", "lg-sweep.sweep_s"]  # as first read
@@ -133,13 +135,16 @@ def test_a_run_that_exits_zero_gives_its_metrics_failed_count_and_host_fast_shar
 
 
 def test_the_trajectory_file_is_a_dated_list_of_ab_records():
-    # one record per change, each as ``tools/ab.py --json`` wrote it; nothing is run here
+    # one record per change, each as ``tools/ab.py --json`` wrote it; nothing is run here.
+    # The first two records were written before the tool reported ``src`` tree ids.
     records = json.loads((PATH.parents[1] / "BENCH_trajectory.json").read_text())
     assert isinstance(records, list)
-    for rec in records:
-        assert set(rec) == {"revs", "date", "pairs", "numbers"}
-        assert set(rec["revs"]) == {"parent", "change"}
-        assert all(re.fullmatch(r"[0-9a-f]{40}", rev) for rev in rec["revs"].values())
+    for k, rec in enumerate(records):
+        ids = ("revs", "trees") if k >= 2 else ("revs",)
+        assert set(rec) == {*ids, "date", "pairs", "numbers"}
+        for field in ids:
+            assert set(rec[field]) == {"parent", "change"}
+            assert all(re.fullmatch(r"[0-9a-f]{40}", rev) for rev in rec[field].values())
         assert datetime.fromisoformat(rec["date"]).tzinfo is not None
         assert rec["pairs"] >= 1
         wanted = {"jobs.wall_s", "jobs.cpu_s", "tier1.wall_s", "tier1.cpu_s", "tier1.passed"}
@@ -159,12 +164,14 @@ def test_the_json_flag_writes_that_record_after_the_table(monkeypatch, tmp_path,
     readings = {"parent": [{"jobs.wall_s": 2.0}], "change": [{"jobs.wall_s": 1.0}]}
     monkeypatch.setattr(ab, "change_rev", lambda root: "HEAD")
     monkeypatch.setattr(ab, "commit_of", lambda root, rev: {"HEAD~1": "a" * 40, "HEAD": "b" * 40}[rev])
+    monkeypatch.setattr(ab, "src_tree", lambda root, rev: {"a" * 40: "c" * 40, "b" * 40: "d" * 40}[rev])
     monkeypatch.setattr(ab, "measure", lambda revs, pairs: readings)
     out = tmp_path / "ab.json"
     assert ab.main(["HEAD~1", "--pairs", "1", "--json", str(out)]) == 0
     assert "jobs.wall_s" in capsys.readouterr().out
     rec = json.loads(out.read_text())
     assert rec["revs"] == {"parent": "a" * 40, "change": "b" * 40}
+    assert rec["trees"] == {"parent": "c" * 40, "change": "d" * 40}
     assert datetime.fromisoformat(rec["date"]).tzinfo is not None
     assert rec["pairs"] == 1
     assert rec["numbers"] == {"jobs.wall_s": {"pairs": 1, "parent": [2.0] * 3, "change": [1.0] * 3, "lower": 1}}
@@ -174,8 +181,9 @@ def test_the_json_flag_writes_that_record_after_the_table(monkeypatch, tmp_path,
 
 
 def _git(root, *args):
-    subprocess.run(["git", "-C", str(root), "-c", "user.name=ab", "-c", "user.email=ab@example.com",
-                    "-c", "commit.gpgsign=false", *args], check=True, capture_output=True)
+    return subprocess.run(["git", "-C", str(root), "-c", "user.name=ab", "-c", "user.email=ab@example.com",
+                           "-c", "commit.gpgsign=false", *args], check=True, capture_output=True,
+                          text=True).stdout.strip()
 
 
 @pytest.fixture
@@ -218,3 +226,34 @@ def test_a_revision_resolves_to_its_commit_id_or_is_refused(repo):
     assert ab.commit_of(repo, commit[:12]) == commit
     with pytest.raises(RuntimeError, match="^not a commit: no-such-rev$"):
         ab.commit_of(repo, "no-such-rev")
+
+
+def test_the_record_names_each_sides_src_tree_which_a_later_document_commit_keeps(
+        repo, tmp_path, monkeypatch):
+    (repo / "src").mkdir()
+    (repo / "src" / "code.py").write_text("A = 1\n")
+    _git(repo, "add", "src")
+    _git(repo, "commit", "-q", "-m", "parent")
+    (repo / "src" / "code.py").write_text("A = 2\n")
+    _git(repo, "commit", "-q", "-a", "-m", "change")
+    monkeypatch.setattr(ab, "ROOT", repo)
+    monkeypatch.setattr(ab, "measure", lambda revs, pairs: {"parent": [{}], "change": [{}]})
+    out = tmp_path / "ab.json"
+    assert ab.main(["HEAD~1", "--pairs", "1", "--json", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    for side, rev in (("parent", "HEAD~1"), ("change", "HEAD")):
+        assert rec["trees"][side] == _git(repo, "rev-parse", f"{rev}:src")
+        assert _git(repo, "cat-file", "-t", rec["trees"][side]) == "tree"
+    assert rec["trees"]["parent"] != rec["trees"]["change"]
+    # the record is committed with the documents that cite it: the change's commit
+    # id is then no longer HEAD's, but its src tree id still is HEAD's
+    (repo / "NOTES.md").write_text("measured\n")
+    _git(repo, "add", "NOTES.md")
+    _git(repo, "commit", "-q", "-m", "record")
+    assert rec["revs"]["change"] != _git(repo, "rev-parse", "HEAD")
+    assert rec["trees"]["change"] == _git(repo, "rev-parse", "HEAD:src")
+
+
+def test_a_revision_without_a_src_tree_is_refused(repo):
+    with pytest.raises(RuntimeError, match="^no src tree in HEAD$"):
+        ab.src_tree(repo, "HEAD")

@@ -1,10 +1,13 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import contextlib
 import hashlib
+import io
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import coarsebell.sweep
 from coarsebell.cli import EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_VALIDATION, main
@@ -392,3 +395,41 @@ def test_every_parameter_at_every_extreme_ends_in_a_documented_code(capsys, syst
         assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NO_CONVERGENCE), (value, err)
         if code != EXIT_OK:
             assert [line.startswith("error:") for line in err.splitlines()] == [True], (value, err)
+
+
+# edge, huge, subnormal, negative and non-finite values, any float, small half-integers (for
+# n and j) and small reals; j = 256 is left out below, since its 8,192-point LG grid takes ~1 s
+POINT_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-320, 5e-324, 0.5, 1.0, 2.5, 100.0, 100.0001, 256.5, 1e4, 1e8,
+                     1.000001e8, 1e300, 1.7e308, -1.0, -1e308, math.inf, -math.inf, math.nan]),
+    st.floats(),
+    st.integers(-4, 100).map(lambda k: k / 2),
+    st.floats(0.0, 4.0),
+)
+
+
+@st.composite
+def point_argv(draw):
+    system = draw(st.sampled_from(sorted(SYSTEMS)))
+    names = draw(st.lists(st.sampled_from([SYSTEMS[system].variable, *SYSTEMS[system].params]),
+                          unique=True))
+    argv = ["point", system, "--starts", "1"]
+    for name in names:
+        value = draw(POINT_VALUES.filter(lambda v, name=name: not (name == "j" and v == 256)))
+        argv += ["--param", f"{name}={value!r}"]
+    return argv
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(point_argv())
+def test_a_point_at_any_parameters_exits_zero_two_or_three_and_stays_within_tsirelson(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NO_CONVERGENCE)
+    if code != EXIT_OK:
+        assert [line.startswith("error: ") for line in err.getvalue().splitlines()] == [True]
+    else:
+        # 12 printed digits, and the lattice's few ulps above 2 sqrt(2) on the sharp singlet
+        value = float(out.getvalue().splitlines()[0].removeprefix("value = "))
+        assert value <= 2.0 * math.sqrt(2.0) + 1e-11

@@ -89,6 +89,15 @@ def test_closed_form_matches_wavefunction_oracle(alpha):
             assert got == pytest.approx(oracle_ecs_quadrature(ta, tb, alpha), abs=1e-6)
 
 
+def test_the_oracle_holds_at_its_largest_amplitude():
+    # alpha = 10 is accepted, and the integration span still holds each lobe's whole mass there
+    sign_m, overlap_m = _half_line_moments(10.0)
+    assert overlap_m[0, 0] == pytest.approx(1.0, abs=1e-10)
+    assert sign_m[0, 0] == pytest.approx(1.0, abs=1e-10)
+    want = corr_ecs_efficiency(0.55, 2.1, EcsParams(alpha=10.0, eta=1.0))
+    assert oracle_ecs_quadrature(0.55, 2.1, 10.0) == pytest.approx(want, abs=1e-6)
+
+
 def test_oracle_rejects_unstable_amplitudes():
     with pytest.raises(ValueError):
         oracle_ecs_quadrature(0.1, 0.2, 30.0)

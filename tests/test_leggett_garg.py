@@ -60,6 +60,12 @@ def test_parity_squares_to_identity(j):
     assert all(a == -b for a, b in zip(diag, diag[1:]))
 
 
+@pytest.mark.parametrize("j,diag", [(0.5, [-1.0, 1.0]), (1.0, [1.0, -1.0, 1.0])], ids=["half", "one"])
+def test_parity_is_minus_one_to_the_power_j_minus_m(j, diag):
+    # m runs from -j up to j, so the last entry, m = j, is +1 for every j
+    assert list(np.diagonal(parity_operator(j))) == diag
+
+
 @pytest.mark.parametrize("j", [0.5, 1.0, 1.5])
 def test_sharp_correlation_matches_sequential_projection_oracle(j):
     params = SpinParams(j=j, omega=1.3)

@@ -184,6 +184,33 @@ def test_a_label_that_repeats_a_default_label_is_refused(tmp_path, capsys):
             "line 5: value for 'series[0].params.n' is not a number: 'x'",
             id="parameter-not-a-number",
         ),
+        pytest.param(  # a sweep number is parsed at its line, before the unknown key after it
+            "system = photon\nsweep.min=zero\nbogus.key = 1\nsweep.max=1\nsweep.steps=2\n",
+            "line 2: value for 'sweep.min' is not a number: 'zero'",
+            id="sweep-number-at-its-line",
+        ),
+        pytest.param(
+            "system = photon\nsweep.min=0\nsweep.max=1\nsweep.steps=inf\n",
+            "line 4: value for 'sweep.steps' must be finite, got 'inf'",
+            id="steps-not-finite",
+        ),
+        pytest.param(
+            "system = photon\nsweep.min=0\nsweep.max=1\nsweep.steps=2.50\n",
+            "sweep.steps must be an integer, got 2.5",
+            id="steps-fraction-as-parsed",
+        ),
+        pytest.param(  # the index is a number, so series[00] is series[0]
+            "system = photon\nsweep.min=0\nsweep.max=1\nsweep.steps=2\n"
+            "series[0].label = a\nseries[00].label = b\n",
+            "line 6: duplicate key 'series[00].label'",
+            id="repeated-label-padded-index",
+        ),
+        pytest.param(  # params.label is a parameter's slot, not the series label's
+            "system = photon\nsweep.min=0\nsweep.max=1\nsweep.steps=2\n"
+            "series[0].label = a\nseries[0].params.label = 1\n",
+            "unknown parameter 'label'",
+            id="parameter-named-label",
+        ),
     ],
 )
 def test_parse_job_diagnostics(text, needle):

@@ -4,6 +4,10 @@ Extracts two commits the same way, each with ``git archive`` into a
 temporary directory (no worktree is registered, and the directory is removed
 at the end): ``PARENT_REV`` and this checkout's ``HEAD``.  So neither side
 carries the checkout's caches, and both ids that it reports name commits.
+It also reports each side's ``src`` tree id (``git rev-parse REV:src``): a
+record written before its change is committed names a commit that the
+repository may never keep, but when only documents change after the run, the
+committed change holds the same ``src`` tree, and that id resolves.
 It refuses to run, naming them, while there are untracked files that are not
 ignored or tracked files that differ from ``HEAD``, staged or not, which the
 change tree would silently leave out; commit them first.  It byte-compiles both
@@ -166,13 +170,23 @@ def change_rev(root: Path) -> str:
     return "HEAD"
 
 
-def commit_of(root: Path, rev: str) -> str:
-    """The full commit id that ``rev`` names in ``root``; ``RuntimeError`` if it names none."""
-    proc = subprocess.run(["git", "-C", str(root), "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"],
+def _object_id(root: Path, name: str, missing: str) -> str:
+    """The full id of the git object ``name`` in ``root``; ``RuntimeError(missing)`` if there is none."""
+    proc = subprocess.run(["git", "-C", str(root), "rev-parse", "--verify", "--quiet", name],
                           capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"not a commit: {rev}")
+        raise RuntimeError(missing)
     return proc.stdout.strip()
+
+
+def commit_of(root: Path, rev: str) -> str:
+    """The full commit id that ``rev`` names in ``root``; ``RuntimeError`` if it names none."""
+    return _object_id(root, f"{rev}^{{commit}}", f"not a commit: {rev}")
+
+
+def src_tree(root: Path, rev: str) -> str:
+    """The id of the ``src`` tree of ``rev`` in ``root``; ``RuntimeError`` if it has none."""
+    return _object_id(root, f"{rev}:src", f"no src tree in {rev}")
 
 
 def _extract(root: Path, rev: str, dest: Path) -> None:
@@ -194,10 +208,12 @@ def summaries(readings: dict[str, list[dict]]) -> dict[str, dict]:
             for name in names}
 
 
-def record(revs: dict[str, str], readings: dict[str, list[dict]], date: datetime) -> dict:
+def record(revs: dict[str, str], trees: dict[str, str], readings: dict[str, list[dict]],
+           date: datetime) -> dict:
     """The run as one JSON-ready record.
 
-    ``revs`` maps "parent" and "change" to the commit ids compared, ``date`` is
+    ``revs`` maps "parent" and "change" to the commit ids compared, ``trees``
+    maps them to those commits' ``src`` tree ids (see ``src_tree``), ``date`` is
     the run's start as ISO 8601, ``pairs`` the pairs run, and ``numbers``
     maps each number to its ``summarize`` result: ``pairs``, and when that
     is not 0, the ``parent`` and ``change`` quartiles (q1, median, q3) and
@@ -205,6 +221,7 @@ def record(revs: dict[str, str], readings: dict[str, list[dict]], date: datetime
     """
     return {
         "revs": dict(revs),
+        "trees": dict(trees),
         "date": date.isoformat(timespec="seconds"),
         "pairs": len(readings["parent"]),
         "numbers": summaries(readings),
@@ -258,6 +275,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         revs = {"parent": commit_of(ROOT, args.parent), "change": commit_of(ROOT, change_rev(ROOT))}
+        trees = {side: src_tree(ROOT, rev) for side, rev in revs.items()}
     except RuntimeError as exc:
         parser.error(str(exc))
 
@@ -267,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
           "'lower' counts the pairs in which this checkout read lower")
     print("\n".join(_report(readings)))
     if args.json is not None:
-        args.json.write_text(json.dumps(record(revs, readings, started), indent=2) + "\n")
+        args.json.write_text(json.dumps(record(revs, trees, readings, started), indent=2) + "\n")
     return 0
 
 
