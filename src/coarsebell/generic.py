@@ -109,9 +109,9 @@ def _smeared_signs(n: int, delta: float) -> tuple[float, float]:
     """
     if delta == 0.0:
         return float(chi(n)), float(chi(-n))
-    kern = kernels.discrete_gaussian(delta, max(1, math.ceil(8.0 * delta)))
+    k_max = max(1, math.ceil(8.0 * delta))
     up = down = 0.0
-    for k, w in zip(kern.offsets.tolist(), kern.weights.tolist()):
+    for k, w in enumerate(kernels.discrete_gaussian(delta, k_max).weights.tolist(), -k_max):
         up += w * chi(n - k)
         down += w * chi(-n - k)
     # a mean of signs lies in [-1, 1]; the renormalised weights can sum an ulp past 1

@@ -160,10 +160,15 @@ class Validated:
 
 
 class _Frozen:
-    """Base of the forms below: each sets its slots once, in ``__init__``, through
-    ``object.__setattr__``, and no field can be set after that."""
+    """Base of the forms below: each fills its slots once, in ``__init__``, through
+    ``_fill``, and no field can be set after that."""
 
     __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        """Set the slots, in the order of ``__slots__``, to ``values``."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"{type(self).__name__} is frozen: cannot set {name!r}")
@@ -197,8 +202,7 @@ class CosineForm(_Frozen):
         else:
             def closure(theta_a: float, theta_b: float) -> float:
                 return floor + q * cos(2.0 * (theta_a + theta_b))
-        for name, value in zip(self.__slots__, (floor, p, q, closure)):
-            object.__setattr__(self, name, value)
+        self._fill(floor, p, q, closure)
 
     def __call__(self, theta_a: float, theta_b: float) -> float:
         return self.closure(theta_a, theta_b)
@@ -218,9 +222,7 @@ class Harmonic(_Frozen):
             raise ValueError(f"amp must be finite and >= 0, got {amp!r}")
         if not (is_finite(omega) and omega > 0.0):
             raise ValueError(f"omega must be finite and > 0, got {omega!r}")
-        object.__setattr__(self, "amp", amp)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "period", 2.0 * math.pi / omega)
+        self._fill(amp, omega, 2.0 * math.pi / omega)
 
     def __call__(self, tau: float) -> float:
         return self.amp * math.cos(self.omega * tau)
@@ -243,14 +245,8 @@ class CosineSeries(_Frozen):
     def __init__(self, damping: np.ndarray, freq: np.ndarray, norm: float, period: float) -> None:
         import numpy as np
 
-        set_field = object.__setattr__
-        set_field(self, "damping", damping)
-        set_field(self, "freq", freq)
-        set_field(self, "norm", norm)
-        set_field(self, "period", period)
         # bound once: np.sum's Python wrapper was ~40 % of a call, np.add.reduce has the same bits
-        set_field(self, "_cos", np.cos)
-        set_field(self, "_add_up", np.add.reduce)
+        self._fill(damping, freq, norm, period, np.cos, np.add.reduce)
 
     def __call__(self, tau: float) -> float:
         return float(self._add_up(self.damping * self._cos(self.freq * tau))) / self.norm
@@ -265,23 +261,11 @@ class CosineSeries(_Frozen):
         return np.add.reduce(terms, axis=1) / self.norm
 
 
-class DiscreteGaussianWeights(namedtuple("DiscreteGaussianWeights", "offsets weights sigma")):
-    """Renormalised Gaussian weights on integer offsets ``-k_max .. k_max``.
-
-    ``offsets`` and ``weights`` are read-only numpy arrays, ``sigma`` a float.
-    """
+class DiscreteGaussianWeights(namedtuple("DiscreteGaussianWeights", "weights")):
+    """Renormalised Gaussian weights, a read-only numpy array of 2 k_max + 1 entries:
+    entry i is the weight of the integer offset i - k_max."""
 
     __slots__ = ()
-
-    def weight(self, k: int) -> float:
-        """Weight of the integer offset ``k`` (zero outside the truncation window)."""
-        offset = as_int(k)
-        if offset is None:
-            raise ValueError(f"offset must be an integer, got {k!r}")
-        k_max = (len(self.offsets) - 1) // 2
-        if abs(offset) > k_max:
-            return 0.0
-        return float(self.weights[offset + k_max])
 
 
 def discrete_gaussian(sigma: float, k_max: int) -> DiscreteGaussianWeights:
@@ -301,8 +285,8 @@ def discrete_gaussian(sigma: float, k_max: int) -> DiscreteGaussianWeights:
     Returns
     -------
     DiscreteGaussianWeights
-        Offsets ``-k_max..k_max`` and weights proportional to
-        ``exp(-k^2 / (2 sigma^2))``, renormalised to sum to one.
+        The weights of the offsets ``k = -k_max..k_max`` in order, proportional
+        to ``exp(-k^2 / (2 sigma^2))`` and renormalised to sum to one.
     """
     k_max = check_size(k_max, "k_max")
     if k_max > K_MAX:
@@ -317,13 +301,11 @@ def discrete_gaussian(sigma: float, k_max: int) -> DiscreteGaussianWeights:
         )
     import numpy as np
 
-    offsets = np.arange(-k_max, k_max + 1)
     if sigma < _TINY_SIGMA:
         weights = np.zeros(2 * k_max + 1)
         weights[k_max] = 1.0
     else:
-        weights = np.exp(-0.5 * (offsets / sigma) ** 2)
+        weights = np.exp(-0.5 * (np.arange(-k_max, k_max + 1) / sigma) ** 2)
         weights /= weights.sum()
-    offsets.flags.writeable = False
     weights.flags.writeable = False
-    return DiscreteGaussianWeights(offsets=offsets, weights=weights, sigma=sigma)
+    return DiscreteGaussianWeights(weights)

@@ -382,7 +382,9 @@ def optimized_point(
 # job files
 
 
-_SERIES_KEY = re.compile(r"^series\[(\d+)\]\.(label|params\.[A-Za-z_][A-Za-z0-9_]*)$")
+# At most 640 index digits (sys.int_info.str_digits_check_threshold), below any digit limit
+# that int() can be set to, so every index converts; a longer one is an unrecognized key
+_SERIES_KEY = re.compile(r"^series\[(\d{1,640})\]\.(label|params\.[A-Za-z_][A-Za-z0-9_]*)$")
 
 
 def parse_job(text: str) -> SweepSpec:

@@ -433,3 +433,75 @@ def test_a_point_at_any_parameters_exits_zero_two_or_three_and_stays_within_tsir
         # 12 printed digits, and the lattice's few ulps above 2 sqrt(2) on the sharp singlet
         value = float(out.getvalue().splitlines()[0].removeprefix("value = "))
         assert value <= 2.0 * math.sqrt(2.0) + 1e-11
+
+
+def test_a_series_index_too_long_to_convert_exits_two_with_one_error_line(tmp_path, capsys):
+    key = f"series[{'7' * 5000}].label"
+    job = write_job(tmp_path, GOOD_JOB + f"{key} = a\n")
+    assert main(["sweep", job, "--csv", str(tmp_path / "out.csv")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: line 8: unrecognized key {key!r}\n"
+
+
+# values each parameter takes, for the half of the jobs that should run
+VALID_PARAMS = {"n": st.integers(1, 4), "eta": st.floats(0.0, 1.0), "alpha": st.floats(0.5, 20.0),
+                "j": st.integers(1, 10).map(lambda k: k / 2), "omega": st.floats(0.1, 4.0)}
+# a duplicate line, an unknown key or a series index too long to convert
+EXTRA_LINES = ["duplicate", "bogus.key = 1", "series[0].params.bogus = 1", f"series[{'1' * 5000}].label = a"]
+
+
+@st.composite
+def sweep_job(draw):
+    """A job text, its lines in any order.  Half of the jobs should run: an ordered pair of small
+    ends, 1-3 steps and 0-2 series of valid parameters.  The other half draw the ends, the series'
+    values and the sweep variable's from POINT_VALUES (``lg-spin`` at j <= 5), and the steps from
+    the edges, and may add a wrong sweep variable, a duplicate line or an unknown key."""
+    system = draw(st.sampled_from(sorted(SYSTEMS)))
+    row = SYSTEMS[system]
+    if clean := draw(st.booleans()):
+        vmin, vmax = sorted([draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 2.0))])
+        steps = draw(st.integers(1, 3))
+    else:
+        vmin, vmax = draw(POINT_VALUES), draw(POINT_VALUES)
+        steps = draw(st.sampled_from([-1, 0, 1, 2, 3, 2.5, 1e300, math.inf, math.nan]))
+    lines = [f"system = {system}", f"sweep.min = {vmin!r}", f"sweep.max = {vmax!r}", f"sweep.steps = {steps!r}"]
+    if draw(st.booleans()):
+        variable = row.variable if clean else draw(st.sampled_from([row.variable, "eta", "V"]))
+        lines.append(f"sweep.variable = {variable}")
+    names = list(row.params) if clean else [row.variable, *row.params]
+    for i in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            lines.append(f"series[{i}].label = s{i}")
+        for name in draw(st.lists(st.sampled_from(names), unique=True)):
+            if clean:
+                value = draw(VALID_PARAMS[name])
+            else:
+                value = draw(POINT_VALUES.filter(lambda v, name=name: not (name == "j" and v > 5)))
+            lines.append(f"series[{i}].params.{name} = {value!r}")
+    extra = None if clean else draw(st.sampled_from([None, *EXTRA_LINES]))
+    if extra == "duplicate":
+        lines.append(draw(st.sampled_from(lines)))
+    elif extra is not None:
+        lines.append(extra)
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sweep_job())
+def test_a_sweep_of_any_job_exits_zero_two_or_three_and_stays_within_tsirelson(tmp_path_factory, text):
+    tmp = tmp_path_factory.mktemp("sweep")
+    job, csv_path = write_job(tmp, text), tmp / "out.csv"
+    runs = []
+    for _ in range(2):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["sweep", job, "--csv", str(csv_path), "--starts", "1"])
+        runs.append((code, err.getvalue(), csv_path.read_bytes() if code == EXIT_OK else None))
+    assert runs[0] == runs[1]
+    code, err, csv = runs[0]
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NO_CONVERGENCE)
+    if code != EXIT_OK:
+        assert [line.startswith("error: ") for line in err.splitlines()] == [True]
+        return
+    # 12 printed digits, and the lattice's few ulps above 2 sqrt(2) on the sharp singlet
+    for line in csv.decode().splitlines()[1:]:
+        assert float(line.split(",")[-2]) <= 2.0 * math.sqrt(2.0) + 1e-11

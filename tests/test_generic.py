@@ -82,9 +82,10 @@ def per_m_smeared_sign(m: int, delta: float) -> float:
     """One smeared sign at a time: the kernel's weights times chi_{m-k} in the kernel's order, clamped."""
     if delta == 0.0:
         return float(chi(m))
-    kern = kernels.discrete_gaussian(delta, max(1, math.ceil(8.0 * delta)))
+    k_max = max(1, math.ceil(8.0 * delta))
+    weights = kernels.discrete_gaussian(delta, k_max).weights.tolist()
     total = 0.0
-    for k, w in zip(kern.offsets.tolist(), kern.weights.tolist()):
+    for k, w in zip(range(-k_max, k_max + 1), weights, strict=True):
         total += w * chi(m - k)
     return max(-1.0, min(1.0, total))
 

@@ -205,6 +205,18 @@ def test_a_label_that_repeats_a_default_label_is_refused(tmp_path, capsys):
             "line 6: duplicate key 'series[00].label'",
             id="repeated-label-padded-index",
         ),
+        pytest.param(  # a 5,000-digit index is past every limit int() can be set to convert
+            "system = photon\nsweep.min=0\nsweep.max=1\nsweep.steps=2\n"
+            f"series[{'1' * 5000}].label = a\n",
+            f"line 5: unrecognized key 'series[{'1' * 5000}].label'",
+            id="series-index-too-long",
+        ),
+        pytest.param(  # 640 digits, even with leading zeros, still convert
+            "system = photon\nsweep.min=0\nsweep.max=1\nsweep.steps=2\n"
+            f"series[0].label = a\nseries[{'0' * 640}].label = b\n",
+            f"line 6: duplicate key 'series[{'0' * 640}].label'",
+            id="series-index-at-640-digits",
+        ),
         pytest.param(  # params.label is a parameter's slot, not the series label's
             "system = photon\nsweep.min=0\nsweep.max=1\nsweep.steps=2\n"
             "series[0].label = a\nseries[0].params.label = 1\n",

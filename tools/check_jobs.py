@@ -7,8 +7,10 @@ so that no job pays for compiling at its import when
 temporary directory, with this checkout's ``src/`` first on ``PYTHONPATH``,
 and compares the sha256 digest of each output file with
 ``jobs/expected.sha256`` (``sha256sum`` format: digest, two spaces, file
-name).  Exits 0 when every file matches and 1 otherwise, naming each file
-whose digest differs or that is missing.  Each job's wall-clock and CPU
+name).  Exits 0 when every job exits 0 and every file matches, and 1
+otherwise, naming each job that exited nonzero and each file whose digest
+differs or that is missing.  ``--write`` writes no digest when a job exits
+nonzero, and exits 1 naming it.  Each job's wall-clock and CPU
 seconds, and both totals, go to stderr: the wall-clock total is the first
 end-to-end number of ROADMAP.md (the ten jobs).  CPU seconds (user plus
 system, of the job's process) are the steadier reading on a host whose
@@ -53,11 +55,12 @@ def _children_cpu_seconds() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def _run_jobs(names: list[str], out: Path) -> dict[str, str]:
-    """Digest of every CSV and SVG file the jobs write, by file name."""
+def _run_jobs(names: list[str], out: Path) -> tuple[dict[str, str], dict[str, int]]:
+    """Digest of every CSV and SVG file the jobs write, by file name, and the
+    exit code of every job that exited nonzero, by job name."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    digests = {}
+    digests, failed = {}, {}
     total = total_cpu = 0.0
     for name in names:
         csv, svg = out / f"{name}.csv", out / f"{name}.svg"
@@ -69,11 +72,13 @@ def _run_jobs(names: list[str], out: Path) -> dict[str, str]:
         total += seconds
         total_cpu += cpu
         print(f"{name}: exit {code}, {seconds:.2f} s, {cpu:.2f} s CPU", file=sys.stderr)
+        if code != 0:
+            failed[name] = code
         for path in (csv, svg):
             if path.exists():
                 digests[path.name] = _digest(path)
     print(f"all {len(names)} jobs: {total:.2f} s, {total_cpu:.2f} s CPU", file=sys.stderr)
-    return digests
+    return digests, failed
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -83,9 +88,14 @@ def main(argv: list[str] | None = None) -> int:
     names = sorted(p.stem for p in JOBS.glob("*.job"))
     subprocess.run([sys.executable, "-m", "compileall", "-q", str(ROOT / "src")], check=True)
     with tempfile.TemporaryDirectory() as tmp:
-        digests = _run_jobs(names, Path(tmp))
+        digests, failed = _run_jobs(names, Path(tmp))
+    for name, code in failed.items():
+        print(f"failed: {name}.job exited {code}")
 
     if args.write:
+        if failed:
+            print(f"did not write {EXPECTED.name}: {len(failed)} of {len(names)} jobs failed")
+            return 1
         EXPECTED.write_text("".join(f"{d}  {n}\n" for n, d in sorted(digests.items())))
         print(f"wrote {len(digests)} digests to {EXPECTED.relative_to(ROOT)}")
         return 0
@@ -96,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
     for f in bad:
         print(f"differs: {f}" if f in digests else f"missing: {f}")
     print(f"{len(wanted) - len(bad)} of {len(wanted)} files identical")
-    return 1 if bad else 0
+    return 1 if bad or failed else 0
 
 
 if __name__ == "__main__":
