@@ -30,10 +30,9 @@ __version__ = "0.1.0"
 
 # the oracles' public names, here since reading oracles.__all__ would load the module
 _ORACLE_NAMES = (
-    "QuadratureRule", "gauss_hermite", "angle_average", "f_delta", "g_delta",
-    "corr_coarse_reference_quad", "corr_combined", "FockDensityMatrix", "mode_observable",
+    "QuadratureRule", "gauss_hermite", "angle_average", "FockDensityMatrix", "mode_observable",
     "build_psi_n", "rotate_polarization", "loss_channel", "dichotomic_expectation",
-    "corr_photon", "oracle_ecs_quadrature", "parity_operator", "corr_spin_parity_quad",
+    "corr_photon", "corr_spin_parity_quad",
 )
 
 __all__ = ["__version__"]

@@ -32,10 +32,10 @@ included, once and returns ``(theta_a, theta_b) -> E`` as the
 one per point, and the ``corr_ecs_*`` functions bind theirs once per
 configuration through ``kernels.bound``.
 
-``oracles.oracle_ecs_quadrature`` rebuilds the efficiency-free correlation
-from first principles - coherent-state position wavefunctions,
-sign-probability integrals, cross-term overlaps and all - as an independent
-check on the closed form.
+The unit tests' reference oracles (``tests/reference_oracles.py``) rebuild
+the efficiency-free correlation from first principles - coherent-state
+position wavefunctions, sign-probability integrals, cross-term overlaps and
+all - as an independent check on the closed form.
 """
 
 from __future__ import annotations

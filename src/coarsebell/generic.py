@@ -111,7 +111,7 @@ def _smeared_signs(n: int, delta: float) -> tuple[float, float]:
         return float(chi(n)), float(chi(-n))
     k_max = max(1, math.ceil(8.0 * delta))
     up = down = 0.0
-    for k, w in enumerate(kernels.discrete_gaussian(delta, k_max).weights.tolist(), -k_max):
+    for k, w in enumerate(kernels.discrete_gaussian(delta, k_max).values, -k_max):
         up += w * chi(n - k)
         down += w * chi(-n - k)
     # a mean of signs lies in [-1, 1]; the renormalised weights can sum an ulp past 1
@@ -127,8 +127,8 @@ def fuzzy_detector_correlator(params: GenericParams) -> CosineForm:
     ``down`` of -n, computed once.  Any ``Delta`` in ``params`` is ignored
     here; this is the pure detector-fuzziness branch.  For ``delta == 0``,
     S = 0 and A = 1, so it reduces exactly to ``-cos 2(theta_a + theta_b)``.
-    Agrees with the composition of ``oracles.f_delta`` and
-    ``oracles.g_delta`` in the module docstring within 1e-14.
+    Agrees within 1e-14 with the composition of the responses f and g in
+    the module docstring, which ``tests/reference_oracles.py`` computes.
     """
     n, delta = params.n, params.delta
     up, down = _smeared_signs(n, delta)

@@ -261,11 +261,21 @@ class CosineSeries(_Frozen):
         return np.add.reduce(terms, axis=1) / self.norm
 
 
-class DiscreteGaussianWeights(namedtuple("DiscreteGaussianWeights", "weights")):
-    """Renormalised Gaussian weights, a read-only numpy array of 2 k_max + 1 entries:
-    entry i is the weight of the integer offset i - k_max."""
+class DiscreteGaussianWeights(namedtuple("DiscreteGaussianWeights", "values")):
+    """Renormalised Gaussian weights, a tuple of 2 k_max + 1 built-in floats:
+    entry i is the weight of the integer offset i - k_max.  A tuple, so that
+    records with equal weights are equal and hash alike."""
 
     __slots__ = ()
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The weights as a new read-only numpy array."""
+        import numpy as np
+
+        weights = np.array(self.values)
+        weights.flags.writeable = False
+        return weights
 
 
 def discrete_gaussian(sigma: float, k_max: int) -> DiscreteGaussianWeights:
@@ -307,5 +317,4 @@ def discrete_gaussian(sigma: float, k_max: int) -> DiscreteGaussianWeights:
     else:
         weights = np.exp(-0.5 * (np.arange(-k_max, k_max + 1) / sigma) ** 2)
         weights /= weights.sum()
-    weights.flags.writeable = False
-    return DiscreteGaussianWeights(weights)
+    return DiscreteGaussianWeights(tuple(weights.tolist()))

@@ -437,6 +437,11 @@ def maximize_chsh(correlator, starts: int | None = None) -> OptimizationResult:
     into ``[0, period)``.  Its ``value`` can read a few ulps above the
     closed maximum, from the rounding of the four-term sum: the sharp
     singlet form gives 2.8284271247461916, not the float 2 sqrt(2).
+
+    ``converged`` on the closed path is always true: ``value`` is the exact
+    maximum.  On the lattice it is true when the winning run met ``_XATOL``
+    and ``_FATOL`` within its caps, and so did the polish from the winner
+    when the polish wins; that value is uncertified, the best of the runs.
     """
     period = getattr(correlator, "period", math.pi)
     starts = _check_search(period, starts)
@@ -541,16 +546,18 @@ def maximize_lg(correlator, starts: int | None = None) -> OptimizationResult:
     ``[0, period)``.  ``evaluations`` counts every call of ``correlator``,
     the grid samples included.  ``starts`` is validated (>= 1) but does not
     change the search; ``starts_used`` is the number of polished triples.
-    ``converged`` is true only when the grid resolved the bandwidth of C
-    below its size cap and the winning polish met its tolerances.  A
-    non-finite sample or objective value raises ``NonFiniteObjectiveError``.
+    ``converged`` is true only when a grid of at most ``_LG_GRID_MAX``
+    points resolved C's highest harmonic and the winning polish met
+    ``_XATOL`` and ``_FATOL`` within its caps.  A non-finite sample or
+    objective value raises ``NonFiniteObjectiveError``.
 
     A ``kernels.Harmonic``, bare or inside a ``Correlator``, takes its
     closed-form maximum instead (see the module docstring): ``argmax`` is
     (pi / (4 omega),) * 3 reduced modulo the period, ``value`` K there,
-    four evaluations and no start, and ``converged`` is true.  The check
-    is by exact type, as in ``maximize_chsh``; a ``kernels.CosineSeries``
-    runs the grid search above, sampled in numpy.
+    four evaluations and no start, and ``converged`` is always true, since
+    ``value`` is the exact maximum.  The check is by exact type, as in
+    ``maximize_chsh``; a ``kernels.CosineSeries`` runs the grid search
+    above, sampled in numpy.
     """
     period = getattr(correlator, "period", 2.0 * math.pi)
     _check_search(period, starts)

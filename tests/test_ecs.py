@@ -22,7 +22,7 @@ from coarsebell.ecs import (
     corr_ecs_reference,
     homodyne_angle_average,
 )
-from coarsebell.oracles import _half_line_moments, oracle_ecs_quadrature
+from reference_oracles import _half_line_moments, oracle_ecs_quadrature
 
 ANGLES = (0.0, 0.55, 2.1)
 

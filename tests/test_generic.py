@@ -22,7 +22,7 @@ from coarsebell.generic import (
     discrimination_error,
     fuzzy_detector_correlator,
 )
-from coarsebell.oracles import corr_combined, corr_coarse_reference_quad, f_delta, g_delta
+from reference_oracles import corr_combined, corr_coarse_reference_quad, f_delta, g_delta
 
 WIDE = 60  # brute-force window, generous for every sigma used below
 

@@ -121,6 +121,26 @@ def test_every_exported_name_resolves_and_is_listed():
         coarsebell.corr_nothing  # noqa: B018
 
 
+# the oracles that only unit tests call, which tests/reference_oracles.py holds
+TEST_ONLY_ORACLES = (
+    "f_delta", "g_delta", "corr_coarse_reference_quad", "corr_combined",
+    "oracle_ecs_quadrature", "parity_operator",
+)
+
+
+def test_the_package_ships_only_the_oracles_that_criteria_and_benchmark_reach():
+    assert coarsebell._ORACLE_NAMES == (
+        "QuadratureRule", "gauss_hermite", "angle_average", "FockDensityMatrix",
+        "mode_observable", "build_psi_n", "rotate_polarization", "loss_channel",
+        "dichotomic_expectation", "corr_photon", "corr_spin_parity_quad",
+    )
+    for name in TEST_ONLY_ORACLES:
+        with pytest.raises(AttributeError):
+            getattr(coarsebell, name)
+        assert name not in dir(coarsebell) and name not in oracles.__all__
+        assert not hasattr(oracles, name)
+
+
 def test_the_package_exports_exactly_the_modules_lists_with_no_name_twice():
     # a repeat would mean that one module's wildcard import shadows another's name
     assert len(set(coarsebell.__all__)) == len(coarsebell.__all__)

@@ -44,7 +44,7 @@ def gaussian_average(f, center: float, sigma: float, rule: QuadratureRule) -> fl
 def test_discrete_gaussian_normalized_and_symmetric(sigma, k_max):
     w = discrete_gaussian(sigma, k_max)
     assert isinstance(w, DiscreteGaussianWeights)
-    assert DiscreteGaussianWeights._fields == ("weights",)
+    assert DiscreteGaussianWeights._fields == ("values",)
     assert w.weights.sum() == pytest.approx(1.0, abs=1e-14)
     assert w.weights.shape == (2 * k_max + 1,)
     assert w.weights.tolist() == w.weights[::-1].tolist()
@@ -103,6 +103,15 @@ def test_discrete_gaussian_weights_are_read_only():
     w = discrete_gaussian(1.0, 6)
     with pytest.raises(ValueError):
         w.weights[0] = 2.0
+
+
+def test_separately_built_equal_kernels_are_equal_and_hash_alike():
+    # a numpy field made == ambiguous and hash() a TypeError
+    a, b = discrete_gaussian(1.0, 3), discrete_gaussian(1.0, 3)
+    assert a is not b and a.values is not b.values
+    assert a == b and hash(a) == hash(b)
+    assert all(type(w) is float for w in a.values)
+    assert a != discrete_gaussian(1.0, 4)
 
 
 # ---------------------------------------------------------------------------

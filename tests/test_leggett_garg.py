@@ -21,7 +21,8 @@ from coarsebell.leggett_garg import (
     spin_parity_correlator,
 )
 from coarsebell.optimize import LgTimes, lg_function
-from coarsebell.oracles import corr_spin_parity_quad, gauss_hermite, parity_operator
+from coarsebell.oracles import corr_spin_parity_quad, gauss_hermite
+from reference_oracles import parity_operator
 
 
 def spin_x(j: float) -> np.ndarray:

@@ -138,16 +138,22 @@ def test_degenerate_maxima_resolve_deterministically():
     assert runs[0].value == pytest.approx(1.0, abs=1e-10)
 
 
-def stub_simplex(monkeypatch, run):
-    """Replace the simplex by ``run(x0)``, recording each start; a run costs one evaluation."""
+def stub_flagged_simplex(monkeypatch, run):
+    """Replace the simplex by ``run(k, x0)`` -> (point, ok) for the k-th run; a run costs one evaluation."""
     starts = []
 
     def stub(f, x0, maxiter, maxfev, chsh):
         starts.append(x0)
-        return run(x0), True, 1
+        point, ok = run(len(starts) - 1, x0)
+        return point, ok, 1
 
     monkeypatch.setattr(optimize, "_nelder_mead", stub)
     return starts
+
+
+def stub_simplex(monkeypatch, run):
+    """Replace the simplex by ``run(x0)``, each run meeting its tolerances, recording each start."""
+    return stub_flagged_simplex(monkeypatch, lambda k, x0: (run(x0), True))
 
 
 @pytest.mark.parametrize(
@@ -209,6 +215,38 @@ def test_each_simplex_run_is_capped_at_4000_iterations_and_8000_evaluations_a_di
     caps.clear()
     maximize_lg(leggett_garg.spin_parity_correlator(SpinParams(j=2.5, Delta=0.3)))
     assert caps == [(12_000, 24_000)] * optimize._LG_POLISHED
+
+
+@pytest.mark.parametrize("polish_wins", [False, True])
+@pytest.mark.parametrize("polish_ok", [False, True])
+@pytest.mark.parametrize("winner_ok", [False, True])
+def test_lattice_converged_is_the_winning_run_and_a_winning_polish_meeting_their_tolerances(
+    winner_ok, polish_ok, polish_wins, monkeypatch
+):
+    # every point of a constant correlator ties, so the smallest point wins: run 0's
+    # (0.1,) * 4 among the lattice runs, whose other 15 carry the opposite flag, then
+    # the polish from it wins only when it ends at the smaller (0.05,) * 4
+    def run(k, x0):
+        if k == 16:
+            return ((0.05,) * 4 if polish_wins else x0), polish_ok
+        return ((0.1,) * 4, winner_ok) if k == 0 else (x0, not winner_ok)
+
+    starts = stub_flagged_simplex(monkeypatch, run)
+    res = maximize_chsh(lambda a, b: 0.25, starts=16)
+    assert len(starts) == 17 and starts[-1] == (0.1,) * 4
+    assert res.argmax == ((0.05,) * 4 if polish_wins else (0.1,) * 4)
+    assert res.converged is (winner_ok and (polish_ok or not polish_wins))
+
+
+@pytest.mark.parametrize("winner_ok", [False, True])
+def test_lg_grid_converged_is_the_winning_polish_meeting_its_tolerances(winner_ok, monkeypatch):
+    # every polish ends where run 0 started, so the later runs only tie it and run 0
+    # wins; they carry the opposite flag
+    series = leggett_garg.spin_parity_correlator(SpinParams(j=2.5, Delta=0.3))
+    starts = stub_flagged_simplex(monkeypatch, lambda k, x0: (starts[0], winner_ok is (k == 0)))
+    res = maximize_lg(series)
+    assert len(starts) >= 2 and res.argmax == tuple(g % series.period for g in starts[0])
+    assert res.converged is winner_ok
 
 
 def test_validation_errors():

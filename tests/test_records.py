@@ -27,12 +27,12 @@ from coarsebell.sweep import (
     _System,
 )
 
-WEIGHTS = np.array([0.25, 0.5, 0.25])
+WEIGHTS = (0.25, 0.5, 0.25)
 SPEC = dict(system="generic-ref", variable="V", vmin=0.0, vmax=1.0, steps=3)
 
 # class, keyword arguments, defaults, hashable, invalid replacement (field, value, error, match)
 RECORDS = [
-    (DiscreteGaussianWeights, dict(weights=WEIGHTS), {}, False, None),
+    (DiscreteGaussianWeights, dict(values=WEIGHTS), {}, True, None),
     (GenericParams, dict(n=2), dict(delta=0.0, Delta=0.0), True,
      ("n", 0, ValueError, "n must be an integer >= 1")),
     (PhotonParams, dict(n=2), dict(eta=1.0, Delta=0.0), True,

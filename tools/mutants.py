@@ -1,7 +1,8 @@
 """Mutation check: every mutant in the committed table must fail its named tests.
 
-Each entry of ``tools/mutants.json`` gives a file under ``src/``, an exact
-old text that must occur once in it, the new text that replaces it, and the
+Each entry of ``tools/mutants.json`` gives a file under ``src/`` or
+``tests/`` (where the unit tests' reference oracles live), an exact old text
+that must occur once in it, the new text that replaces it, and the
 test node IDs that must fail.  The tool first checks every entry's old
 text and runs all the named tests on an unchanged copy of the tree, where
 they must pass.  Then, for each entry, it copies the tree to a temporary
@@ -14,7 +15,7 @@ exits 1 when an old text is not found exactly once, when the named tests
 fail without any mutant, or when a mutant survives or its run errors;
 otherwise 0.  Hypothesis runs with a fixed seed, so each verdict repeats.
 
-    python tools/mutants.py    # the whole table (~40 s on a 2-vCPU Xeon)
+    python tools/mutants.py    # the whole table (~95 s on a 2-vCPU Xeon)
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypoth
 def _problems(entry: dict) -> list[str]:
     """What is wrong with an entry, read against this checkout; empty if nothing."""
     name, path = entry["name"], ROOT / entry["file"]
-    if not entry["file"].startswith("src/") or not path.is_file():
-        return [f"{name}: {entry['file']} is not a file under src/"]
+    if not entry["file"].startswith(("src/", "tests/")) or not path.is_file():
+        return [f"{name}: {entry['file']} is not a file under src/ or tests/"]
     count = path.read_text().count(entry["old"])
     if count != 1:
         return [f"{name}: old text occurs {count} times in {entry['file']}, not once"]
