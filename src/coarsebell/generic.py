@@ -64,7 +64,7 @@ __all__ = [
 # Largest detector width delta (variance V = 1e8).  The smearing window spans
 # ceil(8 delta) integers either side of zero and is summed once per smeared
 # value, so this keeps it near 1.6e5 entries; without a limit, V = 1e300 asks
-# numpy for a window of ~1e151 entries.
+# the kernel for a window of ~1e151 entries.
 DELTA_MAX = 1e4
 
 

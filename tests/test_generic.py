@@ -93,8 +93,10 @@ def per_m_smeared_sign(m: int, delta: float) -> float:
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(0, 60), delta=st.floats(0.0, 6.0))
 @example(n=0, delta=0.0)
-@example(n=2, delta=math.sqrt(0.050905806377099516))  # the clamp acts on +n
+@example(n=2, delta=math.sqrt(0.050905806377099516))  # +n unclamped reads 0.9999999999999999
 @example(n=3, delta=0.2032293670790033)
+@example(n=11, delta=1.1914089058252777)  # the clamp acts on both signs
+@example(n=49, delta=0.6310682188770933)  # the clamp acts on both signs
 def test_both_smeared_signs_keep_the_bits_of_a_per_m_loop(n, delta):
     up, down = _smeared_signs(n, delta)
     assert (up.hex(), down.hex()) == (per_m_smeared_sign(n, delta).hex(), per_m_smeared_sign(-n, delta).hex())
@@ -239,8 +241,10 @@ def test_discrimination_error_against_brute_sum():
 
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 50), delta=st.floats(0.0, 10.0))
-@example(n=2, delta=math.sqrt(0.050905806377099516))  # unclamped, E = 1.0000000000000004
-@example(n=3, delta=0.2032293670790033)  # unclamped, the error is -4.4e-16
+@example(n=2, delta=math.sqrt(0.050905806377099516))  # unclamped, E = 0.9999999999999998
+@example(n=3, delta=0.2032293670790033)  # unclamped, E = 1.0 and the error is 0.0
+@example(n=11, delta=1.1914089058252777)  # unclamped, E = 1.0000000000000004, error -4.4e-16
+@example(n=49, delta=0.6310682188770933)  # unclamped, E = 1.0000000000000004, error -4.4e-16
 def test_smeared_signs_keep_correlations_and_errors_within_their_bounds(n, delta):
     # the renormalised weights can sum an ulp past 1; at a + b = pi/2, E = S^2 + A^2
     assert abs(corr_fuzzy_detector(math.pi / 4, math.pi / 4, GenericParams(n, delta))) <= 1.0

@@ -69,11 +69,25 @@ def test_a_wildcard_import_loads_neither_numpy_nor_the_oracles():
     assert proc.stdout.split() == ["coarsebell.sweep"]
 
 
+# only lg-spin loads numpy, for its spin sectors; generic-delta builds its kernel in floats
 @pytest.mark.parametrize(
-    "job", ["ecs_reference.job", "generic_reference.job", "photon_n1.job", "lg_nonclassical.job"]
+    "job",
+    [
+        "ecs_reference.job",
+        "generic_reference.job",
+        "generic_final_resolution.job",
+        "photon_n1.job",
+        "lg_nonclassical.job",
+    ],
 )
-def test_closed_form_sweeps_never_load_numpy(tmp_path, job):
+def test_sweeps_outside_lg_spin_never_load_numpy(tmp_path, job):
     assert run_sweep_job(tmp_path, job) == ["0"]
+
+
+def test_a_smeared_generic_delta_point_never_loads_numpy():
+    proc = run_python(RUN_CLI.format(prelude=""), "point", "generic-delta", "--param", "V=0.5")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0"
 
 
 def test_a_closed_form_lg_point_never_loads_numpy():

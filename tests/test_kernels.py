@@ -63,6 +63,7 @@ def test_discrete_gaussian_weight_includes_both_window_edges():
     weights = discrete_gaussian(1.0, 3).weights
     assert weights.shape == (7,)
     assert weights[0] == weights[-1] > 0.0
+    assert weights[0] / weights[3] == pytest.approx(math.exp(-4.5), rel=1e-12)
 
 
 def test_discrete_gaussian_rejects_aggressive_truncation():

@@ -7,6 +7,7 @@ numpy-integer contract: wherever an integer is asked, whatever
 ``operator.index`` accepts is taken (no bool) and stored as a built-in int.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -85,7 +86,8 @@ def test_no_attribute_can_be_set(cls, kwargs, defaults, hashable, invalid):
 
 @pytest.mark.parametrize("cls, kwargs, defaults, hashable, invalid", RECORDS, ids=IDS)
 def test_equal_fields_give_equal_records(cls, kwargs, defaults, hashable, invalid):
-    a, b = cls(**kwargs), cls(**kwargs)
+    # copied fields, so that no comparison short-cuts by identity
+    a, b = cls(**kwargs), cls(**copy.deepcopy(kwargs))
     assert a == b
     if hashable:
         assert hash(a) == hash(b)
