@@ -102,13 +102,12 @@ def _smeared_signs(n: int, delta: float) -> tuple[float, float]:
     One truncated, renormalised kernel serves both sums.  Its window spans
     the kernel alone, max(1, ceil(8 delta)) integers either side of zero,
     whatever ``n``: once |n| exceeds it every chi_{+-n-k} equals chi(+-n),
-    so neither the sums nor their cost grow with |n|.
+    so neither the sums nor their cost grow with |n|.  At delta = 0 the
+    window is the kernel's point mass (0, 1, 0), whose sums are chi(+-n).
 
     Summed in Python floats, so the forms built from them compute on
     built-in floats too; numpy scalars made each call ~2.4x slower.
     """
-    if delta == 0.0:
-        return float(chi(n)), float(chi(-n))
     k_max = max(1, math.ceil(8.0 * delta))
     up = down = 0.0
     for k, w in enumerate(kernels.discrete_gaussian(delta, k_max).values, -k_max):

@@ -43,7 +43,7 @@ import math
 import operator
 from collections import namedtuple
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     import numpy as np
@@ -118,31 +118,20 @@ def bound(factory: Callable, params: tuple):
     return factory(params)
 
 
-def smear_damping(*widths: float | np.ndarray) -> float | np.ndarray:
+def smear_damping(*widths: float) -> float:
     """exp(-(sum of w * w over ``widths``) / 2), the damping of a harmonic whose Gaussian
     references have the per-reference widths ``widths`` (see the module docstring).
 
-    Python numbers, ints included, give a built-in float through ``math.exp``; an int
-    rounds to a float before it is squared, as in ``-0.5 * Delta * Delta``.  Numpy
-    arrays of widths, one entry per spin sector, give an array through ``np.exp``.
+    A built-in float through ``math.exp``.  Each width is a number, and an int rounds to
+    a float before it is squared, as in ``-0.5 * Delta * Delta``; an array raises ``TypeError``.
     """
-    for width in widths:
-        if not isinstance(width, (int, float)):
-            import numpy as np
-
-            with np.errstate(over="ignore"):  # a huge width's damping underflows to 0 through inf
-                return _damping(np.exp, widths)
-    return _damping(math.exp, map(float, widths))
-
-
-# Squaring each per-reference width, not kappa * Delta^2, keeps every model's
-# bits: (2 Delta, 2 Delta) gives those of exp(-4.0 * Delta * Delta), and 2 m Delta
-# those of lg-spin's np.exp(-2.0 * (m * Delta) ** 2) (tests/test_kernels.py).
-def _damping(exp: Callable, widths: Iterable) -> float | np.ndarray:
+    # Squaring each per-reference width, not kappa * Delta^2, keeps every model's
+    # bits: (2 Delta, 2 Delta) gives those of exp(-4.0 * Delta * Delta), and 2 m Delta
+    # those of exp(-2.0 * (m * Delta) * (m * Delta)) (tests/test_kernels.py).
     exponent = 0.0
-    for width in widths:
+    for width in map(float, widths):
         exponent = exponent + width * width
-    return exp(-0.5 * exponent)
+    return math.exp(-0.5 * exponent)
 
 
 class Validated:

@@ -103,8 +103,10 @@ class SpinParams(Validated, namedtuple("SpinParams", "j omega Delta", defaults=(
 # The arrays are read-only: every series of one configuration shares them.
 def _spin_terms(params: SpinParams) -> tuple[np.ndarray, np.ndarray]:
     """Per-sector damping exp(-2 m^2 Delta^2) and angular factor 2 m omega."""
+    import numpy as np
+
     m = params.magnetic_numbers()
-    damping = smear_damping(2.0 * m * params.Delta)
+    damping = np.array([smear_damping(2.0 * x * params.Delta) for x in m.tolist()])
     freq = 2.0 * m * params.omega
     damping.flags.writeable = False
     freq.flags.writeable = False

@@ -239,7 +239,7 @@ def test_cosine_series_evaluates_its_expression_bit_for_bit():
 # the damping of a smeared reference
 
 # every spin sector m of lg-spin up to J_MAX = 256, integer and half-integer
-SECTORS = np.arange(-256.0, 256.5, 0.5)
+SECTORS = np.arange(-256.0, 256.5, 0.5).tolist()
 # the odd harmonics n = 2k + 1 of the homodyne series, k up to its largest cut
 HARMONICS = range(1, 2 * 244, 2)
 
@@ -269,15 +269,25 @@ def test_smear_damping_has_the_bits_of_each_models_own_damping(Delta):
     # lg-nonclassical: the rotation between two times of the two-level probe
     got = smear_damping(Delta)
     assert type(got) is float and got.hex() == math.exp(-0.5 * Delta * Delta).hex()
-    # lg-spin: sector m is a harmonic of order 2m in that rotation
-    with np.errstate(over="ignore"):
-        want = np.exp(-2.0 * (SECTORS * Delta) ** 2)
-    got = smear_damping(2.0 * SECTORS * Delta)
-    assert type(got) is np.ndarray and got.tobytes() == want.tobytes()
+    # lg-spin: sector m is a harmonic of order 2m in that rotation; x * x, since
+    # x ** 2 raises OverflowError at Delta = 1e300
+    for m in SECTORS:
+        got = smear_damping(2.0 * m * Delta)
+        want = math.exp(-2.0 * (m * Delta) * (m * Delta))
+        assert type(got) is float and got.hex() == want.hex(), m
     # ecs-homodyne: odd harmonic n of the homodyne phase
     for n in (n * Delta for n in HARMONICS):
         got = smear_damping(n)
         assert type(got) is float and got.hex() == math.exp(-0.5 * n * n).hex(), n
+
+
+# lg-spin damps its sectors one call each, so no width is an array
+@pytest.mark.parametrize(
+    "widths", [(np.array([0.5, 1.0]),), (0.5, np.arange(3.0)), (2.0 * np.arange(-1.0, 1.5, 0.5),)]
+)
+def test_smear_damping_refuses_an_array_width(widths):
+    with pytest.raises(TypeError):
+        smear_damping(*widths)
 
 
 # ---------------------------------------------------------------------------

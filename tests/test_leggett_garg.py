@@ -89,6 +89,14 @@ def test_closed_sum_matches_quadrature(j, Delta):
         assert closed == pytest.approx(quad, abs=1e-10)
 
 
+@pytest.mark.parametrize("j, Delta", [(0.5, 0.3), (2.5, 0.2), (7.5, 0.05)])
+def test_spin_quadrature_defaults_to_forty_nodes(j, Delta):
+    params = SpinParams(j=j, omega=1.0, Delta=Delta)
+    rule = gauss_hermite(40)
+    for tau in (0.0, 0.4, 1.1, 2.7):
+        assert corr_spin_parity_quad(tau, params) == corr_spin_parity_quad(tau, params, rule=rule)
+
+
 def test_spin_half_reduces_to_damped_cosine():
     params = SpinParams(j=0.5, omega=2.0, Delta=0.4)
     for tau in (0.0, 0.3, 1.9):

@@ -443,6 +443,17 @@ def test_lg_correlator_without_finite_bandwidth_stops_at_the_grid_cap():
     assert res.value == pytest.approx(1.5 * math.sqrt(3.0), abs=1e-9)
 
 
+# At V = 0 spin j's top harmonic has order 2j, so 16 points per period of it
+# take 32j points; J_MAX = 256 is the largest spin whose grid fits in 8192.
+@pytest.mark.parametrize(
+    "j, size", [(16.0, 512), (16.5, 1024), (128.0, 4096), (128.5, 8192), (256.0, 8192)]
+)
+def test_lg_grid_holds_sixteen_points_per_period_of_the_top_harmonic(j, size):
+    series = leggett_garg.spin_parity_correlator(SpinParams(j))
+    c, resolved = optimize._lg_samples(series, series.period)
+    assert (len(c), resolved) == (size, True)
+
+
 def test_lg_grid_ignores_a_harmonic_below_its_floor_relative_to_max_abs_c():
     # the floor is 1e-14 * max(1, max|C|) ~ 1e-12, above the 5e-14 coefficient of the
     # cos 200t term, so the first grid resolves C; an absolute 1e-14 floor would not
